@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from .dyadic import (
     LevelOverflowError,
+    as_index,
     decimal_str,
     frac_str,
     step_from_json,
@@ -88,9 +89,23 @@ def _step(obj) -> "DyadicStep":
         raise InputError(str(exc)) from None
 
 
+def _single_eps(args, command: str) -> Fraction:
+    eps_list = _parse_rat_list(args.eps or "")
+    if len(eps_list) != 1:
+        raise InputError(f"{command} takes exactly one --eps value")
+    return eps_list[0]
+
+
+def _as_list(value, key: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{key!r} must be a list, got {value!r}")
+    return value
+
+
 def _nbhd_from_json(obj) -> WeakNbhd:
     center = _step(_need(obj, "center"))
-    functionals = tuple(_step(o) for o in obj.get("functionals", []))
+    raw = _as_list(obj.get("functionals", []), "functionals")
+    functionals = tuple(_step(o) for o in raw)
     delta = _parse_rat(_need(obj, "delta"))
     try:
         return WeakNbhd(center, functionals, delta)
@@ -130,12 +145,7 @@ def _cmd_split(args) -> int:
 
 def _cmd_witness(args) -> int:
     nbhd = _nbhd_from_json(_load_json(args.input))
-    if not args.eps:
-        raise InputError("witness needs --eps")
-    eps_list = _parse_rat_list(args.eps)
-    if len(eps_list) != 1:
-        raise InputError("witness takes exactly one --eps value")
-    rep = d2p_witness(nbhd, eps_list[0])
+    rep = d2p_witness(nbhd, _single_eps(args, "witness"))
     _emit_json(rep.to_json(), args.out)
     return 0
 
@@ -154,13 +164,14 @@ def _cmd_probe(args) -> int:
         )
     elif args.what == "extreme":
         nbhd = _nbhd_from_json(_load_json(args.input))
-        if not args.eps:
-            raise InputError("probe extreme needs --eps")
-        wit = strong_extreme_failure(nbhd, _parse_rat_list(args.eps)[0])
+        wit = strong_extreme_failure(nbhd, _single_eps(args, "probe extreme"))
         _emit_json(wit.to_json(), args.out)
     elif args.what == "chain":
         obj = _load_json(args.input)
-        A = [tuple(idx) for idx in obj.get("A", [])]
+        try:
+            A = [as_index(idx) for idx in _as_list(obj.get("A", []), "A")]
+        except (ValueError, TypeError) as exc:
+            raise InputError(f"'A' must list [k, j] cells: {exc}") from None
         try:
             rep = perturbation_l1_chain(
                 _step(_need(obj, "f")), _step(_need(obj, "g")), A
@@ -187,8 +198,10 @@ def _cmd_probe(args) -> int:
 
 def _cmd_ell1(args) -> int:
     obj = _load_json(args.input)
-    deltas = [_parse_rat(d) for d in _need(obj, "deltas")]
+    deltas = [_parse_rat(d) for d in _as_list(_need(obj, "deltas"), "deltas")]
     m = obj.get("m", len(deltas))
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise InputError(f"'m' must be an integer, got {m!r}")
     if args.what == "greedy":
         try:
             fam = greedy_asymptotic_ell1(deltas, m)

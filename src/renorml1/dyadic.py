@@ -9,6 +9,10 @@ clearly labelled rendering helpers.
 Two step functions are equal iff their refinements to a common level have
 identical values, so the representation level is not part of the identity
 of a function.
+
+`mass_levels` is the one mass-level kernel: every computation of the cell
+integrals of f across levels (norm series, witness split checks,
+projections, weak smallness) streams them from it, one level at a time.
 """
 
 from __future__ import annotations
@@ -16,8 +20,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import isqrt
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 #: Dense storage cap: no step function may live at a level above this.
 MAX_LEVEL = 20
@@ -283,12 +288,8 @@ def dyadic_project(f: DyadicStep, K: int) -> DyadicStep:
         raise ValueError(f"level must be >= 0, got {K}")
     if K >= f.level:
         return refine(f, K)
-    span = 1 << (f.level - K)
-    vals = tuple(
-        sum(f.values[i * span : (i + 1) * span], Fraction(0)) / span
-        for i in range(1 << K)
-    )
-    return DyadicStep(K, vals)
+    masses = next(islice(mass_levels(f), f.level - K, None))
+    return DyadicStep(K, tuple(m * (1 << K) for m in masses))
 
 
 def reflect(f: DyadicStep) -> DyadicStep:
@@ -296,18 +297,21 @@ def reflect(f: DyadicStep) -> DyadicStep:
     return DyadicStep(f.level, tuple(reversed(f.values)))
 
 
-def cell_masses(f: DyadicStep, absolute: bool = False) -> list[Fraction]:
-    """Per-cell integrals of f (or |f|) at f's own level."""
-    scale = Fraction(1, 1 << f.level)
-    if absolute:
-        return [abs(v) * scale for v in f.values]
-    return [v * scale for v in f.values]
-
-
 def fold_masses(masses: list[Fraction]) -> list[Fraction]:
     """One level up: pairwise sums (each parent cell is the disjoint union
     of its two children, so masses add)."""
     return [masses[2 * i] + masses[2 * i + 1] for i in range(len(masses) // 2)]
+
+
+def mass_levels(f: DyadicStep, absolute: bool = False) -> Iterator[list[Fraction]]:
+    """Cell masses of f (or |f|) level by level, from f.level down to 0:
+    the t-th list holds the integrals over the cells of level f.level - t."""
+    scale = Fraction(1, 1 << f.level)
+    masses = [v * scale for v in (map(abs, f.values) if absolute else f.values)]
+    yield masses
+    for _ in range(f.level):
+        masses = fold_masses(masses)
+        yield masses
 
 
 # -- JSON wire format ---------------------------------------------------------

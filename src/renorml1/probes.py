@@ -12,16 +12,18 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, Sequence
 
 from .dyadic import (
-    DyadicIndex,
     DyadicStep,
     as_index,
     frac_str,
     integral_over,
+    mass_levels,
     norms,
     sqrt_floor_decimal,
+    to_frac,
 )
 from .renorm import tnorm_sq
 from .witness import GapConditionError, WeakNbhd, WitnessReport, d2p_witness
@@ -139,11 +141,10 @@ def weak_smallness(u: DyadicStep, depth: int) -> Fraction:
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    worst = Fraction(0)
-    for k in range(depth + 1):
-        for j in range(1, (1 << k) + 1):
-            worst = max(worst, abs(integral_over(u, DyadicIndex(k, j))))
-    return worst
+    # levels min(depth, u.level) down to 0: a cell finer than u's grid holds
+    # half its parent's integral, so deeper levels never score higher
+    levels = islice(mass_levels(u), max(u.level - depth, 0), None)
+    return max(max(map(abs, masses)) for masses in levels)
 
 
 @dataclass(frozen=True)
@@ -170,7 +171,7 @@ def slice_diameter_lb(
     nbhd = WeakNbhd(center, tuple(functionals), delta)
     out: list[SliceEntry] = []
     for eps in eps_schedule:
-        eps = Fraction(eps)
+        eps = to_frac(eps)
         try:
             rep = d2p_witness(nbhd, eps)
         except GapConditionError as exc:

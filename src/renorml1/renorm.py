@@ -17,16 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional
 
 from .dyadic import (
     DyadicStep,
     as_index,
-    cell_masses,
     dyadic_project,
-    fold_masses,
     frac_str,
     integral_over,
+    mass_levels,
     norms,
     pairing,
     refine,
@@ -47,15 +47,22 @@ def _sumsq(xs) -> Fraction:
     return sum((x * x for x in xs), Fraction(0))
 
 
+def _series(f: DyadicStep, T: int) -> tuple[Fraction, Fraction]:
+    """(sum_{k < min(T, K)} 4**-k * sum_j s(f, k, j)**2, sum_j s(f, K, j)**2)
+    for K = level(f), in one pass over the mass levels of |f|."""
+    levels = mass_levels(f, absolute=True)
+    top = _sumsq(next(levels))
+    below = Fraction(0)
+    for k, masses in zip(range(f.level - 1, -1, -1), levels):
+        if k < T:
+            below += _sumsq(masses) / 4**k
+    return below, top
+
+
 def tnorm_sq(f: DyadicStep) -> Fraction:
     """Exact squared norm T(f)**2 (closed tail from f's own level up)."""
-    K = f.level
-    total = GEOM_8 * _sumsq(f.values) / 4 ** (2 * K)
-    cur = cell_masses(f, absolute=True)
-    for k in range(K - 1, -1, -1):
-        cur = fold_masses(cur)
-        total += _sumsq(cur) / 4**k
-    return total
+    below, top = _series(f, f.level)
+    return below + GEOM_8 * top / 4**f.level
 
 
 def partial_below(f: DyadicStep, T: int) -> Fraction:
@@ -63,18 +70,9 @@ def partial_below(f: DyadicStep, T: int) -> Fraction:
     if T < 0:
         raise ValueError(f"truncation level must be >= 0, got {T}")
     K = f.level
-    total = Fraction(0)
-    # levels at and above f's own grid: each cell contributes |v| * 2**-k
-    S = _sumsq(f.values)
-    for k in range(K, T):
-        total += S / (2**K * 8**k)
-    # levels strictly below f's grid: fold absolute cell masses upward
-    cur = cell_masses(f, absolute=True)
-    for k in range(K - 1, -1, -1):
-        cur = fold_masses(cur)
-        if k < T:
-            total += _sumsq(cur) / 4**k
-    return total
+    below, top = _series(f, T)
+    # at and above f's own grid the level-k seminorms sum to top * 2**(K-k)
+    return below + sum((top * 2**K / 8**k for k in range(K, T)), Fraction(0))
 
 
 def tail_formula(f: DyadicStep, T: int) -> Fraction:
@@ -103,9 +101,9 @@ class NormSqReport:
 
 
 def norm_report(f: DyadicStep, float_digits: int = 12) -> NormSqReport:
-    t = tnorm_sq(f)
-    l1, linf = norms(f)
     eq = check_equivalence(f)
+    t = eq.tnorm_sq
+    l1, linf = norms(f)
     return NormSqReport(t, l1, linf, sqrt_floor_decimal(t, float_digits), eq.ok)
 
 
@@ -211,19 +209,15 @@ class DualNormEstimate:
     converged: bool
 
 
-def _tnorm_grad(u: list[Fraction], L: int) -> list[Fraction]:
-    """Gradient of u -> tnorm_sq(step(L; u)) for componentwise-nonnegative u."""
-    grad = [GEOM_8 * 2 * ui / 4 ** (2 * L) for ui in u]
-    masses = [ui / (1 << L) for ui in u]
-    cur = masses
-    span = 1
-    for k in range(L - 1, -1, -1):
-        cur = fold_masses(cur)
-        span *= 2
+def _tnorm_grad(u: DyadicStep) -> list[Fraction]:
+    """Gradient of tnorm_sq at a componentwise-nonnegative u, per cell value."""
+    L = u.level
+    grad = [GEOM_8 * 2 * ui / 4 ** (2 * L) for ui in u.values]
+    # levels below u's own; the closed tail above covers the rest
+    for k, masses in zip(range(L - 1, -1, -1), islice(mass_levels(u), 1, None)):
         coef = Fraction(2, 4**k * (1 << L))
-        for j, block in enumerate(cur):
-            for i in range(j * span, (j + 1) * span):
-                grad[i] += coef * block
+        for i in range(len(grad)):
+            grad[i] += coef * masses[i >> (L - k)]
     return grad
 
 
@@ -264,9 +258,10 @@ def dual_norm_estimate(
     iters = 0
     converged = False
     for iters in range(1, max_iter + 1):
-        q = tnorm_sq(DyadicStep(L, tuple(u)))
+        uf = DyadicStep(L, tuple(u))
+        q = tnorm_sq(uf)
         p = sum((ci * ui for ci, ui in zip(c, u)), Fraction(0))
-        gq = _tnorm_grad(u, L)
+        gq = _tnorm_grad(uf)
         d = [2 * ci * q - p * gi for ci, gi in zip(c, gq)]
         d = [di if (ui > 0 or di > 0) else Fraction(0) for ui, di in zip(u, d)]
         if all(di == 0 for di in d):

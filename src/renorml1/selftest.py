@@ -245,6 +245,8 @@ BATTERIES = [
 
 
 def run_selftest(seed: int, trials: int = 25) -> tuple[bool, list[str]]:
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     lines = []
     all_ok = True
     for name, battery in BATTERIES:

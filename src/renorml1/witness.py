@@ -23,14 +23,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional
 
 from .dyadic import (
     MAX_LEVEL,
     DyadicStep,
     LevelOverflowError,
-    fold_masses,
+    decompose,
     frac_str,
+    mass_levels,
     norms,
     pairing,
     refine,
@@ -100,6 +102,8 @@ class SplitPair:
 
     b[j], c[j] are the positive/negative masses of f on the level-K cell j;
     f1 carries them on quarters 4j-3 / 4j-2 of that cell, f2 on 4j-1 / 4j.
+    `checks` holds what the split check measured: the largest deviation from
+    each identity (5)-(7) over the cells of level <= K, and max linf(f_i).
     """
 
     K: int
@@ -107,6 +111,7 @@ class SplitPair:
     c: tuple[Fraction, ...]
     f1: DyadicStep
     f2: DyadicStep
+    checks: dict[str, Check]
 
     def to_json(self) -> dict:
         return {
@@ -187,16 +192,6 @@ def choose_K(gamma, functional_levels) -> int:
     return K
 
 
-def _mass_pyramid(masses: list[Fraction], top: int) -> list[list[Fraction]]:
-    """Masses per level from `top` down to 0; index t holds level top-t."""
-    out = [masses]
-    cur = masses
-    for _ in range(top):
-        cur = fold_masses(cur)
-        out.append(cur)
-    return out
-
-
 def split_pair(f: DyadicStep, K: int) -> SplitPair:
     """Build (b, c, f1, f2) at level K+2 and verify the split identities.
 
@@ -209,55 +204,48 @@ def split_pair(f: DyadicStep, K: int) -> SplitPair:
     if K + 2 > MAX_LEVEL:
         raise LevelOverflowError(f"split level {K}+2 exceeds cap {MAX_LEVEL}")
     base = refine(f, K) if f.level <= K else f
-    scale = Fraction(1, 1 << base.level)
-    pos = [v * scale if v > 0 else Fraction(0) for v in base.values]
-    neg = [-v * scale if v < 0 else Fraction(0) for v in base.values]
-    for _ in range(base.level - K):
-        pos = fold_masses(pos)
-        neg = fold_masses(neg)
-    b, c = tuple(pos), tuple(neg)
+    _, pos, neg = decompose(base)
+    levels = zip(mass_levels(pos), mass_levels(neg))
+    b, c = map(tuple, next(islice(levels, base.level - K, None)))
 
-    n = 1 << K
-    h = Fraction(1 << (K + 2))
-    v1 = [Fraction(0)] * (4 * n)
-    v2 = [Fraction(0)] * (4 * n)
-    for j in range(n):
-        v1[4 * j] = h * b[j]
-        v1[4 * j + 1] = -h * c[j]
-        v2[4 * j + 2] = h * b[j]
-        v2[4 * j + 3] = -h * c[j]
-    f1 = DyadicStep(K + 2, tuple(v1))
-    f2 = DyadicStep(K + 2, tuple(v2))
+    h, zero = 1 << (K + 2), Fraction(0)
+    heights = [(h * bj, -h * cj) for bj, cj in zip(b, c)]
+    f1 = DyadicStep(K + 2, tuple(x for q in heights for x in (*q, zero, zero)))
+    f2 = DyadicStep(K + 2, tuple(x for q in heights for x in (zero, zero, *q)))
 
-    _verify_split(f, K, f1, f2)
-    return SplitPair(K, b, c, f1, f2)
+    return SplitPair(K, b, c, f1, f2, _verify_split(f, K, f1, f2))
 
 
-def _verify_split(f: DyadicStep, K: int, f1: DyadicStep, f2: DyadicStep) -> None:
-    L = max(f.level, K + 2)
-    fL, f1L, f2L = refine(f, L), refine(f1, L), refine(f2, L)
-    diff = [a - b for a, b in zip(f1L.values, f2L.values)]
-    scale = Fraction(1, 1 << L)
-    pyr = {
-        "f": _mass_pyramid([v * scale for v in fL.values], L),
-        "f1": _mass_pyramid([v * scale for v in f1L.values], L),
-        "f2": _mass_pyramid([v * scale for v in f2L.values], L),
-        "af": _mass_pyramid([abs(v) * scale for v in fL.values], L),
-        "af1": _mass_pyramid([abs(v) * scale for v in f1L.values], L),
-        "af2": _mass_pyramid([abs(v) * scale for v in f2L.values], L),
-        "adiff": _mass_pyramid([abs(v) * scale for v in diff], L),
-    }
-    for k in range(K + 1):
-        t = L - k
-        if not (
-            pyr["f1"][t] == pyr["f"][t] == pyr["f2"][t]
-            and pyr["af1"][t] == pyr["af"][t] == pyr["af2"][t]
-            and pyr["adiff"][t] == [2 * m for m in pyr["af"][t]]
-        ):
-            raise RuntimeError(f"internal: split identity failed at level {k}")
-    bound = 4 * norms(f).linf
-    if norms(f1).linf > bound or norms(f2).linf > bound:
+def _max_dev(ms: list[Fraction], ref: list[Fraction]) -> Fraction:
+    """Largest |ms[i] - ref[i]|; equal lists deviate by exactly 0."""
+    return Fraction(0) if ms == ref else max(abs(m - r) for m, r in zip(ms, ref))
+
+
+def _verify_split(f: DyadicStep, K: int, f1: DyadicStep, f2: DyadicStep) -> dict[str, Check]:
+    """Measure (5)-(7) on every cell of level <= K for f1, f2 of level K+2."""
+    diff = DyadicStep(K + 2, tuple(a - b for a, b in zip(f1.values, f2.values)))
+    fK = refine(f, K) if f.level < K else f
+
+    def from_K(g: DyadicStep, absolute: bool = False):
+        return islice(mass_levels(g, absolute), g.level - K, None)
+
+    dev = dict.fromkeys(("id5", "id6", "id7"), Fraction(0))
+    for k, m, m1, m2, a, a1, a2, ad in zip(
+        range(K, -1, -1),
+        *(from_K(g) for g in (fK, f1, f2)),
+        *(from_K(g, True) for g in (fK, f1, f2, diff)),
+    ):
+        dev["id5"] = max(dev["id5"], _max_dev(m1, m), _max_dev(m2, m))
+        dev["id6"] = max(dev["id6"], _max_dev(a1, a), _max_dev(a2, a))
+        dev["id7"] = max(dev["id7"], _max_dev(ad, [2 * x for x in a]))
+        if any(dev.values()):
+            shown = ", ".join(f"{name}={frac_str(d)}" for name, d in dev.items())
+            raise RuntimeError(f"internal: split identity failed at level {k} ({shown})")
+    checks = {name: _check(d, "==", Fraction(0)) for name, d in dev.items()}
+    checks["linf4x"] = _check(max(norms(f1).linf, norms(f2).linf), "<=", 4 * norms(f).linf)
+    if not checks["linf4x"].ok:
         raise RuntimeError("internal: linf(f_i) <= 4 linf(f) failed")
+    return checks
 
 
 def d2p_witness(nbhd: WeakNbhd, eps) -> WitnessReport:
@@ -294,20 +282,13 @@ def d2p_witness(nbhd: WeakNbhd, eps) -> WitnessReport:
             f"<= (2-eps)**2 = {frac_str(target)} (gamma={frac_str(gamma)}, K={K})"
         )
 
-    sp = split_pair(f, K)  # re-verifies identities (max deviations are 0)
+    sp = split_pair(f, K)
     shrink = 1 - gamma
     g1 = shrink * sp.f1
     g2 = shrink * sp.f2
 
-    checks: dict[str, Check] = {}
-    zero = Fraction(0)
-    checks["id5"] = _check(zero, "==", zero)
-    checks["id6"] = _check(zero, "==", zero)
-    checks["id7"] = _check(zero, "==", zero)
-    checks["linf4x"] = _check(
-        max(norms(sp.f1).linf, norms(sp.f2).linf), "<=", 4 * f_inf
-    )
-    worst = zero
+    checks = dict(sp.checks)
+    worst = zero = Fraction(0)
     for h in nbhd.functionals:
         for g in (g1, g2):
             worst = max(worst, abs(pairing(g - f, h)))

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from renorml1.cli import main
 
 
@@ -210,6 +212,30 @@ class TestSelftest:
         rc, text = invoke(tmp_path, "selftest", "--seed", "11", "--trials", "6")
         assert rc == 0
         assert "selftest: pass" in text
+
+
+class TestInputErrors:
+    CHAIN = {"f": CONST_78, "g": CONST_78}
+
+    @pytest.mark.parametrize(
+        "obj, argv, field",
+        [
+            (dict(CHAIN, A=[5]), ["probe", "chain"], "'A'"),
+            ({"deltas": ["1/2", "1/4"], "m": "2"}, ["ell1", "greedy"], "'m'"),
+            (dict(NBHD, functionals=5), ["witness", "--eps", "1/5"], "'functionals'"),
+            (NBHD, ["probe", "extreme", "--eps", ","], "--eps"),
+            (None, ["selftest", "--trials", "-1"], "trials"),
+            (None, ["selftest", "--trials", "0"], "trials"),
+        ],
+    )
+    def test_exit_2_names_field(self, tmp_path, capsys, obj, argv, field):
+        if obj is not None:
+            argv = [*argv, "--input", write_json(tmp_path, "in.json", obj)]
+        rc, text = invoke(tmp_path, *argv)
+        err = capsys.readouterr().err
+        assert rc == 2 and text == ""
+        assert err.startswith("input error:") and field in err
+        assert "Traceback" not in err
 
 
 class TestDeterminism:

@@ -17,6 +17,7 @@ from renorml1 import (
     tnorm_sq,
     weak_smallness,
 )
+from renorml1.dyadic import DyadicIndex, integral_over
 from renorml1.gen import rademacher
 from renorml1.probes import slice_csv
 from conftest import mk, steps
@@ -125,6 +126,17 @@ class TestWeakSmallness:
     def test_bounded_by_l1(self, u, D):
         assert weak_smallness(u, D) <= norms(u).l1
 
+    @given(steps(max_level=4), st.data())
+    @settings(max_examples=60)
+    def test_matches_per_cell_brute_force(self, u, data):
+        depth = data.draw(st.integers(min_value=0, max_value=u.level + 3))
+        brute = max(
+            abs(integral_over(u, DyadicIndex(k, j)))
+            for k in range(depth + 1)
+            for j in range(1, (1 << k) + 1)
+        )
+        assert weak_smallness(u, depth) == brute
+
 
 class TestSliceDiameter:
     def test_schedule(self):
@@ -152,6 +164,11 @@ class TestSliceDiameter:
         )
         assert not entries[0].ok and entries[0].gap_sq is None
         assert "2**-K" in entries[0].error
+
+    def test_float_eps_rejected(self):
+        center = near_unit_scale(mk(0, 1), Fraction(1, 10**4))
+        with pytest.raises(TypeError, match="exact rational"):
+            slice_diameter_lb(center, [], Fraction(1), [0.5])
 
     def test_csv_shape(self):
         center = near_unit_scale(mk(0, 1), Fraction(1, 10**4))

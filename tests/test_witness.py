@@ -20,6 +20,7 @@ from renorml1 import (
     tnorm_sq,
 )
 from renorml1.dyadic import DyadicIndex, indicator, integral_over
+from renorml1.witness import _verify_split
 from conftest import mk, steps
 
 
@@ -111,6 +112,30 @@ class TestSplitPair:
         assert tnorm_sq(sp.f1) <= tnorm_sq(f) + two_K
         assert tnorm_sq(sp.f2) <= tnorm_sq(f) + two_K
         assert tnorm_sq(sp.f1 - sp.f2) >= 4 * (tnorm_sq(f) - two_K)
+
+
+class TestSplitCheck:
+    F = mk(2, 1, Fraction(-1, 2), 3, 0)
+
+    def test_correct_split_measures_zero_deviations(self):
+        sp = split_pair(self.F, 3)
+        assert [sp.checks[name].lhs for name in ("id5", "id6", "id7")] == [0, 0, 0]
+        assert sp.checks["linf4x"].lhs == max(norms(sp.f1).linf, norms(sp.f2).linf)
+        assert all(chk.ok for chk in sp.checks.values())
+        assert _verify_split(self.F, 3, sp.f1, sp.f2) == sp.checks
+
+    def test_wrong_f2_raises(self):
+        sp = split_pair(self.F, 3)
+        # extra mass 1/224 on a cell where f2 vanishes and f1 = 4
+        wrong = sp.f2 + indicator((5, 1), Fraction(1, 7))
+        with pytest.raises(RuntimeError, match="id5=1/224, id6=1/224, id7=1/224"):
+            _verify_split(self.F, 3, sp.f1, wrong)
+
+    def test_witness_reports_the_measured_checks(self):
+        center = near_unit_scale(self.F, Fraction(1, 10**4))
+        rep = d2p_witness(WeakNbhd(center, (), Fraction(1, 2)), Fraction(1, 5))
+        for name in ("id5", "id6", "id7", "linf4x"):
+            assert rep.checks[name] == rep.pair.checks[name]
 
 
 class TestNearUnitScale:
