@@ -10,9 +10,10 @@ Subcommands
     selftest                   seeded invariant batteries
 
 Exit codes: 0 success, 1 verification failure (for example the witness gap
-condition), 2 input error (bad JSON, bad rationals, overflow). Rationals are
-read and written as 'p/q' strings; floats appear only in labelled rendering
-fields. With a fixed seed every command writes byte-identical reports.
+condition), 2 input error (bad or non-object JSON, bad rationals, overflow,
+an unknown or missing flag). Rationals are read and written as 'p/q'
+strings; floats appear only in labelled rendering fields. With a fixed seed
+every command writes byte-identical reports.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import sys
 from fractions import Fraction
 
 from .dyadic import (
-    LevelOverflowError,
     as_index,
     decimal_str,
     frac_str,
@@ -53,16 +53,19 @@ class InputError(ValueError):
     pass
 
 
-def _load_json(path: str):
+def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except FileNotFoundError:
         raise InputError(f"input file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise InputError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    if not isinstance(obj, dict):
+        raise InputError(f"{path} must hold a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def _need(obj: dict, key: str):
@@ -107,10 +110,7 @@ def _nbhd_from_json(obj) -> WeakNbhd:
     raw = _as_list(obj.get("functionals", []), "functionals")
     functionals = tuple(_step(o) for o in raw)
     delta = _parse_rat(_need(obj, "delta"))
-    try:
-        return WeakNbhd(center, functionals, delta)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    return WeakNbhd(center, functionals, delta)
 
 
 def _emit(text: str, out_path) -> None:
@@ -172,12 +172,7 @@ def _cmd_probe(args) -> int:
             A = [as_index(idx) for idx in _as_list(obj.get("A", []), "A")]
         except (ValueError, TypeError) as exc:
             raise InputError(f"'A' must list [k, j] cells: {exc}") from None
-        try:
-            rep = perturbation_l1_chain(
-                _step(_need(obj, "f")), _step(_need(obj, "g")), A
-            )
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+        rep = perturbation_l1_chain(_step(_need(obj, "f")), _step(_need(obj, "g")), A)
         _emit_json(rep.to_json(), args.out)
     elif args.what == "slice":
         nbhd = _nbhd_from_json(_load_json(args.input))
@@ -203,18 +198,12 @@ def _cmd_ell1(args) -> int:
     if not isinstance(m, int) or isinstance(m, bool):
         raise InputError(f"'m' must be an integer, got {m!r}")
     if args.what == "greedy":
-        try:
-            fam = greedy_asymptotic_ell1(deltas, m)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+        fam = greedy_asymptotic_ell1(deltas, m)
         _emit_json(fam.to_json(), args.out)
     else:
         if args.level is None:
             raise InputError("ell1 spikes/dual need --level K")
-        try:
-            fam = disjoint_spike_family(deltas, m, args.level)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+        fam = disjoint_spike_family(deltas, m, args.level)
         if args.what == "spikes":
             _emit_json(fam.to_json(), args.out)
         else:
@@ -233,15 +222,12 @@ def _cmd_ured(args) -> int:
         raise InputError("ured needs --delta and --eps (comma-separated)")
     delta = _parse_rat(args.delta)
     eps = _parse_rat_list(args.eps)
-    try:
-        run = ured_recursion(delta, eps, len(eps))
-        grid = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
-        report = run.to_json()
-        report["verify"] = verify_claim(run)
-        if run.steps >= 1:
-            report["segment"] = segment_check(run, grid, run.steps)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    run = ured_recursion(delta, eps, len(eps))
+    grid = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
+    report = run.to_json()
+    report["verify"] = verify_claim(run)
+    if run.steps >= 1:
+        report["segment"] = segment_check(run, grid, run.steps)
     _emit_json(report, args.out)
     return 0
 
@@ -252,6 +238,20 @@ def _cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
+#: add_argument keywords per flag; each subcommand declares only the flags its
+#: handler reads, so any other flag exits 2 through argparse.
+_FLAGS = {
+    "--input": dict(required=True, help="input JSON path"),
+    "--out": dict(help="output path (default stdout)"),
+    "--eps": dict(help="rational eps, or comma-separated schedule"),
+    "--delta": dict(help="rational delta"),
+    "--level": dict(type=int, help="dyadic level parameter"),
+    "--float-digits": dict(type=int, default=12, dest="float_digits"),
+    "--seed": dict(type=int, default=0, help="seed for randomized trials"),
+    "--trials": dict(type=int, default=25, help="trial count"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="renorml1",
@@ -259,38 +259,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--input", help="input JSON path")
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized trials")
-        p.add_argument("--eps", help="rational eps, or comma-separated schedule")
-        p.add_argument("--delta", help="rational delta")
-        p.add_argument("--level", type=int, help="dyadic level parameter")
-        p.add_argument("--prec", default="1/10000", help="rational precision parameter")
-        p.add_argument("--float-digits", type=int, default=12, dest="float_digits")
-        p.add_argument("--trials", type=int, default=25, help="trial count")
-
-    for name, fn in [
-        ("norm", _cmd_norm),
-        ("split", _cmd_split),
-        ("witness", _cmd_witness),
-        ("ured", _cmd_ured),
-        ("selftest", _cmd_selftest),
-    ]:
+    def command(name, handler, *flags, what=()):
         p = sub.add_parser(name)
-        common(p)
-        p.set_defaults(handler=fn)
+        if what:
+            p.add_argument("what", choices=what)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(handler=handler)
 
-    p = sub.add_parser("probe")
-    p.add_argument("what", choices=["strict", "midpoint", "extreme", "chain", "slice"])
-    common(p)
-    p.set_defaults(handler=_cmd_probe)
-
-    p = sub.add_parser("ell1")
-    p.add_argument("what", choices=["greedy", "spikes", "dual"])
-    common(p)
-    p.set_defaults(handler=_cmd_ell1)
-
+    command("norm", _cmd_norm, "--input", "--out", "--float-digits")
+    command("split", _cmd_split, "--input", "--out", "--level")
+    command("witness", _cmd_witness, "--input", "--out", "--eps")
+    command("ured", _cmd_ured, "--delta", "--eps", "--out")
+    command("selftest", _cmd_selftest, "--seed", "--trials", "--out")
+    command("probe", _cmd_probe, "--input", "--out", "--eps", "--float-digits",
+            what=("strict", "midpoint", "extreme", "chain", "slice"))
+    command("ell1", _cmd_ell1, "--input", "--out", "--level", what=("greedy", "spikes", "dual"))
     return parser
 
 
@@ -302,13 +286,7 @@ def main(argv=None) -> int:
     except GapConditionError as exc:
         sys.stderr.write(f"verification failure: {exc}\n")
         return 1
-    except (InputError, LevelOverflowError) as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return 2
-    except ValueError as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # InputError and LevelOverflowError too
         sys.stderr.write(f"input error: {exc}\n")
         return 2
 

@@ -63,20 +63,17 @@ class ExtremeFailureWitness:
 
 
 def strong_extreme_failure(nbhd: WeakNbhd, eps) -> ExtremeFailureWitness:
-    """Build (center, u) = ((g1+g2)/2, (g1-g2)/2) from a witness run."""
+    """Build (center, u) = ((g1+g2)/2, (g1-g2)/2) from a witness run; center
+    +- u are g1 and g2 exactly, so the witness's ball check is reused."""
     rep = d2p_witness(nbhd, eps)
     half = Fraction(1, 2)
     center = half * (rep.g1 + rep.g2)
     u = half * (rep.g1 - rep.g2)
-    plus = tnorm_sq(center + u)
-    minus = tnorm_sq(center - u)
-    if not (plus < 1 and minus < 1):
-        raise RuntimeError("internal: ball checks failed on witness output")
     l1_u = norms(u).l1
     floor = (1 - rep.gamma) * norms(nbhd.center).l1
     if l1_u < floor:
         raise RuntimeError("internal: l1(u) fell below (1-gamma)*l1(f)")
-    return ExtremeFailureWitness(center, u, (plus, minus), l1_u, floor, rep)
+    return ExtremeFailureWitness(center, u, rep.ball_sq, l1_u, floor, rep)
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,17 @@ height 1 - eps_n/4 > 1 - eps_n. Consequently
 
 for y_n = z + x_n, and every point t*z + x_N of the truncated segment stays
 in the closed ball with norm at least 1 - eps_N/4.
+
+A run stores x_n with n coordinates each, so Theta(steps**2) in all. Its
+claims are evaluated in one pass over those coordinates, linear in their
+number; both `ured_recursion` and `verify_claim` report from that pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from .dyadic import frac_str, to_frac
@@ -141,23 +146,55 @@ def ured_recursion(delta, eps: Sequence, steps: int) -> RecursionRun:
         xs.append(xs[-1] + SparseSeq.unit(n + 1, height))
         xstars.append(n + 1)
 
-    checks = {
-        "claim1": {
-            "values": [frac_str((z + x).sup_norm()) for x in xs],
-            "ok": all((z + x).sup_norm() < 1 for x in xs),
-        },
-        "claim2": {
-            "ok": all(
-                xs[m].get(xstars[n - 1]) == xs[n].get(xstars[n - 1])
-                and xs[n].get(xstars[n - 1]) > 1 - eps[n - 1]
-                for n in range(1, steps + 1)
-                for m in range(n, steps + 1)
-            ),
-        },
-    }
-    if not (checks["claim1"]["ok"] and checks["claim2"]["ok"]):
+    run = RecursionRun(delta, tuple(eps[:steps]), z, tuple(xs), tuple(xstars), {})
+    z_plus, claims = _claims(run)
+    if not (claims["claim1"] and claims["claim2"]):
         raise RuntimeError("internal: recursion claims failed")
-    return RecursionRun(delta, tuple(eps[:steps]), z, tuple(xs), tuple(xstars), checks)
+    checks = {
+        "claim1": {"values": [frac_str(v) for v in z_plus], "ok": claims["claim1"]},
+        "claim2": {"ok": claims["claim2"]},
+    }
+    return replace(run, checks=checks)
+
+
+def _claims(run: RecursionRun) -> tuple[list[Fraction], dict]:
+    """(||z + x_m|| for m = 0..steps, the claim report of verify_claim).
+
+    One pass over the stored coordinates of `run`: each x_m becomes one
+    coordinate table, read once for ||z + x_m||, ||z/2 + x_m|| and
+    ||2 x_m + z||; "for all m >= n" is a suffix minimum for (ii) and a scan
+    of the tables from n on for the norming equalities.
+    """
+    n_steps = run.steps
+    z = dict(run.z.coords)
+    tables = [dict(x.coords) for x in run.xs]
+    z_plus, half_z, doubled = [], [], []
+    for x in tables:
+        rest = max((abs(v) for i, v in x.items() if i not in z), default=Fraction(0))
+        shared = [(zi, x.get(i, 0)) for i, zi in z.items()]
+        for sups, a, b in ((z_plus, 1, 1), (half_z, Fraction(1, 2), 1), (doubled, 1, 2)):
+            # ||a z + b x||: off the support of z only b * x counts
+            sups.append(max([b * rest, *(abs(a * zi + b * xi) for zi, xi in shared)]))
+
+    heights = [1 - run.eps[n - 1] / 4 for n in range(1, n_steps + 1)]
+    claim1 = all(v < 1 for v in z_plus)
+    claim2 = all(
+        all(tables[m].get(run.xstars[n - 1], 0) == h for m in range(n, n_steps + 1))
+        and h > 1 - run.eps[n - 1]
+        for n, h in enumerate(heights, 1)
+    )
+    suffix_min = list(accumulate(reversed(half_z[1:]), min))[::-1]
+    halfway = all(s >= 1 - e for s, e in zip(suffix_min, run.eps))
+    doubled_ok = doubled[0] == 1 - run.delta and all(
+        d == 2 * h for d, h in zip(doubled[1:], heights)
+    )
+    return z_plus, {
+        "claim1": claim1,
+        "claim2": claim2,
+        "half_z_norming": halfway,
+        "doubled_norm": {"values": [frac_str(v) for v in doubled], "ok": doubled_ok},
+        "ok": claim1 and claim2 and halfway and doubled_ok,
+    }
 
 
 def verify_claim(run: RecursionRun) -> dict:
@@ -166,35 +203,12 @@ def verify_claim(run: RecursionRun) -> dict:
     (i) ||z + x_n|| < 1 and the norming equalities for all indices;
     (ii) ||z/2 + x_m|| >= 1 - eps_n for all m >= n >= 1;
     (iii) ||2 x_n + z|| = 2 (1 - eps_n/4) for n >= 1 (and = 1 - delta at 0).
+
+    Everything is re-derived from the run's own z, xs, xstars and eps, in
+    one pass whose cost is linear in the stored coordinates: O(steps**2),
+    since x_n has n of them.
     """
-    n_steps = run.steps
-    claim1 = all((run.z + x).sup_norm() < 1 for x in run.xs)
-    claim2 = all(
-        run.xs[m].get(run.xstars[n - 1]) == run.xs[n].get(run.xstars[n - 1]) == 1 - run.eps[n - 1] / 4
-        and run.xs[n].get(run.xstars[n - 1]) > 1 - run.eps[n - 1]
-        for n in range(1, n_steps + 1)
-        for m in range(n, n_steps + 1)
-    )
-    half_z = Fraction(1, 2) * run.z
-    halfway = all(
-        (half_z + run.xs[m]).sup_norm() >= 1 - run.eps[n - 1]
-        for n in range(1, n_steps + 1)
-        for m in range(n, n_steps + 1)
-    )
-    doubled_vals = [(2 * x + run.z).sup_norm() for x in run.xs]
-    doubled = doubled_vals[0] == 1 - run.delta and all(
-        doubled_vals[n] == 2 * (1 - run.eps[n - 1] / 4) for n in range(1, n_steps + 1)
-    )
-    report = {
-        "claim1": claim1,
-        "claim2": claim2,
-        "half_z_norming": halfway,
-        "doubled_norm": {
-            "values": [frac_str(v) for v in doubled_vals],
-            "ok": doubled,
-        },
-        "ok": claim1 and claim2 and halfway and doubled,
-    }
+    report = _claims(run)[1]
     if not report["ok"]:
         raise RuntimeError("internal: claim verification failed")
     return report

@@ -130,6 +130,7 @@ class WitnessReport:
     pair: SplitPair
     g1: DyadicStep
     g2: DyadicStep
+    ball_sq: tuple[Fraction, Fraction]  # (T(g1)**2, T(g2)**2)
     checks: dict[str, Check]
     guaranteed_gap_sq: Fraction
     eps: Fraction
@@ -293,7 +294,8 @@ def d2p_witness(nbhd: WeakNbhd, eps) -> WitnessReport:
         for g in (g1, g2):
             worst = max(worst, abs(pairing(g - f, h)))
     checks["pairing_l"] = _check(worst, "<", nbhd.delta)
-    checks["ball"] = _check(max(tnorm_sq(g1), tnorm_sq(g2)), "<", Fraction(1))
+    ball_sq = (tnorm_sq(g1), tnorm_sq(g2))
+    checks["ball"] = _check(max(ball_sq), "<", Fraction(1))
     gap = tnorm_sq(g1 - g2)
     if gap < guaranteed:
         raise RuntimeError("internal: exact gap fell below the guaranteed bound")
@@ -308,6 +310,7 @@ def d2p_witness(nbhd: WeakNbhd, eps) -> WitnessReport:
         pair=sp,
         g1=g1,
         g2=g2,
+        ball_sq=ball_sq,
         checks=checks,
         guaranteed_gap_sq=guaranteed,
         eps=eps,

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from renorml1.cli import main
+from renorml1.cli import build_parser, main
 
 
 def run_cli(*argv, capsys=None):
@@ -226,6 +226,8 @@ class TestInputErrors:
             (NBHD, ["probe", "extreme", "--eps", ","], "--eps"),
             (None, ["selftest", "--trials", "-1"], "trials"),
             (None, ["selftest", "--trials", "0"], "trials"),
+            ([1, 2], ["probe", "chain"], "in.json"),
+            ("1/2", ["norm"], "in.json"),
         ],
     )
     def test_exit_2_names_field(self, tmp_path, capsys, obj, argv, field):
@@ -236,6 +238,53 @@ class TestInputErrors:
         assert rc == 2 and text == ""
         assert err.startswith("input error:") and field in err
         assert "Traceback" not in err
+
+
+class TestArgumentSchema:
+    """Each subcommand accepts exactly the flags its handler reads."""
+
+    FLAGS = {
+        "--input": "in.json", "--out": "out.txt", "--eps": "1/5", "--delta": "1/2",
+        "--level": "1", "--float-digits": "4", "--seed": "1", "--trials": "1",
+    }
+    SCHEMA = {
+        ("norm",): {"--input", "--out", "--float-digits"},
+        ("split",): {"--input", "--out", "--level"},
+        ("witness",): {"--input", "--out", "--eps"},
+        ("probe", "strict"): {"--input", "--out", "--eps", "--float-digits"},
+        ("ell1", "greedy"): {"--input", "--out", "--level"},
+        ("ured",): {"--delta", "--eps", "--out"},
+        ("selftest",): {"--seed", "--trials", "--out"},
+    }
+
+    @pytest.mark.parametrize("command", sorted(SCHEMA))
+    def test_only_the_handler_flags(self, capsys, command):
+        parser = build_parser()
+        own = [x for flag in sorted(self.SCHEMA[command]) for x in (flag, self.FLAGS[flag])]
+        parser.parse_args([*command, *own])
+        for flag in sorted(set(self.FLAGS) - self.SCHEMA[command]):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([*command, *own, flag, self.FLAGS[flag]])
+            assert exc.value.code == 2
+            assert flag in capsys.readouterr().err
+
+    def test_prec_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ured", "--prec", "1/2", "--delta", "1/2", "--eps", "1/2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --prec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["norm"], ["split", "--level", "1"], ["witness", "--eps", "1/5"],
+         ["probe", "chain"], ["ell1", "greedy"]],
+    )
+    def test_missing_input_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "required: --input" in err and "Traceback" not in err
 
 
 class TestDeterminism:

@@ -92,6 +92,12 @@ CASES = {
         ["selftest", "--seed", "3", "--trials", "5"],
         "a69b2b90a6dac547cbcb14e18948c7ebf33deae371be2240c2ef89ee21f166ab",
     ),
+    # recorded before the ured claims moved to one pass; 1 - delta = 49/50
+    # dominates ||z + x_n|| until eps_n drops below 2/25
+    "ured_30": (
+        ["ured", "--delta", "1/50", "--eps", ",".join(f"1/{2 + k // 2}" for k in range(30))],
+        "d82e925cd474843251a4cc8796f73d85c4bf9e27d01941e35aa6f04835755ca3",
+    ),
 }
 
 

@@ -60,6 +60,19 @@ class TestStrongExtremeFailure:
         assert wit.l1_of_u == Fraction(63, 64) * norms(center).l1
         assert wit.l1_of_u > Fraction(9, 10)
 
+    def test_ball_check_is_the_witness_own(self, monkeypatch):
+        center = near_unit_scale(mk(1, 1, Fraction(1, 2)), Fraction(1, 10**4))
+        nbhd = WeakNbhd(center, (mk(1, 1, -1),), Fraction(1, 10))
+
+        def no_own_tnorm(f):
+            raise AssertionError("strong_extreme_failure evaluated tnorm_sq itself")
+
+        monkeypatch.setattr("renorml1.probes.tnorm_sq", no_own_tnorm)
+        wit = strong_extreme_failure(nbhd, Fraction(1, 5))
+        rep = wit.report
+        assert wit.ball_check_sq == (tnorm_sq(rep.g1), tnorm_sq(rep.g2))
+        assert (wit.center + wit.u, wit.center - wit.u) == (rep.g1, rep.g2)
+
     def test_zero_center_propagates(self):
         from renorml1 import GapConditionError
 

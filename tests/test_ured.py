@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,108 @@ from renorml1 import (
     ured_recursion,
     verify_claim,
 )
+from renorml1.dyadic import frac_str
+from renorml1.ured import _claims
 
 EPS3 = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
+
+
+def oracle_checks(run) -> dict:
+    """The recursion checks as ured_recursion evaluated them pair by pair
+    before the one-pass rewrite: O(steps**3)."""
+    z, xs, xstars, eps, steps = run.z, run.xs, run.xstars, run.eps, run.steps
+    return {
+        "claim1": {
+            "values": [frac_str((z + x).sup_norm()) for x in xs],
+            "ok": all((z + x).sup_norm() < 1 for x in xs),
+        },
+        "claim2": {
+            "ok": all(
+                xs[m].get(xstars[n - 1]) == xs[n].get(xstars[n - 1])
+                and xs[n].get(xstars[n - 1]) > 1 - eps[n - 1]
+                for n in range(1, steps + 1)
+                for m in range(n, steps + 1)
+            ),
+        },
+    }
+
+
+def oracle_verify(run) -> dict:
+    """The report verify_claim built pair by pair before the one-pass
+    rewrite, returned whether or not its claims hold: O(steps**3)."""
+    n_steps = run.steps
+    claim1 = all((run.z + x).sup_norm() < 1 for x in run.xs)
+    claim2 = all(
+        run.xs[m].get(run.xstars[n - 1]) == run.xs[n].get(run.xstars[n - 1]) == 1 - run.eps[n - 1] / 4
+        and run.xs[n].get(run.xstars[n - 1]) > 1 - run.eps[n - 1]
+        for n in range(1, n_steps + 1)
+        for m in range(n, n_steps + 1)
+    )
+    half_z = Fraction(1, 2) * run.z
+    halfway = all(
+        (half_z + run.xs[m]).sup_norm() >= 1 - run.eps[n - 1]
+        for n in range(1, n_steps + 1)
+        for m in range(n, n_steps + 1)
+    )
+    doubled_vals = [(2 * x + run.z).sup_norm() for x in run.xs]
+    doubled = doubled_vals[0] == 1 - run.delta and all(
+        doubled_vals[n] == 2 * (1 - run.eps[n - 1] / 4) for n in range(1, n_steps + 1)
+    )
+    return {
+        "claim1": claim1,
+        "claim2": claim2,
+        "half_z_norming": halfway,
+        "doubled_norm": {
+            "values": [frac_str(v) for v in doubled_vals],
+            "ok": doubled,
+        },
+        "ok": claim1 and claim2 and halfway and doubled,
+    }
+
+
+@st.composite
+def runs(draw, max_steps=12):
+    """ured_recursion on a random delta in (0, 1) and a random
+    non-increasing eps schedule in (0, 2)."""
+    delta = draw(st.fractions(min_value=0, max_value=1, max_denominator=50).filter(lambda d: 0 < d < 1))
+    eps = draw(
+        st.lists(
+            st.fractions(min_value=0, max_value=2, max_denominator=64).filter(lambda e: 0 < e < 2),
+            max_size=max_steps,
+        )
+    )
+    eps.sort(reverse=True)
+    return ured_recursion(delta, eps, len(eps))
+
+
+@st.composite
+def tampered_runs(draw):
+    """A run with one coordinate of one x_m set to a new value (0 deletes
+    it), with one norming index shifted, or built by hand on a permuted
+    eps schedule, which ured_recursion would reject."""
+    run = draw(runs())
+    how = draw(st.sampled_from(["coordinate", "xstars", "eps order"]))
+    if how == "eps order":
+        eps = draw(st.permutations(run.eps))
+        xs = [SparseSeq.zero()]
+        for n, e in enumerate(eps, 1):
+            xs.append(xs[-1] + SparseSeq.unit(n + 1, 1 - e / 4))
+        return replace(run, eps=tuple(eps), xs=tuple(xs))
+    if how == "xstars" and run.steps:
+        n = draw(st.integers(min_value=0, max_value=run.steps - 1))
+        xstars = list(run.xstars)
+        xstars[n] += draw(st.sampled_from([-2, -1, 1, 2]))
+        return replace(run, xstars=tuple(xstars))
+    m = draw(st.integers(min_value=0, max_value=run.steps))
+    coords = dict(run.xs[m].coords)
+    i = draw(st.integers(min_value=1, max_value=run.steps + 2))
+    coords[i] = draw(
+        st.fractions(min_value=-2, max_value=2, max_denominator=64)
+        | st.sampled_from([coords.get(i, Fraction(0)) + d for d in (Fraction(-1, 64), Fraction(1, 64))])
+    )
+    xs = list(run.xs)
+    xs[m] = SparseSeq.from_dict(coords)
+    return replace(run, xs=tuple(xs))
 
 
 class TestSparseSeq:
@@ -97,6 +198,49 @@ class TestVerifyClaim:
         assert vals[0] == "1/2"  # n = 0: 1 - delta
         assert (Fraction(1, 2) * run.z + run.xs[2]).sup_norm() == Fraction(15, 16)
         assert Fraction(15, 16) >= 1 - EPS3[1]
+
+    @given(runs())
+    @settings(max_examples=100)
+    def test_matches_cubic_oracle(self, run):
+        assert run.checks == oracle_checks(run)
+        assert verify_claim(run) == oracle_verify(run)
+
+    @given(tampered_runs())
+    @settings(max_examples=200)
+    def test_tampered_run_fails_exactly_when_oracle_does(self, run):
+        want = oracle_verify(run)
+        assert _claims(run)[1] == want  # each claim, not only their conjunction
+        if want["ok"]:
+            assert verify_claim(run) == want
+        else:
+            with pytest.raises(RuntimeError, match="claim verification failed"):
+                verify_claim(run)
+
+    def test_tampered_reference_runs(self):
+        run = ured_recursion(Fraction(1, 2), EPS3, 3)
+        x2 = dict(run.xs[2].coords)
+        x2[3] -= Fraction(1, 1000)  # breaks the norming equality of x_2
+        bad_x = replace(run, xs=(*run.xs[:2], SparseSeq.from_dict(x2), run.xs[3]))
+        bad_star = replace(run, xstars=(2, 4, 4))  # x*_2 reads the wrong coordinate
+        # x_1 = 0: ||z/2 + x_1|| = 1/4 < 1 - eps_1 as well
+        bad_half = replace(run, xs=(run.xs[0], SparseSeq.zero(), *run.xs[2:]))
+        # eps_1 = 0: x_1 is normed at height 1, which does not clear 1 - eps_1
+        at_one = [run.xs[0], *(SparseSeq.from_dict({**dict(x.coords), 2: 1}) for x in run.xs[1:])]
+        bad_eps = replace(run, eps=(Fraction(0), *run.eps[1:]), xs=tuple(at_one))
+        for bad in (bad_x, bad_star, bad_half, bad_eps):
+            assert not oracle_verify(bad)["claim2"]
+            assert _claims(bad)[1] == oracle_verify(bad)
+            with pytest.raises(RuntimeError):
+                verify_claim(bad)
+        assert not _claims(bad_half)[1]["half_z_norming"]
+
+    def test_coordinate_on_the_support_of_z(self):
+        run = ured_recursion(Fraction(1, 100), EPS3, 3)
+        # x_3 cancels z, so ||z + x_3|| = 31/32 rather than 1 - delta = 99/100
+        x3 = SparseSeq.from_dict({**dict(run.xs[3].coords), 1: -run.z.coords[0][1]})
+        odd = replace(run, xs=(*run.xs[:3], x3))
+        assert _claims(odd)[0][3] == Fraction(31, 32)
+        assert verify_claim(odd) == oracle_verify(odd)
 
     def test_projection_contract_on_run(self):
         run = ured_recursion(Fraction(1, 2), EPS3, 3)
