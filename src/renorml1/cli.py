@@ -238,6 +238,12 @@ def _cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
+def _digit_count(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 #: add_argument keywords per flag; each subcommand declares only the flags its
 #: handler reads, so any other flag exits 2 through argparse.
 _FLAGS = {
@@ -246,7 +252,7 @@ _FLAGS = {
     "--eps": dict(help="rational eps, or comma-separated schedule"),
     "--delta": dict(help="rational delta"),
     "--level": dict(type=int, help="dyadic level parameter"),
-    "--float-digits": dict(type=int, default=12, dest="float_digits"),
+    "--float-digits": dict(type=_digit_count, default=12, dest="float_digits"),
     "--seed": dict(type=int, default=0, help="seed for randomized trials"),
     "--trials": dict(type=int, default=25, help="trial count"),
 }

@@ -2,9 +2,14 @@
 
 A step function is stored densely at a fixed level K: a tuple of 2**K
 rational values, one per cell I(K, j) = [(j-1)/2**K, j/2**K), j = 1..2**K.
-Scalars are ``fractions.Fraction`` throughout (always reduced, positive
-denominator); no float ever enters a computation. Floats appear only in
-clearly labelled rendering helpers.
+Public values and every returned scalar are ``fractions.Fraction`` (always
+reduced, positive denominator); no float ever enters a computation. Floats
+appear only in clearly labelled rendering helpers.
+
+Inside, the dense kernels compute on Python ints: `lattice` writes f's values
+as integer numerators over their least common denominator, the kernels add
+and multiply those numerators, and `from_lattice` (or one `Fraction` per
+returned scalar) reduces back to Fractions at the boundary.
 
 Two step functions are equal iff their refinements to a common level have
 identical values, so the representation level is not part of the identity
@@ -12,7 +17,8 @@ of a function.
 
 `mass_levels` is the one mass-level kernel: every computation of the cell
 integrals of f across levels (norm series, witness split checks,
-projections, weak smallness) streams them from it, one level at a time.
+projections, weak smallness) streams them from it, one level at a time, as
+int numerators over one denominator.
 """
 
 from __future__ import annotations
@@ -21,8 +27,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import isqrt
-from typing import Iterator, NamedTuple
+from math import isqrt, lcm
+from operator import add, mul
+from typing import Iterator, NamedTuple, Optional
 
 #: Dense storage cap: no step function may live at a level above this.
 MAX_LEVEL = 20
@@ -180,8 +187,9 @@ class DyadicStep:
         return DyadicStep(self.level, tuple(-v for v in self.values))
 
     def __mul__(self, c) -> "DyadicStep":
-        c = to_frac(c)
-        return DyadicStep(self.level, tuple(c * v for v in self.values))
+        cn, cd = to_frac(c).as_integer_ratio()
+        nums, den = lattice(self)
+        return from_lattice(self.level, [cn * n for n in nums], cd * den)
 
     __rmul__ = __mul__
 
@@ -226,16 +234,32 @@ def canonical(f: DyadicStep) -> DyadicStep:
     return DyadicStep(level, vals)
 
 
-def _common(f: DyadicStep, g: DyadicStep):
-    L = max(f.level, g.level)
-    return L, refine(f, L).values, refine(g, L).values
+def lattice(f: DyadicStep, level: Optional[int] = None) -> tuple[list[int], int]:
+    """(nums, den): f's values as int numerators over their least common
+    denominator, values[i] == Fraction(nums[i], den); with `level`, the
+    numerators are refined to that level (each repeated per subcell)."""
+    ratios = [v.as_integer_ratio() for v in f.values]
+    den = lcm(*{d for _, d in ratios})
+    nums = [n * (den // d) for n, d in ratios]
+    rep = 1 << ((f.level if level is None else level) - f.level)
+    return (nums if rep == 1 else [n for n in nums for _ in range(rep)]), den
+
+
+def from_lattice(level: int, nums: list[int], den: int) -> DyadicStep:
+    """The step function with values Fraction(nums[i], den); each distinct
+    numerator is reduced once."""
+    frac = {n: Fraction(n, den) for n in set(nums)}
+    return DyadicStep(level, tuple(map(frac.__getitem__, nums)))
 
 
 def lin_comb(a, f: DyadicStep, b, g: DyadicStep) -> DyadicStep:
     """Pointwise a*f + b*g at the common refined level."""
-    a, b = to_frac(a), to_frac(b)
-    L, vf, vg = _common(f, g)
-    return DyadicStep(L, tuple(a * x + b * y for x, y in zip(vf, vg)))
+    (an, ad), (bn, bd) = to_frac(a).as_integer_ratio(), to_frac(b).as_integer_ratio()
+    L = max(f.level, g.level)
+    (nf, df), (ng, dg) = lattice(f, L), lattice(g, L)
+    den = lcm(ad * df, bd * dg)
+    p, q = an * (den // (ad * df)), bn * (den // (bd * dg))
+    return from_lattice(L, [p * x + q * y for x, y in zip(nf, ng)], den)
 
 
 def decompose(f: DyadicStep) -> tuple[DyadicStep, DyadicStep, DyadicStep]:
@@ -267,15 +291,16 @@ def integral_over(f: DyadicStep, idx) -> Fraction:
 
 def norms(f: DyadicStep) -> Norms:
     """(l1, linf) of f, exactly."""
-    l1 = sum((abs(v) for v in f.values), Fraction(0)) / (1 << f.level)
-    linf = max(abs(v) for v in f.values)
-    return Norms(l1, linf)
+    nums, den = lattice(f)
+    absolute = list(map(abs, nums))
+    return Norms(Fraction(sum(absolute), den << f.level), Fraction(max(absolute), den))
 
 
 def pairing(f: DyadicStep, h: DyadicStep) -> Fraction:
     """Exact duality bracket <f, h> = integral of f*h over [0, 1)."""
-    L, vf, vh = _common(f, h)
-    return sum((x * y for x, y in zip(vf, vh)), Fraction(0)) / (1 << L)
+    L = max(f.level, h.level)
+    (nf, df), (nh, dh) = lattice(f, L), lattice(h, L)
+    return Fraction(sum(map(mul, nf, nh)), df * dh << L)
 
 
 def dyadic_project(f: DyadicStep, K: int) -> DyadicStep:
@@ -288,8 +313,9 @@ def dyadic_project(f: DyadicStep, K: int) -> DyadicStep:
         raise ValueError(f"level must be >= 0, got {K}")
     if K >= f.level:
         return refine(f, K)
-    masses = next(islice(mass_levels(f), f.level - K, None))
-    return DyadicStep(K, tuple(m * (1 << K) for m in masses))
+    D, levels = mass_levels(f)
+    # a level-K cell average is 2**K times its mass
+    return from_lattice(K, next(islice(levels, f.level - K, None)), D >> K)
 
 
 def reflect(f: DyadicStep) -> DyadicStep:
@@ -297,21 +323,27 @@ def reflect(f: DyadicStep) -> DyadicStep:
     return DyadicStep(f.level, tuple(reversed(f.values)))
 
 
-def fold_masses(masses: list[Fraction]) -> list[Fraction]:
+def fold_masses(masses: list) -> list:
     """One level up: pairwise sums (each parent cell is the disjoint union
     of its two children, so masses add)."""
-    return [masses[2 * i] + masses[2 * i + 1] for i in range(len(masses) // 2)]
+    return list(map(add, masses[::2], masses[1::2]))
 
 
-def mass_levels(f: DyadicStep, absolute: bool = False) -> Iterator[list[Fraction]]:
-    """Cell masses of f (or |f|) level by level, from f.level down to 0:
-    the t-th list holds the integrals over the cells of level f.level - t."""
-    scale = Fraction(1, 1 << f.level)
-    masses = [v * scale for v in (map(abs, f.values) if absolute else f.values)]
-    yield masses
-    for _ in range(f.level):
-        masses = fold_masses(masses)
+def mass_levels(f: DyadicStep, absolute: bool = False) -> tuple[int, Iterator[list[int]]]:
+    """(D, levels): cell masses of f (or |f|) level by level, from f.level
+    down to 0, as int numerators over the one denominator D = den << f.level
+    (den from `lattice`; folding only adds masses, so D holds at every
+    level). The t-th list holds D times the integrals over the cells of
+    level f.level - t."""
+    nums, den = lattice(f)
+
+    def levels(masses: list[int]) -> Iterator[list[int]]:
         yield masses
+        for _ in range(f.level):
+            masses = fold_masses(masses)
+            yield masses
+
+    return den << f.level, levels(list(map(abs, nums)) if absolute else nums)
 
 
 # -- JSON wire format ---------------------------------------------------------

@@ -140,8 +140,9 @@ def weak_smallness(u: DyadicStep, depth: int) -> Fraction:
         raise ValueError(f"depth must be >= 0, got {depth}")
     # levels min(depth, u.level) down to 0: a cell finer than u's grid holds
     # half its parent's integral, so deeper levels never score higher
-    levels = islice(mass_levels(u), max(u.level - depth, 0), None)
-    return max(max(map(abs, masses)) for masses in levels)
+    D, levels = mass_levels(u)
+    levels = islice(levels, max(u.level - depth, 0), None)
+    return Fraction(max(max(map(abs, masses)) for masses in levels), D)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from operator import mul
 from typing import Optional
 
 from .dyadic import (
@@ -26,6 +26,7 @@ from .dyadic import (
     dyadic_project,
     frac_str,
     integral_over,
+    lattice,
     mass_levels,
     norms,
     pairing,
@@ -34,35 +35,31 @@ from .dyadic import (
     to_frac,
 )
 
-#: sum over k >= 0 of 8**-k
-GEOM_8 = Fraction(8, 7)
-
 
 def seminorm(f: DyadicStep, idx) -> Fraction:
     """s(f, k, j) = integral of |f| over I(k, j), exactly."""
     return integral_over(abs(f), as_index(idx))
 
 
-def _sumsq(xs) -> Fraction:
-    return sum((x * x for x in xs), Fraction(0))
-
-
-def _series(f: DyadicStep, T: int) -> tuple[Fraction, Fraction]:
-    """(sum_{k < min(T, K)} 4**-k * sum_j s(f, k, j)**2, sum_j s(f, K, j)**2)
-    for K = level(f), in one pass over the mass levels of |f|."""
-    levels = mass_levels(f, absolute=True)
-    top = _sumsq(next(levels))
-    below = Fraction(0)
-    for k, masses in zip(range(f.level - 1, -1, -1), levels):
+def _series(f: DyadicStep, T: int) -> tuple[int, int, int]:
+    """(B, S, D) with sum_{k < min(T, K)} 4**-k * sum_j s(f, k, j)**2 =
+    B / (D**2 * 4**K) and sum_j s(f, K, j)**2 = S / D**2 for K = level(f),
+    in one pass over the int mass levels of |f| (D is their denominator)."""
+    K = f.level
+    D, levels = mass_levels(f, absolute=True)
+    top = next(levels)
+    B = 0
+    for k, masses in zip(range(K - 1, -1, -1), levels):
         if k < T:
-            below += _sumsq(masses) / 4**k
-    return below, top
+            B += sum(map(mul, masses, masses)) << 2 * (K - k)
+    return B, sum(map(mul, top, top)), D
 
 
 def tnorm_sq(f: DyadicStep) -> Fraction:
     """Exact squared norm T(f)**2 (closed tail from f's own level up)."""
-    below, top = _series(f, f.level)
-    return below + GEOM_8 * top / 4**f.level
+    B, S, D = _series(f, f.level)
+    # below + (8/7) * top / 4**K over the denominator 7 * D**2 * 4**K
+    return Fraction(7 * B + 8 * S, 7 * D * D << 2 * f.level)
 
 
 def partial_below(f: DyadicStep, T: int) -> Fraction:
@@ -70,16 +67,20 @@ def partial_below(f: DyadicStep, T: int) -> Fraction:
     if T < 0:
         raise ValueError(f"truncation level must be >= 0, got {T}")
     K = f.level
-    below, top = _series(f, T)
-    # at and above f's own grid the level-k seminorms sum to top * 2**(K-k)
-    return below + sum((top * 2**K / 8**k for k in range(K, T)), Fraction(0))
+    B, S, D = _series(f, T)
+    E = max(T, K)
+    # at and above f's own grid the level-k seminorms sum to S * 2**(K-k) / D**2;
+    # every term goes over the denominator D**2 * 4**K * 8**(E-K)
+    above = sum(S << 3 * (E - k) for k in range(K, T))
+    return Fraction((B << 3 * (E - K)) + above, D * D << 2 * K + 3 * (E - K))
 
 
 def tail_formula(f: DyadicStep, T: int) -> Fraction:
     """Closed form of sum_{k >= T} 4**-k * sum_j s(f, k, j)**2 for T >= level(f)."""
     if T < f.level:
         raise ValueError(f"tail start {T} is below the function level {f.level}")
-    return GEOM_8 * _sumsq(f.values) / (2**f.level * 8**T)
+    nums, den = lattice(f)
+    return Fraction(8 * sum(map(mul, nums, nums)), 7 * den * den << f.level + 3 * T)
 
 
 @dataclass(frozen=True)
@@ -212,13 +213,16 @@ class DualNormEstimate:
 def _tnorm_grad(u: DyadicStep) -> list[Fraction]:
     """Gradient of tnorm_sq at a componentwise-nonnegative u, per cell value."""
     L = u.level
-    grad = [GEOM_8 * 2 * ui / 4 ** (2 * L) for ui in u.values]
-    # levels below u's own; the closed tail above covers the rest
-    for k, masses in zip(range(L - 1, -1, -1), islice(mass_levels(u), 1, None)):
-        coef = Fraction(2, 4**k * (1 << L))
+    D, levels = mass_levels(u)
+    # over 7 * D * 8**L: the closed tail contributes 16 times the mass of
+    # cell i, each level k < L 14 * 4**(L-k) times the level-k mass holding i
+    grad = [n << 4 for n in next(levels)]
+    for k, masses in zip(range(L - 1, -1, -1), levels):
+        w, shift = 14 << 2 * (L - k), L - k
         for i in range(len(grad)):
-            grad[i] += coef * masses[i >> (L - k)]
-    return grad
+            grad[i] += w * masses[i >> shift]
+    q = 7 * D << 3 * L
+    return [Fraction(x, q) for x in grad]
 
 
 def dual_norm_estimate(

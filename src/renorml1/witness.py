@@ -24,14 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import lcm
 from typing import Optional
 
 from .dyadic import (
     MAX_LEVEL,
     DyadicStep,
     LevelOverflowError,
-    decompose,
     frac_str,
+    from_lattice,
     mass_levels,
     norms,
     pairing,
@@ -205,44 +206,57 @@ def split_pair(f: DyadicStep, K: int) -> SplitPair:
     if K + 2 > MAX_LEVEL:
         raise LevelOverflowError(f"split level {K}+2 exceeds cap {MAX_LEVEL}")
     base = refine(f, K) if f.level <= K else f
-    _, pos, neg = decompose(base)
-    levels = zip(mass_levels(pos), mass_levels(neg))
-    b, c = map(tuple, next(islice(levels, base.level - K, None)))
+    # pos[j] / D and neg[j] / D are the masses of |f| + f and |f| - f (twice
+    # f's positive and negative parts) on the level-K cell j
+    D, signed = mass_levels(base)
+    _, absolute = mass_levels(base, absolute=True)
+    m, a = (next(islice(levels, base.level - K, None)) for levels in (signed, absolute))
+    pos = [x + y for x, y in zip(a, m)]
+    neg = [x - y for x, y in zip(a, m)]
+    b, c = (from_lattice(K, ms, 2 * D).values for ms in (pos, neg))
 
-    h, zero = 1 << (K + 2), Fraction(0)
-    heights = [(h * bj, -h * cj) for bj, cj in zip(b, c)]
-    f1 = DyadicStep(K + 2, tuple(x for q in heights for x in (*q, zero, zero)))
-    f2 = DyadicStep(K + 2, tuple(x for q in heights for x in (zero, zero, *q)))
+    # heights 2**(K+2) * b[j] and -2**(K+2) * c[j], over the denominator D
+    heights = [(p << K + 1, -q << K + 1) for p, q in zip(pos, neg)]
+    f1 = from_lattice(K + 2, [x for hq in heights for x in (*hq, 0, 0)], D)
+    f2 = from_lattice(K + 2, [x for hq in heights for x in (0, 0, *hq)], D)
 
     return SplitPair(K, b, c, f1, f2, _verify_split(f, K, f1, f2))
 
 
-def _max_dev(ms: list[Fraction], ref: list[Fraction]) -> Fraction:
+def _max_dev(ms: list[int], ref: list[int]) -> int:
     """Largest |ms[i] - ref[i]|; equal lists deviate by exactly 0."""
-    return Fraction(0) if ms == ref else max(abs(m - r) for m, r in zip(ms, ref))
+    return 0 if ms == ref else max(abs(m - r) for m, r in zip(ms, ref))
 
 
 def _verify_split(f: DyadicStep, K: int, f1: DyadicStep, f2: DyadicStep) -> dict[str, Check]:
-    """Measure (5)-(7) on every cell of level <= K for f1, f2 of level K+2."""
-    diff = DyadicStep(K + 2, tuple(a - b for a, b in zip(f1.values, f2.values)))
+    """Measure (5)-(7) on every cell of level <= K for f1, f2 of level K+2.
+
+    The seven mass streams are compared as int numerators over the lcm D of
+    their denominators; the deviations are reported as exact Fractions."""
     fK = refine(f, K) if f.level < K else f
+    streams = [
+        (g.level, *mass_levels(g, absolute))
+        for g, absolute in (
+            (fK, False), (f1, False), (f2, False),
+            (fK, True), (f1, True), (f2, True), (f1 - f2, True),
+        )
+    ]
+    D = lcm(*(d for _, d, _ in streams))
 
-    def from_K(g: DyadicStep, absolute: bool = False):
-        return islice(mass_levels(g, absolute), g.level - K, None)
+    def from_K(level: int, d: int, levels):
+        s = D // d
+        for masses in islice(levels, level - K, None):
+            yield masses if s == 1 else [x * s for x in masses]
 
-    dev = dict.fromkeys(("id5", "id6", "id7"), Fraction(0))
-    for k, m, m1, m2, a, a1, a2, ad in zip(
-        range(K, -1, -1),
-        *(from_K(g) for g in (fK, f1, f2)),
-        *(from_K(g, True) for g in (fK, f1, f2, diff)),
-    ):
+    dev = dict.fromkeys(("id5", "id6", "id7"), 0)
+    for k, m, m1, m2, a, a1, a2, ad in zip(range(K, -1, -1), *(from_K(*st) for st in streams)):
         dev["id5"] = max(dev["id5"], _max_dev(m1, m), _max_dev(m2, m))
         dev["id6"] = max(dev["id6"], _max_dev(a1, a), _max_dev(a2, a))
         dev["id7"] = max(dev["id7"], _max_dev(ad, [2 * x for x in a]))
         if any(dev.values()):
-            shown = ", ".join(f"{name}={frac_str(d)}" for name, d in dev.items())
+            shown = ", ".join(f"{name}={frac_str(Fraction(d, D))}" for name, d in dev.items())
             raise RuntimeError(f"internal: split identity failed at level {k} ({shown})")
-    checks = {name: _check(d, "==", Fraction(0)) for name, d in dev.items()}
+    checks = {name: _check(Fraction(d, D), "==", Fraction(0)) for name, d in dev.items()}
     checks["linf4x"] = _check(max(norms(f1).linf, norms(f2).linf), "<=", 4 * norms(f).linf)
     if not checks["linf4x"].ok:
         raise RuntimeError("internal: linf(f_i) <= 4 linf(f) failed")

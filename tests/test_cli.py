@@ -239,6 +239,25 @@ class TestInputErrors:
         assert err.startswith("input error:") and field in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, digits",
+        [
+            (["norm"], "-3"),
+            (["probe", "midpoint"], "-2"),
+            (["probe", "slice", "--eps", "1/100"], "-2"),
+            (["norm"], "x"),
+        ],
+    )
+    def test_float_digits_must_be_nonnegative(self, tmp_path, capsys, argv, digits):
+        obj = dict(NBHD, f=CONST_78, g=CONST_78) if argv[0] == "probe" else CONST_78
+        path = write_json(tmp_path, "in.json", obj)
+        with pytest.raises(SystemExit) as exc:
+            invoke(tmp_path, *argv, "--input", path, "--float-digits", digits)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"argument --float-digits: must be an integer >= 0, got '{digits}'" in err
+        assert "Traceback" not in err and not (tmp_path / "report.out").exists()
+
 
 class TestArgumentSchema:
     """Each subcommand accepts exactly the flags its handler reads."""

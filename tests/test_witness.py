@@ -19,7 +19,7 @@ from renorml1 import (
     split_pair,
     tnorm_sq,
 )
-from renorml1.dyadic import DyadicIndex, indicator, integral_over
+from renorml1.dyadic import DyadicIndex, indicator, integral_over, lattice
 from renorml1.witness import _verify_split
 from conftest import mk, steps
 
@@ -130,6 +130,20 @@ class TestSplitCheck:
         wrong = sp.f2 + indicator((5, 1), Fraction(1, 7))
         with pytest.raises(RuntimeError, match="id5=1/224, id6=1/224, id7=1/224"):
             _verify_split(self.F, 3, sp.f1, wrong)
+
+    def test_wrong_f2_over_other_denominators(self):
+        # values over 3 and 5: the center's lattice denominator is 15, that of
+        # f1/f2 is 30, and the wrong f2 below needs 210
+        center = mk(4, *[Fraction(x) for x in "1/3 1/3 1/5 0 0 0 0 -1/5 -2/3 0 0 0 1/5 0 0 1/3".split()])
+        sp = split_pair(center, 1)
+        assert (lattice(center)[1], lattice(sp.f1)[1], lattice(sp.f2)[1]) == (15, 30, 30)
+        assert [sp.checks[name].lhs for name in ("id5", "id6", "id7")] == [0, 0, 0]
+        # f2 = 13/30 on cell (3, 3) becomes -89/210: its mass moves by 6/7 / 8,
+        # its absolute mass by (91 - 89)/210 / 8
+        wrong = sp.f2 + indicator((3, 3), Fraction(-6, 7))
+        assert lattice(wrong)[1] == 210
+        with pytest.raises(RuntimeError, match=r"level 1 \(id5=3/28, id6=1/840, id7=1/840\)"):
+            _verify_split(center, 1, sp.f1, wrong)
 
     def test_witness_reports_the_measured_checks(self):
         center = near_unit_scale(self.F, Fraction(1, 10**4))
