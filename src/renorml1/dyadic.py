@@ -11,6 +11,13 @@ as integer numerators over their least common denominator, the kernels add
 and multiply those numerators, and `from_lattice` (or one `Fraction` per
 returned scalar) reduces back to Fractions at the boundary.
 
+A step the kernel builds (`from_lattice`, and `refine`, negation and `abs`
+of such a step) keeps its numerators, so `lattice` and `step_to_json` read
+them instead of converting its values again. A step built from Fractions
+(user input, `DyadicStep(level, values)`) keeps none: `lattice` converts it
+on every call, on purpose, because remembering the numerators of every step
+ever read would grow memory for steps that are read once.
+
 Two step functions are equal iff their refinements to a common level have
 identical values, so the representation level is not part of the identity
 of a function.
@@ -26,8 +33,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from math import isqrt, lcm
+from itertools import chain, islice, repeat
+from math import gcd, isqrt, lcm
 from operator import add, mul
 from typing import Iterator, NamedTuple, Optional
 
@@ -131,16 +138,12 @@ class DyadicStep:
     level: int
     values: tuple[Fraction, ...]
 
+    #: (nums, den) of a kernel-built step (see `lattice`); None otherwise
+    _lattice = None
+
     def __post_init__(self):
-        if self.level < 0:
-            raise ValueError(f"level must be >= 0, got {self.level}")
-        if self.level > MAX_LEVEL:
-            raise LevelOverflowError(f"level {self.level} exceeds cap {MAX_LEVEL}")
-        vals = tuple(to_frac(v) for v in self.values)
-        if len(vals) != (1 << self.level):
-            raise ValueError(
-                f"need 2**{self.level} = {1 << self.level} values, got {len(vals)}"
-            )
+        vals = tuple(map(to_frac, self.values))
+        _check_shape(self.level, len(vals))
         object.__setattr__(self, "values", vals)
 
     # -- constructors -------------------------------------------------------
@@ -184,7 +187,10 @@ class DyadicStep:
         return lin_comb(1, self, -1, other)
 
     def __neg__(self) -> "DyadicStep":
-        return DyadicStep(self.level, tuple(-v for v in self.values))
+        if self._lattice is None:
+            return DyadicStep(self.level, tuple(-v for v in self.values))
+        nums, den = self._lattice
+        return from_lattice(self.level, [-n for n in nums], den)
 
     def __mul__(self, c) -> "DyadicStep":
         cn, cd = to_frac(c).as_integer_ratio()
@@ -194,7 +200,36 @@ class DyadicStep:
     __rmul__ = __mul__
 
     def __abs__(self) -> "DyadicStep":
-        return DyadicStep(self.level, tuple(abs(v) for v in self.values))
+        if self._lattice is None:
+            return DyadicStep(self.level, tuple(abs(v) for v in self.values))
+        nums, den = self._lattice
+        return from_lattice(self.level, list(map(abs, nums)), den)
+
+
+def _check_shape(level: int, count: int) -> None:
+    """A level in 0..MAX_LEVEL and one value per level-`level` cell."""
+    if level < 0:
+        raise ValueError(f"level must be >= 0, got {level}")
+    if level > MAX_LEVEL:
+        raise LevelOverflowError(f"level {level} exceeds cap {MAX_LEVEL}")
+    if count != (1 << level):
+        raise ValueError(f"need 2**{level} = {1 << level} values, got {count}")
+
+
+def _kernel_step(level: int, values: tuple, lat) -> DyadicStep:
+    """A step from values that are already reduced Fractions, one per cell,
+    without the per-value coercion of `DyadicStep`; `lat` is their
+    (nums, den) lattice, or None."""
+    f = object.__new__(DyadicStep)
+    object.__setattr__(f, "level", level)
+    object.__setattr__(f, "values", values)
+    object.__setattr__(f, "_lattice", lat)
+    return f
+
+
+def _repeat(xs: tuple, rep: int) -> tuple:
+    """Each entry of xs repeated `rep` times in place (a refinement)."""
+    return xs if rep == 1 else tuple(chain.from_iterable(repeat(x, rep) for x in xs))
 
 
 def indicator(idx, scale=1) -> DyadicStep:
@@ -222,7 +257,8 @@ def refine(f: DyadicStep, new_level: int) -> DyadicStep:
     if new_level == f.level:
         return f
     rep = 1 << (new_level - f.level)
-    return DyadicStep(new_level, tuple(v for v in f.values for _ in range(rep)))
+    lat = f._lattice and (_repeat(f._lattice[0], rep), f._lattice[1])
+    return _kernel_step(new_level, _repeat(f.values, rep), lat)
 
 
 def canonical(f: DyadicStep) -> DyadicStep:
@@ -234,22 +270,32 @@ def canonical(f: DyadicStep) -> DyadicStep:
     return DyadicStep(level, vals)
 
 
-def lattice(f: DyadicStep, level: Optional[int] = None) -> tuple[list[int], int]:
+def lattice(f: DyadicStep, level: Optional[int] = None) -> tuple[tuple[int, ...], int]:
     """(nums, den): f's values as int numerators over their least common
     denominator, values[i] == Fraction(nums[i], den); with `level`, the
-    numerators are refined to that level (each repeated per subcell)."""
-    ratios = [v.as_integer_ratio() for v in f.values]
-    den = lcm(*{d for _, d in ratios})
-    nums = [n * (den // d) for n, d in ratios]
-    rep = 1 << ((f.level if level is None else level) - f.level)
-    return (nums if rep == 1 else [n for n in nums for _ in range(rep)]), den
+    numerators are refined to that level (each repeated per subcell).
+
+    A kernel-built step hands out the numerators it keeps; any other step
+    is converted on each call."""
+    if f._lattice is None:
+        ratios = [v.as_integer_ratio() for v in f.values]
+        den = lcm(*{d for _, d in ratios})
+        nums = tuple([n * (den // d) for n, d in ratios])
+    else:
+        nums, den = f._lattice
+    return _repeat(nums, 1 << ((f.level if level is None else level) - f.level)), den
 
 
-def from_lattice(level: int, nums: list[int], den: int) -> DyadicStep:
+def from_lattice(level: int, nums, den: int) -> DyadicStep:
     """The step function with values Fraction(nums[i], den); each distinct
-    numerator is reduced once."""
+    numerator is reduced once. The step keeps the numerators, reduced to
+    the least common denominator of its values."""
+    _check_shape(level, len(nums))
     frac = {n: Fraction(n, den) for n in set(nums)}
-    return DyadicStep(level, tuple(map(frac.__getitem__, nums)))
+    values = tuple(map(frac.__getitem__, nums))
+    g = gcd(den, *frac) if den > 0 else -gcd(den, *frac)
+    nums = tuple(nums) if g == 1 else tuple([n // g for n in nums])
+    return _kernel_step(level, values, (nums, den // g))
 
 
 def lin_comb(a, f: DyadicStep, b, g: DyadicStep) -> DyadicStep:
@@ -352,7 +398,13 @@ def mass_levels(f: DyadicStep, absolute: bool = False) -> tuple[int, Iterator[li
 
 
 def step_to_json(f: DyadicStep) -> dict:
-    return {"level": f.level, "values": [frac_str(v) for v in f.values]}
+    """The wire form of f; a kernel-built step renders each distinct kept
+    numerator once, any other step each of its values."""
+    if f._lattice is None:
+        return {"level": f.level, "values": [frac_str(v) for v in f.values]}
+    nums, den = f._lattice
+    text = {n: frac_str(Fraction(n, den)) for n in set(nums)}
+    return {"level": f.level, "values": list(map(text.__getitem__, nums))}
 
 
 def step_from_json(obj) -> DyadicStep:

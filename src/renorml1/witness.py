@@ -23,20 +23,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import lcm
-from typing import Optional
+from typing import Optional, Sequence
 
 from .dyadic import (
     MAX_LEVEL,
     DyadicStep,
     LevelOverflowError,
+    fold_masses,
     frac_str,
     from_lattice,
-    mass_levels,
+    lattice,
     norms,
     pairing,
-    refine,
     step_to_json,
     to_frac,
 )
@@ -51,7 +50,9 @@ class GapConditionError(ValueError):
 class WeakNbhd:
     """Center f, functionals h_1..h_m with linf <= 1, and a radius delta > 0.
 
-    Membership: g in V iff |<g - f, h_l>| < delta for every l.
+    Membership: g in V iff |<g - f, h_l>| < delta for every l, evaluated
+    as <g, h_l> - <f, h_l> (the bracket is bilinear, so the value is the
+    same exact Fraction) without building the step g - f.
     """
 
     center: DyadicStep
@@ -69,7 +70,8 @@ class WeakNbhd:
 
     def contains(self, g: DyadicStep) -> bool:
         return all(
-            abs(pairing(g - self.center, h)) < self.delta for h in self.functionals
+            abs(pairing(g, h) - pairing(self.center, h)) < self.delta
+            for h in self.functionals
         )
 
 
@@ -205,12 +207,9 @@ def split_pair(f: DyadicStep, K: int) -> SplitPair:
         raise ValueError(f"K must be >= 0, got {K}")
     if K + 2 > MAX_LEVEL:
         raise LevelOverflowError(f"split level {K}+2 exceeds cap {MAX_LEVEL}")
-    base = refine(f, K) if f.level <= K else f
     # pos[j] / D and neg[j] / D are the masses of |f| + f and |f| - f (twice
     # f's positive and negative parts) on the level-K cell j
-    D, signed = mass_levels(base)
-    _, absolute = mass_levels(base, absolute=True)
-    m, a = (next(islice(levels, base.level - K, None)) for levels in (signed, absolute))
+    D, m, a = _level_K_masses(f, K)
     pos = [x + y for x, y in zip(a, m)]
     neg = [x - y for x, y in zip(a, m)]
     b, c = (from_lattice(K, ms, 2 * D).values for ms in (pos, neg))
@@ -223,6 +222,17 @@ def split_pair(f: DyadicStep, K: int) -> SplitPair:
     return SplitPair(K, b, c, f1, f2, _verify_split(f, K, f1, f2))
 
 
+def _level_K_masses(f: DyadicStep, K: int) -> tuple[int, Sequence[int], list[int]]:
+    """(D, m, a): D times the masses of f and |f| on the level-K cells, from
+    one read of f's numerators at level max(K, level(f))."""
+    L = max(f.level, K)
+    nums, den = lattice(f, L)
+    m, a = nums, list(map(abs, nums))
+    for _ in range(L - K):
+        m, a = fold_masses(m), fold_masses(a)
+    return den << L, m, a
+
+
 def _max_dev(ms: list[int], ref: list[int]) -> int:
     """Largest |ms[i] - ref[i]|; equal lists deviate by exactly 0."""
     return 0 if ms == ref else max(abs(m - r) for m, r in zip(ms, ref))
@@ -232,21 +242,30 @@ def _verify_split(f: DyadicStep, K: int, f1: DyadicStep, f2: DyadicStep) -> dict
     """Measure (5)-(7) on every cell of level <= K for f1, f2 of level K+2.
 
     The seven mass streams are compared as int numerators over the lcm D of
-    their denominators; the deviations are reported as exact Fractions."""
-    fK = refine(f, K) if f.level < K else f
+    their denominators; the deviations are reported as exact Fractions.
+    Each of f, f1 and f2 is read as a lattice once, and the masses of
+    f1 - f2 come from the lattices of f1 and f2, not from a built step."""
+    Df, mf, af = _level_K_masses(f, K)
+    L = max(f1.level, f2.level)
+    (n1, d1), (n2, d2) = lattice(f1, L), lattice(f2, L)
+    d12 = lcm(d1, d2)
+    s1, s2 = d12 // d1, d12 // d2
+    # level-L masses of |f1 - f2| over d12 << L, from the two lattices
+    diff = [abs(x * s1 - y * s2) for x, y in zip(n1, n2)]
     streams = [
-        (g.level, *mass_levels(g, absolute))
-        for g, absolute in (
-            (fK, False), (f1, False), (f2, False),
-            (fK, True), (f1, True), (f2, True), (f1 - f2, True),
-        )
+        (K, Df, mf), (L, d1 << L, n1), (L, d2 << L, n2),
+        (K, Df, af), (L, d1 << L, list(map(abs, n1))),
+        (L, d2 << L, list(map(abs, n2))), (L, d12 << L, diff),
     ]
     D = lcm(*(d for _, d, _ in streams))
 
-    def from_K(level: int, d: int, levels):
+    def from_K(level: int, d: int, masses):
+        for _ in range(level - K):
+            masses = fold_masses(masses)
         s = D // d
-        for masses in islice(levels, level - K, None):
+        while True:
             yield masses if s == 1 else [x * s for x in masses]
+            masses = fold_masses(masses)
 
     dev = dict.fromkeys(("id5", "id6", "id7"), 0)
     for k, m, m1, m2, a, a1, a2, ad in zip(range(K, -1, -1), *(from_K(*st) for st in streams)):
@@ -304,9 +323,12 @@ def d2p_witness(nbhd: WeakNbhd, eps) -> WitnessReport:
 
     checks = dict(sp.checks)
     worst = zero = Fraction(0)
+    # |<g - f, h>| as <g, h> - <f, h>: the same Fraction by bilinearity,
+    # without a dense g - f per functional and per g
     for h in nbhd.functionals:
+        fh = pairing(f, h)
         for g in (g1, g2):
-            worst = max(worst, abs(pairing(g - f, h)))
+            worst = max(worst, abs(pairing(g, h) - fh))
     checks["pairing_l"] = _check(worst, "<", nbhd.delta)
     ball_sq = (tnorm_sq(g1), tnorm_sq(g2))
     checks["ball"] = _check(max(ball_sq), "<", Fraction(1))

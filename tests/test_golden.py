@@ -98,6 +98,16 @@ CASES = {
         ["ured", "--delta", "1/50", "--eps", ",".join(f"1/{2 + k // 2}" for k in range(30))],
         "d82e925cd474843251a4cc8796f73d85c4bf9e27d01941e35aa6f04835755ca3",
     ),
+    # the deep path, recorded before the kernel kept the numerators of the
+    # steps it builds: split level K + 2 = 15, and a level-13 split
+    "witness_deep": (
+        ["witness", "--input", "@nbhd_functionals", "--eps", "1/1000"],
+        "bc572033d783513548dc090e682d2220d03dc64bd847fa02807f0252c17ead8c",
+    ),
+    "split_deep": (
+        ["split", "--input", "@f", "--level", "13"],
+        "1d4de9b5ce68ccb625e780b1f78d061d4fd6d81c0adfd5e2f4259465c4112242",
+    ),
 }
 
 

@@ -6,23 +6,58 @@ Fraction and every sum is a Fraction sum. The kernels must return equal
 Fractions on every input, at mixed levels, on zero and all-negative
 functions, and on values with 2**48-sized denominators (the shape of the
 `limit_denominator(1 << 48)` iterates of `dual_norm_estimate`).
+
+`oracle_lattice` is the former body of `lattice`, which recomputed the
+numerators from the values on every call. A step built by `from_lattice`
+(and `refine`, negation, `abs`, scalar and linear combinations of such a
+step) keeps its numerators instead; they must equal the oracle's, so the
+kept denominator is the least one, and they must never change after a
+kernel has read them.
 """
 
 from fractions import Fraction
 from itertools import islice
 from math import lcm
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from renorml1 import DyadicStep, dyadic_project, lin_comb, norms, pairing, refine
-from renorml1.dyadic import lattice, mass_levels
+from renorml1 import (
+    DyadicStep,
+    WeakNbhd,
+    d2p_witness,
+    dyadic_project,
+    lin_comb,
+    near_unit_scale,
+    norms,
+    pairing,
+    refine,
+    split_pair,
+)
+from renorml1.dyadic import (
+    MAX_LEVEL,
+    LevelOverflowError,
+    frac_str,
+    from_lattice,
+    lattice,
+    mass_levels,
+    step_to_json,
+)
 from renorml1.renorm import _series, _tnorm_grad, partial_below, tail_formula, tnorm_sq
-from conftest import small_fractions
+from conftest import mk, small_fractions
 
 # -- oracles: the Fraction kernel ----------------------------------------------
 
 GEOM_8 = Fraction(8, 7)
+
+
+def oracle_lattice(f, level=None):
+    ratios = [v.as_integer_ratio() for v in f.values]
+    den = lcm(*{d for _, d in ratios})
+    nums = [n * (den // d) for n, d in ratios]
+    rep = 1 << ((f.level if level is None else level) - f.level)
+    return (nums if rep == 1 else [n for n in nums for _ in range(rep)]), den
 
 
 def oracle_mass_levels(f, absolute=False):
@@ -167,3 +202,99 @@ def test_norms_projection_and_gradient(f, K):
         assert dyadic_project(f, K).values == tuple(m * (1 << K) for m in masses)
     u = abs(f)
     assert _tnorm_grad(u) == oracle_tnorm_grad(u)
+
+
+# -- steps built by the kernel keep their numerators ---------------------------
+
+
+@st.composite
+def built(draw, max_level=4):
+    """(level, nums, den) for `from_lattice`: numerators sharing a factor with
+    den, zeros, all-negative values and 2**48-sized denominators."""
+    level = draw(st.integers(0, max_level))
+    den = draw(st.one_of(st.integers(1, 64), st.integers(1 << 47, 1 << 49)))
+    nums = draw(st.lists(st.integers(-(1 << 60), 1 << 60), min_size=1 << level, max_size=1 << level))
+    kind = draw(st.sampled_from(("mixed", "shared", "zero", "negative")))
+    if kind == "shared":
+        g = draw(st.sampled_from((2, 3, 6, 1 << 20)))
+        den, nums = den * g, [n * g for n in nums]
+    elif kind == "zero":
+        nums = [0] * len(nums)
+    elif kind == "negative":
+        nums = [-abs(n) - 1 for n in nums]
+    return level, nums, den
+
+
+def as_oracle(f, level=None):
+    nums, den = oracle_lattice(f, level)
+    return tuple(nums), den
+
+
+@settings(max_examples=150, deadline=None)
+@given(built(), st.integers(0, 3))
+def test_built_step_keeps_the_least_lattice(case, up):
+    level, nums, den = case
+    f = from_lattice(level, nums, den)
+    assert f.values == tuple(Fraction(n, den) for n in nums)
+    got = lattice(f)
+    assert type(got[0]) is tuple
+    # the kept numerators are those the values give, over the least denominator
+    assert got == as_oracle(f) == as_oracle(DyadicStep(level, f.values))
+    assert lattice(f, level + up) == as_oracle(f, level + up)
+    assert step_to_json(f) == {"level": level, "values": [frac_str(v) for v in f.values]}
+
+
+@settings(max_examples=100, deadline=None)
+@given(built(), built(), values, st.integers(0, 3))
+def test_ops_on_built_steps_keep_the_least_lattice(case_f, case_g, a, up):
+    f, g = from_lattice(*case_f), from_lattice(*case_g)
+    for out in (refine(f, f.level + up), -f, abs(f), a * f, f - g, lin_comb(a, f, 2, g)):
+        assert out._lattice is not None
+        assert lattice(out) == as_oracle(out)
+        # the same values as the Fraction kernel gives on a step built from Fractions
+        assert out == DyadicStep(out.level, out.values)
+    plain = DyadicStep(f.level, f.values)
+    assert (-f).values == (-plain).values and abs(f).values == abs(plain).values
+    assert refine(f, f.level + up).values == refine(plain, f.level + up).values
+
+
+@settings(max_examples=60, deadline=None)
+@given(functions())
+def test_steps_from_fractions_keep_no_lattice(f):
+    assert f._lattice is None
+    assert lattice(f) == as_oracle(f)
+    assert f._lattice is None and refine(f, f.level + 1)._lattice is None
+    assert step_to_json(f) == {"level": f.level, "values": [frac_str(v) for v in f.values]}
+
+
+def test_from_lattice_checks_the_shape():
+    with pytest.raises(ValueError, match="need 2\\*\\*2 = 4 values, got 3"):
+        from_lattice(2, [1, 2, 3], 5)
+    with pytest.raises(ValueError, match="level must be >= 0"):
+        from_lattice(-1, [1], 1)
+    # the level is checked before the length, so no 2**21 list is needed
+    with pytest.raises(LevelOverflowError):
+        from_lattice(MAX_LEVEL + 1, [1], 1)
+    with pytest.raises(ZeroDivisionError):
+        from_lattice(0, [1], 0)
+
+
+def test_kernels_leave_the_kept_numerators_unchanged():
+    center = near_unit_scale(mk(2, 1, Fraction(-1, 2), 3, 0), Fraction(1, 10**4))
+    nbhd = WeakNbhd(center, (mk(0, 1), mk(2, Fraction(1, 2), -1, 0, Fraction(3, 4))), Fraction(1, 2))
+    before = lattice(center)
+    rep = d2p_witness(nbhd, Fraction(1, 5))
+    steps = (center, rep.pair.f1, rep.pair.f2, rep.g1, rep.g2)
+    kept = [lattice(f) for f in steps]
+    assert kept[0] == before and all(type(nums) is tuple for nums, _ in kept)
+    snapshot = [(list(nums), den) for nums, den in kept]
+    for f in steps:
+        tnorm_sq(f)
+        # the top level is handed out as kept, immutable
+        assert next(mass_levels(f)[1]) is lattice(f)[0]
+        for absolute in (False, True):
+            list(mass_levels(f, absolute)[1])
+        split_pair(f, 3)
+    d2p_witness(nbhd, Fraction(1, 5))
+    for f, (nums, den), (was, was_den) in zip(steps, kept, snapshot):
+        assert lattice(f)[0] is nums and list(nums) == was and den == was_den

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from renorml1 import (
@@ -145,6 +145,13 @@ class TestSplitCheck:
         with pytest.raises(RuntimeError, match=r"level 1 \(id5=3/28, id6=1/840, id7=1/840\)"):
             _verify_split(center, 1, sp.f1, wrong)
 
+    def test_f2_equal_to_f1_fails_only_id7(self):
+        # f1 - f1 = 0 has none of the doubled mass 2 |f| that id7 asks for,
+        # while f1 alone matches f on (5) and (6)
+        sp = split_pair(self.F, 3)
+        with pytest.raises(RuntimeError, match=r"level 3 \(id5=0/1, id6=0/1, id7=3/4\)"):
+            _verify_split(self.F, 3, sp.f1, sp.f1)
+
     def test_witness_reports_the_measured_checks(self):
         center = near_unit_scale(self.F, Fraction(1, 10**4))
         rep = d2p_witness(WeakNbhd(center, (), Fraction(1, 2)), Fraction(1, 5))
@@ -207,6 +214,65 @@ class TestWeakNbhd:
         nb = WeakNbhd(mk(0, 0), (mk(0, 1),), Fraction(1, 2))
         assert nb.contains(mk(0, Fraction(1, 4)))
         assert not nb.contains(mk(0, 1))
+
+
+unit_values = st.fractions(min_value=-1, max_value=1, max_denominator=8)
+
+
+def old_contains(nbhd, g):
+    """The former membership predicate: a dense g - f per functional."""
+    return all(abs(pairing(g - nbhd.center, h)) < nbhd.delta for h in nbhd.functionals)
+
+
+def old_pairing_l(nbhd, rep):
+    """The former pairing_l lhs: max |<g - f, h>| over g1, g2 and every h."""
+    return max(
+        (abs(pairing(g - nbhd.center, h)) for h in nbhd.functionals for g in (rep.g1, rep.g2)),
+        default=Fraction(0),
+    )
+
+
+class TestPairingCheck:
+    """The pairing check evaluates <g, h> - <f, h>; it must equal the dense
+    |<g - f, h>| of the former check exactly, for functionals at levels up
+    to the split level K."""
+
+    @given(
+        steps(max_level=2),
+        st.lists(steps(max_level=7, fractions=unit_values), max_size=3),
+        st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1)]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_pairing_l_matches_the_dense_oracle(self, f, functionals, delta):
+        assume(norms(f).l1 > 0)
+        nbhd = WeakNbhd(near_unit_scale(f, Fraction(1, 10**4)), functionals, delta)
+        try:
+            rep = d2p_witness(nbhd, Fraction(1, 5))
+        except GapConditionError:
+            assume(False)
+        assert all(h.level <= rep.K for h in functionals)
+        assert rep.checks["pairing_l"].lhs == old_pairing_l(nbhd, rep)
+        assert nbhd.contains(rep.g1) and nbhd.contains(rep.g2)
+
+    def test_contains_is_strict_at_the_boundary(self):
+        center = mk(1, 0, Fraction(1, 2))
+        nbhd = WeakNbhd(center, (mk(0, 1), mk(1, 1, -1)), Fraction(1, 4))
+        for shift, inside in ((Fraction(1, 4), False), (Fraction(1, 5), True)):
+            g = center + mk(0, shift)
+            assert nbhd.contains(g) is inside and old_contains(nbhd, g) is inside
+
+    @given(
+        steps(max_level=3),
+        st.lists(steps(max_level=4, fractions=unit_values), max_size=3),
+        steps(max_level=5),
+        st.fractions(min_value=-1, max_value=1, max_denominator=16),
+        st.sampled_from([Fraction(1, 8), Fraction(1, 2), Fraction(2)]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_contains_agrees_with_the_dense_predicate(self, center, functionals, p, t, delta):
+        nbhd = WeakNbhd(center, functionals, delta)
+        for g in (center, center + t * p, p):
+            assert nbhd.contains(g) == old_contains(nbhd, g)
 
 
 class TestWitness:
