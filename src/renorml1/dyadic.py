@@ -11,8 +11,8 @@ as integer numerators over their least common denominator, the kernels add
 and multiply those numerators, and `from_lattice` (or one `Fraction` per
 returned scalar) reduces back to Fractions at the boundary.
 
-A step the kernel builds (`from_lattice`, and `refine`, negation and `abs`
-of such a step) keeps its numerators, so `lattice` and `step_to_json` read
+A step the kernel builds (`from_lattice`, and through it `*`, `+`, `-` and
+`lin_comb`) keeps its numerators, so `lattice` and `step_to_json` read
 them instead of converting its values again. A step built from Fractions
 (user input, `DyadicStep(level, values)`) keeps none: `lattice` converts it
 on every call, on purpose, because remembering the numerators of every step
@@ -187,10 +187,7 @@ class DyadicStep:
         return lin_comb(1, self, -1, other)
 
     def __neg__(self) -> "DyadicStep":
-        if self._lattice is None:
-            return DyadicStep(self.level, tuple(-v for v in self.values))
-        nums, den = self._lattice
-        return from_lattice(self.level, [-n for n in nums], den)
+        return DyadicStep(self.level, tuple(-v for v in self.values))
 
     def __mul__(self, c) -> "DyadicStep":
         cn, cd = to_frac(c).as_integer_ratio()
@@ -200,10 +197,7 @@ class DyadicStep:
     __rmul__ = __mul__
 
     def __abs__(self) -> "DyadicStep":
-        if self._lattice is None:
-            return DyadicStep(self.level, tuple(abs(v) for v in self.values))
-        nums, den = self._lattice
-        return from_lattice(self.level, list(map(abs, nums)), den)
+        return DyadicStep(self.level, tuple(abs(v) for v in self.values))
 
 
 def _check_shape(level: int, count: int) -> None:
@@ -257,8 +251,7 @@ def refine(f: DyadicStep, new_level: int) -> DyadicStep:
     if new_level == f.level:
         return f
     rep = 1 << (new_level - f.level)
-    lat = f._lattice and (_repeat(f._lattice[0], rep), f._lattice[1])
-    return _kernel_step(new_level, _repeat(f.values, rep), lat)
+    return _kernel_step(new_level, _repeat(f.values, rep), None)
 
 
 def canonical(f: DyadicStep) -> DyadicStep:

@@ -245,17 +245,14 @@ def test_built_step_keeps_the_least_lattice(case, up):
 
 
 @settings(max_examples=100, deadline=None)
-@given(built(), built(), values, st.integers(0, 3))
-def test_ops_on_built_steps_keep_the_least_lattice(case_f, case_g, a, up):
+@given(built(), built(), values)
+def test_ops_on_built_steps_keep_the_least_lattice(case_f, case_g, a):
     f, g = from_lattice(*case_f), from_lattice(*case_g)
-    for out in (refine(f, f.level + up), -f, abs(f), a * f, f - g, lin_comb(a, f, 2, g)):
+    for out in (a * f, f - g, lin_comb(a, f, 2, g)):
         assert out._lattice is not None
         assert lattice(out) == as_oracle(out)
         # the same values as the Fraction kernel gives on a step built from Fractions
         assert out == DyadicStep(out.level, out.values)
-    plain = DyadicStep(f.level, f.values)
-    assert (-f).values == (-plain).values and abs(f).values == abs(plain).values
-    assert refine(f, f.level + up).values == refine(plain, f.level + up).values
 
 
 @settings(max_examples=60, deadline=None)
