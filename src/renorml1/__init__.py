@@ -39,6 +39,7 @@ from .renorm import (
     seminorm,
     tail_formula,
     tnorm_sq,
+    tnorm_sq_diff,
     triangle_equality_case,
 )
 from .witness import (

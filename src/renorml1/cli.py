@@ -11,9 +11,11 @@ Subcommands
 
 Exit codes: 0 success, 1 verification failure (for example the witness gap
 condition), 2 input error (bad or non-object JSON, bad rationals, overflow,
-an unknown or missing flag). Rationals are read and written as 'p/q'
-strings; floats appear only in labelled rendering fields. With a fixed seed
-every command writes byte-identical reports.
+an unknown or missing flag), 3 internal error (a verified theorem failed,
+which is a library bug). Rationals are read and written as 'p/q' strings;
+floats appear only in labelled rendering fields. A JSON report is exactly
+json.dumps(report, indent=2) plus a newline. With a fixed seed every command
+writes byte-identical reports.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import repeat
 
 from .dyadic import (
     as_index,
@@ -45,7 +48,7 @@ from .probes import (
 )
 from .renorm import norm_report, triangle_equality_case
 from .selftest import run_selftest
-from .ured import segment_check, ured_recursion, verify_claim
+from .ured import segment_check, ured_recursion
 from .witness import GapConditionError, WeakNbhd, d2p_witness, split_pair
 
 
@@ -63,6 +66,8 @@ def _load_json(path: str) -> dict:
         raise InputError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise InputError(f"JSON in {path} is nested too deeply") from None
     if not isinstance(obj, dict):
         raise InputError(f"{path} must hold a JSON object, got {type(obj).__name__}")
     return obj
@@ -122,7 +127,62 @@ def _emit(text: str, out_path) -> None:
 
 
 def _emit_json(obj, out_path) -> None:
-    _emit(json.dumps(obj, indent=2) + "\n", out_path)
+    _emit(_json_text(obj), out_path)
+
+
+def _json_text(obj) -> str:
+    """Exactly json.dumps(obj, indent=2) + "\n", at C-encoder speed."""
+    chunks: list[str] = []
+    _encode(obj, 0, chunks)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+_SCALARS = (str, int, float, type(None))  # bool is an int
+
+
+def _encode(o, depth: int, chunks: list[str]) -> None:
+    """Append the text of json.dumps(o, indent=2) for `o` nested `depth`
+    levels deep. A non-empty container whose items are all scalars goes to
+    the C encoder in one call, with the item separator carrying the newline
+    and indent of its items; only the nesting above it is walked here."""
+    if isinstance(o, dict):
+        items, brackets = o.values(), "{}"
+    elif isinstance(o, (list, tuple)):
+        items, brackets = o, "[]"
+    else:
+        chunks.append(json.dumps(o))
+        return
+    if not o:
+        chunks.append(brackets)
+        return
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    if all(map(isinstance, items, repeat(_SCALARS))):
+        text = json.dumps(o, separators=("," + inner, ": "))
+        chunks.extend((brackets[0], inner, text[1:-1], outer, brackets[1]))
+        return
+    sep = brackets[0] + inner
+    if brackets == "{}":
+        for key, value in o.items():
+            chunks.extend((sep, json.dumps(_json_key(key)), ": "))
+            _encode(value, depth + 1, chunks)
+            sep = "," + inner
+    else:
+        for value in o:
+            chunks.append(sep)
+            _encode(value, depth + 1, chunks)
+            sep = "," + inner
+    chunks.extend((outer, brackets[1]))
+
+
+def _json_key(key) -> str:
+    """A dict key as json.dumps coerces it: floats, ints, bools and None
+    become their JSON text."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, _SCALARS):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -225,7 +285,7 @@ def _cmd_ured(args) -> int:
     run = ured_recursion(delta, eps, len(eps))
     grid = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
     report = run.to_json()
-    report["verify"] = verify_claim(run)
+    report["verify"] = run.verified
     if run.steps >= 1:
         report["segment"] = segment_check(run, grid, run.steps)
     _emit_json(report, args.out)
@@ -295,6 +355,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # InputError and LevelOverflowError too
         sys.stderr.write(f"input error: {exc}\n")
         return 2
+    except RuntimeError as exc:  # "internal: ..." from a failed theorem check
+        sys.stderr.write(f"internal error: {str(exc).removeprefix('internal: ')}\n")
+        return 3
 
 
 def entry() -> None:  # console-script hook

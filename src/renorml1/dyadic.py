@@ -30,12 +30,11 @@ int numerators over one denominator.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, repeat
 from math import gcd, isqrt, lcm
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterator, NamedTuple, Optional
 
 #: Dense storage cap: no step function may live at a level above this.
@@ -385,6 +384,17 @@ def mass_levels(f: DyadicStep, absolute: bool = False) -> tuple[int, Iterator[li
     return den << f.level, levels(list(map(abs, nums)) if absolute else nums)
 
 
+def abs_diff_masses(f: DyadicStep, g: DyadicStep) -> tuple[int, int, list[int]]:
+    """(L, D, masses): D times the masses of |f - g| on the level-L cells,
+    L the finer of the two levels, from the lattices of f and g over the lcm
+    of their denominators, without building the step f - g."""
+    L = max(f.level, g.level)
+    (nf, df), (ng, dg) = lattice(f, L), lattice(g, L)
+    d = lcm(df, dg)
+    nf, ng = (ns if d == dn else [x * (d // dn) for x in ns] for ns, dn in ((nf, df), (ng, dg)))
+    return L, d << L, list(map(abs, map(sub, nf, ng)))
+
+
 # -- JSON wire format ---------------------------------------------------------
 #
 #   {"level": K, "values": ["p/q", ...]}   with exactly 2**K entries.
@@ -415,6 +425,3 @@ def step_from_json(obj) -> DyadicStep:
         )
     return DyadicStep(level, tuple(to_frac(v) for v in raw))
 
-
-def step_to_json_str(f: DyadicStep) -> str:
-    return json.dumps(step_to_json(f), indent=2)

@@ -22,8 +22,10 @@ from typing import Optional
 
 from .dyadic import (
     DyadicStep,
+    abs_diff_masses,
     as_index,
     dyadic_project,
+    fold_masses,
     frac_str,
     integral_over,
     lattice,
@@ -42,24 +44,42 @@ def seminorm(f: DyadicStep, idx) -> Fraction:
 
 
 def _series(f: DyadicStep, T: int) -> tuple[int, int, int]:
-    """(B, S, D) with sum_{k < min(T, K)} 4**-k * sum_j s(f, k, j)**2 =
-    B / (D**2 * 4**K) and sum_j s(f, K, j)**2 = S / D**2 for K = level(f),
-    in one pass over the int mass levels of |f| (D is their denominator)."""
-    K = f.level
+    """(B, S, D): `_mass_series` of the int masses of |f| at K = level(f),
+    and their denominator D."""
     D, levels = mass_levels(f, absolute=True)
-    top = next(levels)
-    B = 0
-    for k, masses in zip(range(K - 1, -1, -1), levels):
+    return (*_mass_series(f.level, next(levels), T), D)
+
+
+def _mass_series(K: int, masses: list[int], T: int) -> tuple[int, int]:
+    """(B, S) for D times the masses of |f| on the level-K cells:
+    sum_{k < min(T, K)} 4**-k * sum_j s(f, k, j)**2 = B / (D**2 * 4**K) and
+    sum_j s(f, K, j)**2 = S / D**2, folding the masses one level at a time."""
+    B, S = 0, sum(map(mul, masses, masses))
+    for k in range(K - 1, -1, -1):
+        masses = fold_masses(masses)
         if k < T:
             B += sum(map(mul, masses, masses)) << 2 * (K - k)
-    return B, sum(map(mul, top, top)), D
+    return B, S
 
 
 def tnorm_sq(f: DyadicStep) -> Fraction:
     """Exact squared norm T(f)**2 (closed tail from f's own level up)."""
-    B, S, D = _series(f, f.level)
+    D, levels = mass_levels(f, absolute=True)
+    return _tnorm_sq(f.level, D, next(levels))
+
+
+def tnorm_sq_diff(f: DyadicStep, g: DyadicStep) -> Fraction:
+    """T(f - g)**2, equal to tnorm_sq(f - g), from the lattices of f and g
+    without building the step f - g."""
+    return _tnorm_sq(*abs_diff_masses(f, g))
+
+
+def _tnorm_sq(K: int, D: int, masses: list[int]) -> Fraction:
+    """T(f)**2 of a level-K step f from D times the masses of |f| on the
+    level-K cells."""
+    B, S = _mass_series(K, masses, K)
     # below + (8/7) * top / 4**K over the denominator 7 * D**2 * 4**K
-    return Fraction(7 * B + 8 * S, 7 * D * D << 2 * f.level)
+    return Fraction(7 * B + 8 * S, 7 * D * D << 2 * K)
 
 
 def partial_below(f: DyadicStep, T: int) -> Fraction:

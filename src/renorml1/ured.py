@@ -15,7 +15,8 @@ in the closed ball with norm at least 1 - eps_N/4.
 
 A run stores x_n with n coordinates each, so Theta(steps**2) in all. Its
 claims are evaluated in one pass over those coordinates, linear in their
-number; both `ured_recursion` and `verify_claim` report from that pass.
+number. `ured_recursion` makes that pass once and keeps its report on the
+run (`verified`); `verify_claim` makes it again on whatever run it is given.
 """
 
 from __future__ import annotations
@@ -102,6 +103,10 @@ class RecursionRun:
     xstars: tuple[int, ...]  # coordinate index evaluated by the n-th functional
     checks: dict
 
+    #: the claim report of the pass `ured_recursion` made on this run, equal
+    #: to verify_claim(run); None for a run built otherwise (`replace` too)
+    verified = None
+
     @property
     def steps(self) -> int:
         return len(self.xs) - 1
@@ -148,13 +153,15 @@ def ured_recursion(delta, eps: Sequence, steps: int) -> RecursionRun:
 
     run = RecursionRun(delta, tuple(eps[:steps]), z, tuple(xs), tuple(xstars), {})
     z_plus, claims = _claims(run)
-    if not (claims["claim1"] and claims["claim2"]):
+    if not claims["ok"]:
         raise RuntimeError("internal: recursion claims failed")
     checks = {
         "claim1": {"values": [frac_str(v) for v in z_plus], "ok": claims["claim1"]},
         "claim2": {"ok": claims["claim2"]},
     }
-    return replace(run, checks=checks)
+    run = replace(run, checks=checks)
+    object.__setattr__(run, "verified", claims)
+    return run
 
 
 def _claims(run: RecursionRun) -> tuple[list[Fraction], dict]:

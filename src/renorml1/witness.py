@@ -29,6 +29,7 @@ from typing import Optional, Sequence
 from .dyadic import (
     MAX_LEVEL,
     DyadicStep,
+    abs_diff_masses,
     LevelOverflowError,
     fold_masses,
     frac_str,
@@ -39,7 +40,7 @@ from .dyadic import (
     step_to_json,
     to_frac,
 )
-from .renorm import tnorm_sq
+from .renorm import tnorm_sq, tnorm_sq_diff
 
 
 class GapConditionError(ValueError):
@@ -116,11 +117,19 @@ class SplitPair:
     f2: DyadicStep
     checks: dict[str, Check]
 
+    #: (b, c) as the level-K steps `split_pair` built, whose kept numerators
+    #: render each distinct mass once; None for a pair built otherwise
+    _masses = None
+
     def to_json(self) -> dict:
+        if self._masses is None:
+            b, c = ([frac_str(x) for x in xs] for xs in (self.b, self.c))
+        else:
+            b, c = (step_to_json(m)["values"] for m in self._masses)
         return {
             "K": self.K,
-            "b": [frac_str(x) for x in self.b],
-            "c": [frac_str(x) for x in self.c],
+            "b": b,
+            "c": c,
             "f1": step_to_json(self.f1),
             "f2": step_to_json(self.f2),
         }
@@ -212,14 +221,16 @@ def split_pair(f: DyadicStep, K: int) -> SplitPair:
     D, m, a = _level_K_masses(f, K)
     pos = [x + y for x, y in zip(a, m)]
     neg = [x - y for x, y in zip(a, m)]
-    b, c = (from_lattice(K, ms, 2 * D).values for ms in (pos, neg))
+    b, c = (from_lattice(K, ms, 2 * D) for ms in (pos, neg))
 
     # heights 2**(K+2) * b[j] and -2**(K+2) * c[j], over the denominator D
     heights = [(p << K + 1, -q << K + 1) for p, q in zip(pos, neg)]
     f1 = from_lattice(K + 2, [x for hq in heights for x in (*hq, 0, 0)], D)
     f2 = from_lattice(K + 2, [x for hq in heights for x in (0, 0, *hq)], D)
 
-    return SplitPair(K, b, c, f1, f2, _verify_split(f, K, f1, f2))
+    sp = SplitPair(K, b.values, c.values, f1, f2, _verify_split(f, K, f1, f2))
+    object.__setattr__(sp, "_masses", (b, c))
+    return sp
 
 
 def _level_K_masses(f: DyadicStep, K: int) -> tuple[int, Sequence[int], list[int]]:
@@ -243,19 +254,15 @@ def _verify_split(f: DyadicStep, K: int, f1: DyadicStep, f2: DyadicStep) -> dict
 
     The seven mass streams are compared as int numerators over the lcm D of
     their denominators; the deviations are reported as exact Fractions.
-    Each of f, f1 and f2 is read as a lattice once, and the masses of
-    f1 - f2 come from the lattices of f1 and f2, not from a built step."""
+    The masses of f1 - f2 come from the lattices of f1 and f2
+    (`abs_diff_masses`), not from a built step."""
     Df, mf, af = _level_K_masses(f, K)
     L = max(f1.level, f2.level)
     (n1, d1), (n2, d2) = lattice(f1, L), lattice(f2, L)
-    d12 = lcm(d1, d2)
-    s1, s2 = d12 // d1, d12 // d2
-    # level-L masses of |f1 - f2| over d12 << L, from the two lattices
-    diff = [abs(x * s1 - y * s2) for x, y in zip(n1, n2)]
     streams = [
         (K, Df, mf), (L, d1 << L, n1), (L, d2 << L, n2),
         (K, Df, af), (L, d1 << L, list(map(abs, n1))),
-        (L, d2 << L, list(map(abs, n2))), (L, d12 << L, diff),
+        (L, d2 << L, list(map(abs, n2))), abs_diff_masses(f1, f2),
     ]
     D = lcm(*(d for _, d, _ in streams))
 
@@ -332,7 +339,7 @@ def d2p_witness(nbhd: WeakNbhd, eps) -> WitnessReport:
     checks["pairing_l"] = _check(worst, "<", nbhd.delta)
     ball_sq = (tnorm_sq(g1), tnorm_sq(g2))
     checks["ball"] = _check(max(ball_sq), "<", Fraction(1))
-    gap = tnorm_sq(g1 - g2)
+    gap = tnorm_sq_diff(g1, g2)
     if gap < guaranteed:
         raise RuntimeError("internal: exact gap fell below the guaranteed bound")
     checks["gap"] = _check(gap, ">", target) if eps < 2 else _check(gap, ">=", zero)

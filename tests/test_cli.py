@@ -1,11 +1,17 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from renorml1.cli import build_parser, main
+from renorml1 import cli, split_pair
+from renorml1.cli import _json_text, build_parser, main
+from renorml1.dyadic import frac_str
+from conftest import steps
 
 
 def run_cli(*argv, capsys=None):
@@ -324,3 +330,106 @@ class TestDeterminism:
             rc2, out2 = self.run_subprocess(args)
             assert rc1 == rc2 == 0
             assert out1 == out2
+
+
+# -- the report emitter --------------------------------------------------------
+
+#: strings that need escaping or are not ASCII, mixed with arbitrary text
+json_strings = st.sampled_from(['"', "\n", "é", "\\", "\t", "\x00", " ", "😀", ""]) | st.text(max_size=8)
+json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.floats() | json_strings
+)
+json_keys = json_strings | st.integers() | st.floats() | st.booleans() | st.none()
+json_trees = st.recursive(
+    json_scalars,
+    lambda children: (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=5).map(tuple)
+        | st.dictionaries(json_keys, children, max_size=5)
+    ),
+    max_leaves=40,
+)
+
+
+class TestEmitter:
+    """Reports are exactly json.dumps(report, indent=2) plus a newline."""
+
+    @given(json_trees)
+    @settings(max_examples=400)
+    def test_equals_json_dumps_indent_2(self, obj):
+        assert _json_text(obj) == json.dumps(obj, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {}, [], (), "é\n\"", 0, None, {"a": ()}, [[], {}, ""],
+            [[[1]], {"x": [{}]}], {1.5: [None], True: {"k": "v"}, None: [1, "2"]},
+            {"v": [True, False, None, -0.0, float("inf"), float("nan"), 10**30]},
+        ],
+    )
+    def test_edge_cases(self, obj):
+        assert _json_text(obj) == json.dumps(obj, indent=2) + "\n"
+
+    def test_rejects_what_json_dumps_rejects(self):
+        for obj in ({(1, 2): "x"}, {"x": [{(1, 2): [1]}]}, [object()], {"x": {1, 2}}):
+            with pytest.raises(TypeError):
+                json.dumps(obj, indent=2)
+            with pytest.raises(TypeError):
+                _json_text(obj)
+
+    def test_witness_report_is_json_dumps(self, tmp_path):
+        path = write_json(tmp_path, "nbhd.json", NBHD)
+        rc, text = invoke(tmp_path, "witness", "--input", path, "--eps", "1/5")
+        assert rc == 0 and text == json.dumps(json.loads(text), indent=2) + "\n"
+
+    def test_stdout_bytes_equal_out_bytes(self, tmp_path):
+        path = write_json(tmp_path, "nbhd.json", NBHD)
+        for args in (
+            ["witness", "--input", path, "--eps", "1/5"],
+            ["ured", "--delta", "1/3", "--eps", "1/2,1/4,1/8"],
+        ):
+            out = tmp_path / "report.out"
+            to_stdout = subprocess.run([sys.executable, "-m", "renorml1", *args], capture_output=True)
+            to_file = subprocess.run(
+                [sys.executable, "-m", "renorml1", *args, "--out", str(out)], capture_output=True
+            )
+            assert to_stdout.returncode == to_file.returncode == 0
+            assert to_file.stdout == b"" and to_stdout.stdout == out.read_bytes()
+
+    @given(steps(max_level=4), st.integers(min_value=0, max_value=6))
+    @settings(max_examples=60, deadline=None)
+    def test_split_masses_render_like_frac_str(self, f, K):
+        sp = split_pair(f, K)
+        obj = sp.to_json()
+        assert obj["b"] == [frac_str(x) for x in sp.b]
+        assert obj["c"] == [frac_str(x) for x in sp.c]
+        # a pair built by hand renders its own b and c
+        hand = replace(sp, b=sp.c, c=sp.b).to_json()
+        assert (hand["b"], hand["c"]) == (obj["c"], obj["b"])
+
+
+class TestInternalErrors:
+    def test_internal_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        def broken(nbhd, eps):
+            raise RuntimeError("internal: exact gap fell below the guaranteed bound")
+
+        monkeypatch.setattr(cli, "d2p_witness", broken)
+        path = write_json(tmp_path, "nbhd.json", NBHD)
+        rc, text = invoke(tmp_path, "witness", "--input", path, "--eps", "1/5")
+        err = capsys.readouterr().err
+        assert rc == 3 and text == ""
+        assert err == "internal error: exact gap fell below the guaranteed bound\n"
+        assert "Traceback" not in err and not (tmp_path / "report.out").exists()
+
+    def test_deeply_nested_input_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        rc, text = invoke(tmp_path, "norm", "--input", str(path))
+        err = capsys.readouterr().err
+        assert rc == 2 and text == "" and err.startswith("input error:") and "nested too deeply" in err
+
+    def test_verification_failure_stays_exit_1(self, tmp_path, capsys):
+        bad = dict(NBHD, center={"level": 0, "values": ["0/1"]})
+        path = write_json(tmp_path, "nbhd.json", bad)
+        rc, _ = invoke(tmp_path, "witness", "--input", path, "--eps", "1/5")
+        assert rc == 1 and capsys.readouterr().err.startswith("verification failure:")

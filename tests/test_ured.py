@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -291,3 +292,32 @@ class TestUredTension:
             sums.append(s)
         assert all(a < b for a, b in zip(sums, sums[1:]))
         assert 2 - sums[-1] == Fraction(1, 2**9)
+
+
+class TestOnePass:
+    """ured_recursion keeps the report of its one claim pass on the run;
+    verify_claim still re-derives it from any run it is given."""
+
+    @given(runs())
+    @settings(max_examples=60)
+    def test_verified_equals_verify_claim(self, run):
+        assert run.verified == verify_claim(run) == oracle_verify(run)
+
+    def test_a_run_built_otherwise_keeps_no_report(self):
+        run = ured_recursion(Fraction(1, 2), EPS3, 3)
+        assert run.verified is not None
+        bad_star = replace(run, xstars=(2, 4, 4))
+        assert bad_star.verified is None
+        with pytest.raises(RuntimeError, match="claim verification failed"):
+            verify_claim(bad_star)
+
+    def test_one_claim_pass_per_cli_call(self, tmp_path, monkeypatch):
+        from renorml1 import cli, ured
+
+        passes = []
+        real = ured._claims
+        monkeypatch.setattr(ured, "_claims", lambda run: passes.append(run) or real(run))
+        out = tmp_path / "report.out"
+        assert cli.main(["ured", "--delta", "1/3", "--eps", "1/2,1/4,1/8", "--out", str(out)]) == 0
+        assert len(passes) == 1
+        assert json.loads(out.read_text())["verify"] == verify_claim(passes[0])

@@ -19,7 +19,8 @@ from renorml1 import (
     split_pair,
     tnorm_sq,
 )
-from renorml1.dyadic import DyadicIndex, indicator, integral_over, lattice
+from renorml1.dyadic import DyadicIndex, abs_diff_masses, indicator, integral_over, lattice, refine
+from renorml1.renorm import tnorm_sq_diff
 from renorml1.witness import _verify_split
 from conftest import mk, steps
 
@@ -324,3 +325,36 @@ class TestWitness:
         for chk in obj["checks"].values():
             assert set(chk) == {"lhs", "rhs", "ok"}
             assert chk["ok"] is True
+
+
+class TestGapFromLattices:
+    """The witness reads T(g1 - g2)**2 from the numerators of g1 and g2 over
+    their lcm; it must equal tnorm_sq of the dense step g1 - g2."""
+
+    @given(
+        steps(max_level=3),
+        st.lists(steps(max_level=3, fractions=unit_values), max_size=2),
+        st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1)]),
+        st.sampled_from([Fraction(1, 5), Fraction(1, 10), Fraction(1, 3)]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_gap_equals_the_dense_tnorm_sq(self, f, functionals, delta, eps):
+        assume(norms(f).l1 > 0)
+        nbhd = WeakNbhd(near_unit_scale(f, Fraction(1, 10**4)), functionals, delta)
+        try:
+            gamma = choose_gamma(norms(nbhd.center).linf, delta, eps)
+            assume(choose_K(gamma, [h.level for h in functionals]) <= 8)
+            rep = d2p_witness(nbhd, eps)
+        except GapConditionError:
+            assume(False)
+        assert rep.K <= 8
+        assert rep.gap_sq == tnorm_sq(rep.g1 - rep.g2)
+
+    @given(steps(max_level=5), steps(max_level=5))
+    @settings(max_examples=100, deadline=None)
+    def test_tnorm_sq_diff_equals_tnorm_sq_of_the_difference(self, f, g):
+        assert tnorm_sq_diff(f, g) == tnorm_sq(f - g)
+        assert tnorm_sq_diff(f, f) == 0
+        L, D, masses = abs_diff_masses(f, g)
+        assert L == max(f.level, g.level)
+        assert [Fraction(m, D) for m in masses] == [abs(v) / (1 << L) for v in refine(f - g, L).values]
