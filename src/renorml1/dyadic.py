@@ -1,22 +1,15 @@
 """Exact calculus of dyadic step functions on [0, 1).
 
-A step function is stored densely at a fixed level K: a tuple of 2**K
-rational values, one per cell I(K, j) = [(j-1)/2**K, j/2**K), j = 1..2**K.
-Public values and every returned scalar are ``fractions.Fraction`` (always
-reduced, positive denominator); no float ever enters a computation. Floats
-appear only in clearly labelled rendering helpers.
+A step function is stored densely at a fixed level K, one entry per cell
+I(K, j) = [(j-1)/2**K, j/2**K), j = 1..2**K. Public values and every
+returned scalar are ``fractions.Fraction`` (always reduced, positive
+denominator); no float ever enters a computation. Floats appear only in
+clearly labelled rendering helpers.
 
-Inside, the dense kernels compute on Python ints: `lattice` writes f's values
-as integer numerators over their least common denominator, the kernels add
-and multiply those numerators, and `from_lattice` (or one `Fraction` per
-returned scalar) reduces back to Fractions at the boundary.
-
-A step the kernel builds (`from_lattice`, and through it `*`, `+`, `-` and
-`lin_comb`) keeps its numerators, so `lattice` and `step_to_json` read
-them instead of converting its values again. A step built from Fractions
-(user input, `DyadicStep(level, values)`) keeps none: `lattice` converts it
-on every call, on purpose, because remembering the numerators of every step
-ever read would grow memory for steps that are read once.
+Every step holds only its reduced int lattice, `nums` over their least
+common denominator `den`: constructors reduce to it once, the kernels add
+and multiply the numerators, and `values` or one `Fraction` per returned
+scalar converts back at the boundary.
 
 Two step functions are equal iff their refinements to a common level have
 identical values, so the representation level is not part of the identity
@@ -95,6 +88,9 @@ class DyadicIndex(NamedTuple):
     j: int
 
     def validate(self) -> "DyadicIndex":
+        for x in self:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise TypeError(f"cell index entries must be integers, got {x!r}")
         if self.k < 0:
             raise ValueError(f"dyadic level must be >= 0, got {self.k}")
         if not 1 <= self.j <= (1 << self.k):
@@ -127,33 +123,40 @@ def as_index(idx) -> DyadicIndex:
     if isinstance(idx, DyadicIndex):
         return idx.validate()
     k, j = idx
-    return DyadicIndex(int(k), int(j)).validate()
+    return DyadicIndex(k, j).validate()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class DyadicStep:
-    """A rational-valued step function constant on the level-`level` cells."""
+    """A rational-valued step function constant on the level-`level` cells:
+    the value on cell i is Fraction(nums[i], den), den the least common
+    denominator of the values."""
 
     level: int
-    values: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
-    #: (nums, den) of a kernel-built step (see `lattice`); None otherwise
-    _lattice = None
+    def __init__(self, level: int, values):
+        ratios = [to_frac(v).as_integer_ratio() for v in values]
+        _check_shape(level, len(ratios))
+        den = lcm(*{d for _, d in ratios})
+        _set(self, level, tuple([n * (den // d) for n, d in ratios]), den)
 
-    def __post_init__(self):
-        vals = tuple(map(to_frac, self.values))
-        _check_shape(self.level, len(vals))
-        object.__setattr__(self, "values", vals)
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """The cell values as Fractions; each distinct numerator is reduced once."""
+        frac = {n: Fraction(n, self.den) for n in set(self.nums)}
+        return tuple(map(frac.__getitem__, self.nums))
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def constant(c) -> "DyadicStep":
-        return DyadicStep(0, (to_frac(c),))
+        return DyadicStep(0, (c,))
 
     @staticmethod
     def zero(level: int = 0) -> "DyadicStep":
-        return DyadicStep(level, (Fraction(0),) * (1 << level))
+        return from_lattice(level, (0,) * (1 << level), 1)
 
     # -- identity -----------------------------------------------------------
 
@@ -161,11 +164,11 @@ class DyadicStep:
         if not isinstance(other, DyadicStep):
             return NotImplemented
         L = max(self.level, other.level)
-        return refine(self, L).values == refine(other, L).values
+        return self.den == other.den and lattice(self, L)[0] == lattice(other, L)[0]
 
     def __hash__(self) -> int:
         c = canonical(self)
-        return hash((c.level, c.values))
+        return hash((c.level, c.nums, c.den))
 
     def __repr__(self) -> str:
         body = ", ".join(
@@ -175,7 +178,7 @@ class DyadicStep:
         return f"step({self.level}; {body})"
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
+        return not any(self.nums)
 
     # -- vector-space sugar (exact) -----------------------------------------
 
@@ -186,17 +189,30 @@ class DyadicStep:
         return lin_comb(1, self, -1, other)
 
     def __neg__(self) -> "DyadicStep":
-        return DyadicStep(self.level, tuple(-v for v in self.values))
+        return _new(self.level, tuple([-n for n in self.nums]), self.den)
 
     def __mul__(self, c) -> "DyadicStep":
         cn, cd = to_frac(c).as_integer_ratio()
-        nums, den = lattice(self)
-        return from_lattice(self.level, [cn * n for n in nums], cd * den)
+        return from_lattice(self.level, [cn * n for n in self.nums], cd * self.den)
 
     __rmul__ = __mul__
 
     def __abs__(self) -> "DyadicStep":
-        return DyadicStep(self.level, tuple(abs(v) for v in self.values))
+        return _new(self.level, tuple(map(abs, self.nums)), self.den)
+
+
+def _set(f: DyadicStep, level: int, nums: tuple, den: int) -> None:
+    object.__setattr__(f, "level", level)
+    object.__setattr__(f, "nums", nums)
+    object.__setattr__(f, "den", den)
+
+
+def _new(level: int, nums: tuple, den: int) -> DyadicStep:
+    """The step with numerators `nums` over `den`, which is already their
+    least common denominator; nothing is checked."""
+    f = object.__new__(DyadicStep)
+    _set(f, level, nums, den)
+    return f
 
 
 def _check_shape(level: int, count: int) -> None:
@@ -209,17 +225,6 @@ def _check_shape(level: int, count: int) -> None:
         raise ValueError(f"need 2**{level} = {1 << level} values, got {count}")
 
 
-def _kernel_step(level: int, values: tuple, lat) -> DyadicStep:
-    """A step from values that are already reduced Fractions, one per cell,
-    without the per-value coercion of `DyadicStep`; `lat` is their
-    (nums, den) lattice, or None."""
-    f = object.__new__(DyadicStep)
-    object.__setattr__(f, "level", level)
-    object.__setattr__(f, "values", values)
-    object.__setattr__(f, "_lattice", lat)
-    return f
-
-
 def _repeat(xs: tuple, rep: int) -> tuple:
     """Each entry of xs repeated `rep` times in place (a refinement)."""
     return xs if rep == 1 else tuple(chain.from_iterable(repeat(x, rep) for x in xs))
@@ -228,9 +233,10 @@ def _repeat(xs: tuple, rep: int) -> tuple:
 def indicator(idx, scale=1) -> DyadicStep:
     """scale * 1_{I(k,j)} as a level-k step function."""
     idx = as_index(idx)
-    vals = [Fraction(0)] * (1 << idx.k)
-    vals[idx.j - 1] = to_frac(scale)
-    return DyadicStep(idx.k, tuple(vals))
+    n, d = to_frac(scale).as_integer_ratio()
+    nums = [0] * (1 << idx.k)
+    nums[idx.j - 1] = n
+    return from_lattice(idx.k, nums, d)
 
 
 class Norms(NamedTuple):
@@ -249,45 +255,34 @@ def refine(f: DyadicStep, new_level: int) -> DyadicStep:
         raise LevelOverflowError(f"level {new_level} exceeds cap {MAX_LEVEL}")
     if new_level == f.level:
         return f
-    rep = 1 << (new_level - f.level)
-    return _kernel_step(new_level, _repeat(f.values, rep), None)
+    return _new(new_level, _repeat(f.nums, 1 << (new_level - f.level)), f.den)
 
 
 def canonical(f: DyadicStep) -> DyadicStep:
     """The coarsest representation of f (merge equal sibling cells)."""
-    level, vals = f.level, f.values
-    while level > 0 and all(vals[2 * i] == vals[2 * i + 1] for i in range(len(vals) // 2)):
-        vals = tuple(vals[2 * i] for i in range(len(vals) // 2))
-        level -= 1
-    return DyadicStep(level, vals)
+    level, nums = f.level, f.nums
+    while level > 0 and nums[::2] == nums[1::2]:
+        nums, level = nums[::2], level - 1
+    return _new(level, nums, f.den)
 
 
 def lattice(f: DyadicStep, level: Optional[int] = None) -> tuple[tuple[int, ...], int]:
-    """(nums, den): f's values as int numerators over their least common
-    denominator, values[i] == Fraction(nums[i], den); with `level`, the
-    numerators are refined to that level (each repeated per subcell).
-
-    A kernel-built step hands out the numerators it keeps; any other step
-    is converted on each call."""
-    if f._lattice is None:
-        ratios = [v.as_integer_ratio() for v in f.values]
-        den = lcm(*{d for _, d in ratios})
-        nums = tuple([n * (den // d) for n, d in ratios])
-    else:
-        nums, den = f._lattice
-    return _repeat(nums, 1 << ((f.level if level is None else level) - f.level)), den
+    """(nums, den) of f; with `level`, the numerators are refined to that
+    level (each repeated per subcell)."""
+    return _repeat(f.nums, 1 << ((f.level if level is None else level) - f.level)), f.den
 
 
 def from_lattice(level: int, nums, den: int) -> DyadicStep:
-    """The step function with values Fraction(nums[i], den); each distinct
-    numerator is reduced once. The step keeps the numerators, reduced to
-    the least common denominator of its values."""
+    """The step function with values Fraction(nums[i], den), reduced to the
+    least common denominator of its values."""
     _check_shape(level, len(nums))
-    frac = {n: Fraction(n, den) for n in set(nums)}
-    values = tuple(map(frac.__getitem__, nums))
-    g = gcd(den, *frac) if den > 0 else -gcd(den, *frac)
+    if den == 0:
+        raise ZeroDivisionError(f"denominator is 0 in lattice of level {level}")
+    g = gcd(den, *set(nums))
+    if den < 0:
+        g = -g
     nums = tuple(nums) if g == 1 else tuple([n // g for n in nums])
-    return _kernel_step(level, values, (nums, den // g))
+    return _new(level, nums, den // g)
 
 
 def lin_comb(a, f: DyadicStep, b, g: DyadicStep) -> DyadicStep:
@@ -302,14 +297,9 @@ def lin_comb(a, f: DyadicStep, b, g: DyadicStep) -> DyadicStep:
 
 def decompose(f: DyadicStep) -> tuple[DyadicStep, DyadicStep, DyadicStep]:
     """(|f|, positive part, negative part); f = pos - neg, |f| = pos + neg."""
-    zero = Fraction(0)
-    pos = tuple(v if v > 0 else zero for v in f.values)
-    neg = tuple(-v if v < 0 else zero for v in f.values)
-    return (
-        DyadicStep(f.level, tuple(abs(v) for v in f.values)),
-        DyadicStep(f.level, pos),
-        DyadicStep(f.level, neg),
-    )
+    pos = [n if n > 0 else 0 for n in f.nums]
+    neg = [-n if n < 0 else 0 for n in f.nums]
+    return abs(f), from_lattice(f.level, pos, f.den), from_lattice(f.level, neg, f.den)
 
 
 def integral_over(f: DyadicStep, idx) -> Fraction:
@@ -320,11 +310,10 @@ def integral_over(f: DyadicStep, idx) -> Fraction:
     """
     k, j = as_index(idx)
     if k >= f.level:
-        cell = (j - 1) >> (k - f.level)
-        return f.values[cell] / (1 << k)
+        return Fraction(f.nums[(j - 1) >> (k - f.level)], f.den << k)
     span = 1 << (f.level - k)
     lo = (j - 1) * span
-    return sum(f.values[lo : lo + span], Fraction(0)) / (1 << f.level)
+    return Fraction(sum(f.nums[lo : lo + span]), f.den << f.level)
 
 
 def norms(f: DyadicStep) -> Norms:
@@ -358,7 +347,7 @@ def dyadic_project(f: DyadicStep, K: int) -> DyadicStep:
 
 def reflect(f: DyadicStep) -> DyadicStep:
     """The function t -> f(1-t) on the dyadic grid (values reversed)."""
-    return DyadicStep(f.level, tuple(reversed(f.values)))
+    return _new(f.level, f.nums[::-1], f.den)
 
 
 def fold_masses(masses: list) -> list:
@@ -401,13 +390,9 @@ def abs_diff_masses(f: DyadicStep, g: DyadicStep) -> tuple[int, int, list[int]]:
 
 
 def step_to_json(f: DyadicStep) -> dict:
-    """The wire form of f; a kernel-built step renders each distinct kept
-    numerator once, any other step each of its values."""
-    if f._lattice is None:
-        return {"level": f.level, "values": [frac_str(v) for v in f.values]}
-    nums, den = f._lattice
-    text = {n: frac_str(Fraction(n, den)) for n in set(nums)}
-    return {"level": f.level, "values": list(map(text.__getitem__, nums))}
+    """The wire form of f; each distinct numerator is rendered once."""
+    text = {n: frac_str(Fraction(n, f.den)) for n in set(f.nums)}
+    return {"level": f.level, "values": list(map(text.__getitem__, f.nums))}
 
 
 def step_from_json(obj) -> DyadicStep:
@@ -419,9 +404,5 @@ def step_from_json(obj) -> DyadicStep:
     raw = obj["values"]
     if not isinstance(raw, list):
         raise ValueError("'values' must be a list of rational strings")
-    if level < 0 or len(raw) != (1 << max(level, 0)):
-        raise ValueError(
-            f"'values' length {len(raw)} does not match 2**{level} entries"
-        )
-    return DyadicStep(level, tuple(to_frac(v) for v in raw))
-
+    _check_shape(level, len(raw))  # checks the level before it computes 1 << level
+    return DyadicStep(level, raw)

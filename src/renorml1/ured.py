@@ -36,9 +36,8 @@ class SparseSeq:
     coords: tuple[tuple[int, Fraction], ...]
 
     def __post_init__(self):
-        clean = tuple(
-            (int(i), to_frac(v)) for i, v in sorted(self.coords) if to_frac(v) != 0
-        )
+        coords = ((int(i), to_frac(v)) for i, v in sorted(self.coords))
+        clean = tuple(c for c in coords if c[1])
         for i, _ in clean:
             if i < 1:
                 raise ValueError(f"indices must be >= 1, got {i}")
@@ -148,7 +147,7 @@ def ured_recursion(delta, eps: Sequence, steps: int) -> RecursionRun:
     xstars: list[int] = []
     for n in range(1, steps + 1):
         height = 1 - eps[n - 1] / 4
-        xs.append(xs[-1] + SparseSeq.unit(n + 1, height))
+        xs.append(SparseSeq(xs[-1].coords + ((n + 1, height),)))
         xstars.append(n + 1)
 
     run = RecursionRun(delta, tuple(eps[:steps]), z, tuple(xs), tuple(xstars), {})

@@ -1,6 +1,8 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from renorml1 import cli, split_pair
 from renorml1.cli import _json_text, build_parser, main
-from renorml1.dyadic import frac_str
+from renorml1.dyadic import MAX_LEVEL, frac_str
 from conftest import steps
 
 
@@ -234,6 +236,8 @@ class TestInputErrors:
             (None, ["selftest", "--trials", "0"], "trials"),
             ([1, 2], ["probe", "chain"], "in.json"),
             ("1/2", ["norm"], "in.json"),
+            (dict(CHAIN, A=[[1.7, 1]]), ["probe", "chain"], "'A'"),
+            (dict(CHAIN, A=[[True, 1]]), ["probe", "chain"], "'A'"),
         ],
     )
     def test_exit_2_names_field(self, tmp_path, capsys, obj, argv, field):
@@ -244,6 +248,16 @@ class TestInputErrors:
         assert rc == 2 and text == ""
         assert err.startswith("input error:") and field in err
         assert "Traceback" not in err
+
+    # 1 << level takes 1.25 GB at 10**10 and cannot be allocated at all at
+    # 2**62 (a MemoryError), so the level must be checked before it is used
+    @pytest.mark.parametrize("level", [10**10, 2**62])
+    def test_huge_level_names_level_and_cap(self, tmp_path, capsys, level):
+        path = write_json(tmp_path, "in.json", {"level": level, "values": ["1/1"]})
+        rc, text = invoke(tmp_path, "norm", "--input", path)
+        err = capsys.readouterr().err
+        assert rc == 2 and text == ""
+        assert err.startswith("input error:") and str(level) in err and f"cap {MAX_LEVEL}" in err
 
     @pytest.mark.parametrize(
         "argv, digits",
@@ -433,3 +447,88 @@ class TestInternalErrors:
         path = write_json(tmp_path, "nbhd.json", bad)
         rc, _ = invoke(tmp_path, "witness", "--input", path, "--eps", "1/5")
         assert rc == 1 and capsys.readouterr().err.startswith("verification failure:")
+
+
+# -- fuzzed JSON inputs ----------------------------------------------------------
+
+small = st.sampled_from(["1/8", "-1/4", "0/1", "1/3", "-1/16"])
+junk = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 64), st.floats(-2, 2), st.text(max_size=3),
+    st.sampled_from(["1/0", "x", "1.5", "7"]), st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.sampled_from(["level", "values", "k"]), st.integers(-1, 64), max_size=2),
+)
+
+
+@st.composite
+def valid_steps(draw):
+    level = draw(st.integers(0, 3))
+    return {"level": level, "values": draw(st.lists(small, min_size=1 << level, max_size=1 << level))}
+
+
+@st.composite
+def cells(draw):
+    k = draw(st.integers(0, 3))
+    return [k, draw(st.integers(1, 1 << k))]
+
+
+#: a center near the unit sphere, so that a witness can pass its gap check
+NEAR_UNIT = {"level": 2, "values": ["16440/9979", "-8220/9979", "12330/9979", "0/1"]}
+
+#: (argv, a valid input) for each fuzzed command
+valid_cases = st.one_of(
+    st.tuples(st.just(["norm"]), valid_steps()),
+    st.tuples(
+        st.just(["witness", "--eps", "1/2"]),
+        st.fixed_dictionaries({
+            "center": st.one_of(st.just(CONST_78), st.just(NEAR_UNIT), valid_steps()),
+            "functionals": st.lists(valid_steps(), max_size=2),
+            "delta": st.sampled_from(["1/2", "1/10"]),
+        }),
+    ),
+    st.tuples(
+        st.just(["probe", "chain"]),
+        st.fixed_dictionaries({"f": valid_steps(), "g": valid_steps(), "A": st.lists(cells(), max_size=3)}),
+    ),
+    st.tuples(
+        st.sampled_from([["ell1", "greedy"], ["ell1", "spikes", "--level", "3"], ["ell1", "dual", "--level", "3"]]),
+        st.integers(1, 4).map(lambda m: {"deltas": ["1/2", "1/4", "1/8", "1/16"][:m], "m": m}),
+    ),
+)
+
+
+def corrupt(draw, obj):
+    """obj with one entry somewhere inside replaced by junk or dropped."""
+    if not isinstance(obj, (dict, list)) or not obj or draw(st.integers(0, 3)) == 0:
+        return draw(junk)
+    out = dict(obj) if isinstance(obj, dict) else list(obj)
+    key = draw(st.sampled_from(sorted(out) if isinstance(out, dict) else range(len(out))))
+    if isinstance(out, dict) and draw(st.integers(0, 4)) == 0:
+        del out[key]
+    else:
+        out[key] = corrupt(draw, out[key])
+    return out
+
+
+@st.composite
+def fuzz_cases(draw):
+    argv, obj = draw(valid_cases)
+    for _ in range(draw(st.integers(0, 2))):
+        obj = corrupt(draw, obj)
+    return argv, obj
+
+
+class TestFuzzedInputs:
+    @settings(max_examples=250, deadline=None)
+    @given(fuzz_cases())
+    def test_every_input_ends_in_an_exit_code(self, tmp_path_factory, case):
+        argv, obj = case
+        base = tmp_path_factory.getbasetemp()
+        path, out = base / "fuzz.json", base / "fuzz.out"
+        path.write_text(json.dumps(obj))
+        out.unlink(missing_ok=True)
+        err = io.StringIO()
+        with redirect_stderr(err):
+            rc = main([*argv, "--input", str(path), "--out", str(out)])
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            assert not out.exists() and err.getvalue().startswith("input error:")

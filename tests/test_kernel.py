@@ -8,11 +8,11 @@ functions, and on values with 2**48-sized denominators (the shape of the
 `limit_denominator(1 << 48)` iterates of `dual_norm_estimate`).
 
 `oracle_lattice` is the former body of `lattice`, which recomputed the
-numerators from the values on every call. A step built by `from_lattice`
-(and `refine`, negation, `abs`, scalar and linear combinations of such a
-step) keeps its numerators instead; they must equal the oracle's, so the
-kept denominator is the least one, and they must never change after a
-kernel has read them.
+numerators from the values on every call. Every step now holds only its
+numerators and their denominator: for a step from every public constructor
+and operation they must equal the oracle's, so the stored denominator is
+the least one, `==` and `hash` must agree with comparing refined Fraction
+values, and the numerators must never change after a kernel has read them.
 """
 
 from fractions import Fraction
@@ -26,12 +26,16 @@ from hypothesis import strategies as st
 from renorml1 import (
     DyadicStep,
     WeakNbhd,
+    canonical,
     d2p_witness,
+    decompose,
     dyadic_project,
+    indicator,
     lin_comb,
     near_unit_scale,
     norms,
     pairing,
+    reflect,
     refine,
     split_pair,
 )
@@ -42,6 +46,7 @@ from renorml1.dyadic import (
     from_lattice,
     lattice,
     mass_levels,
+    step_from_json,
     step_to_json,
 )
 from renorml1.renorm import _series, _tnorm_grad, partial_below, tail_formula, tnorm_sq
@@ -249,19 +254,64 @@ def test_built_step_keeps_the_least_lattice(case, up):
 def test_ops_on_built_steps_keep_the_least_lattice(case_f, case_g, a):
     f, g = from_lattice(*case_f), from_lattice(*case_g)
     for out in (a * f, f - g, lin_comb(a, f, 2, g)):
-        assert out._lattice is not None
         assert lattice(out) == as_oracle(out)
         # the same values as the Fraction kernel gives on a step built from Fractions
         assert out == DyadicStep(out.level, out.values)
 
 
+def oracle_values(f, level):
+    """f's Fraction values refined to `level`."""
+    return tuple(v for v in f.values for _ in range(1 << (level - f.level)))
+
+
+def public_steps(f, g, case, a, K, j):
+    """One step from each public constructor and operation."""
+    return [
+        DyadicStep(f.level, f.values),
+        DyadicStep.constant(a),
+        DyadicStep.zero(K),
+        indicator((K, min(j, 1 << K)), a),
+        step_from_json({"level": f.level, "values": [frac_str(v) for v in f.values]}),
+        refine(f, f.level + 1),
+        canonical(f),
+        *decompose(f),
+        reflect(f),
+        -f,
+        f - g,
+        abs(f),
+        a * f,
+        f + g,
+        lin_comb(a, f, 2, g),
+        dyadic_project(f, K),
+        from_lattice(*case),
+    ]
+
+
 @settings(max_examples=60, deadline=None)
-@given(functions())
-def test_steps_from_fractions_keep_no_lattice(f):
-    assert f._lattice is None
-    assert lattice(f) == as_oracle(f)
-    assert f._lattice is None and refine(f, f.level + 1)._lattice is None
-    assert step_to_json(f) == {"level": f.level, "values": [frac_str(v) for v in f.values]}
+@given(
+    st.one_of(functions(), built().map(lambda case: from_lattice(*case))),
+    functions(max_level=3),
+    built(),
+    values,
+    st.integers(0, 5),
+    st.integers(1, 32),
+)
+def test_every_step_is_its_least_lattice(f, g, case, a, K, j):
+    steps = public_steps(f, g, case, a, K, j)
+    for out in steps:
+        nums, den = lattice(out)
+        assert type(nums) is tuple and all(type(n) is int for n in nums)
+        assert type(den) is int and den > 0
+        assert (nums, den) == as_oracle(out)
+    # an equal step at another level, so that every example has equal pairs
+    steps.append(DyadicStep(f.level + 1, oracle_values(f, f.level + 1)))
+    top = max(out.level for out in steps)
+    refined = [oracle_values(out, top) for out in steps]
+    for x, vx in zip(steps, refined):
+        for y, vy in zip(steps, refined):
+            assert (x == y) is (vx == vy)
+            if vx == vy:
+                assert hash(x) == hash(y)
 
 
 def test_from_lattice_checks_the_shape():
