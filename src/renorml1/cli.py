@@ -97,6 +97,13 @@ def _step(obj) -> "DyadicStep":
         raise InputError(str(exc)) from None
 
 
+def _eps_schedule(args, command: str) -> list[Fraction]:
+    eps = _parse_rat_list(args.eps or "")
+    if not eps:
+        raise InputError(f"{command} needs a nonempty --eps schedule (comma-separated)")
+    return eps
+
+
 def _single_eps(args, command: str) -> Fraction:
     eps_list = _parse_rat_list(args.eps or "")
     if len(eps_list) != 1:
@@ -236,11 +243,8 @@ def _cmd_probe(args) -> int:
         _emit_json(rep.to_json(), args.out)
     elif args.what == "slice":
         nbhd = _nbhd_from_json(_load_json(args.input))
-        if not args.eps:
-            raise InputError("probe slice needs --eps schedule")
-        entries = slice_diameter_lb(
-            nbhd.center, nbhd.functionals, nbhd.delta, _parse_rat_list(args.eps)
-        )
+        eps = _eps_schedule(args, "probe slice")
+        entries = slice_diameter_lb(nbhd.center, nbhd.functionals, nbhd.delta, eps)
         _emit(slice_csv(entries, args.float_digits), args.out)
         failed = [e for e in entries if not e.ok]
         if failed:
@@ -278,10 +282,10 @@ def _cmd_ell1(args) -> int:
 
 
 def _cmd_ured(args) -> int:
-    if args.delta is None or not args.eps:
-        raise InputError("ured needs --delta and --eps (comma-separated)")
+    if args.delta is None:
+        raise InputError("ured needs --delta")
     delta = _parse_rat(args.delta)
-    eps = _parse_rat_list(args.eps)
+    eps = _eps_schedule(args, "ured")
     run = ured_recursion(delta, eps, len(eps))
     grid = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
     report = run.to_json()
@@ -344,9 +348,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the parser `main` uses, built on its first call and kept for the process
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.handler(args)
     except GapConditionError as exc:

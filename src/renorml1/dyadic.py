@@ -156,7 +156,8 @@ class DyadicStep:
 
     @staticmethod
     def zero(level: int = 0) -> "DyadicStep":
-        return from_lattice(level, (0,) * (1 << level), 1)
+        _check_level(level)
+        return _new(level, (0,) * (1 << level), 1)
 
     # -- identity -----------------------------------------------------------
 
@@ -215,12 +216,17 @@ def _new(level: int, nums: tuple, den: int) -> DyadicStep:
     return f
 
 
-def _check_shape(level: int, count: int) -> None:
-    """A level in 0..MAX_LEVEL and one value per level-`level` cell."""
+def _check_level(level: int) -> None:
+    """A level in 0..MAX_LEVEL, checked before anything of its size is built."""
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
     if level > MAX_LEVEL:
         raise LevelOverflowError(f"level {level} exceeds cap {MAX_LEVEL}")
+
+
+def _check_shape(level: int, count: int) -> None:
+    """A level in 0..MAX_LEVEL and one value per level-`level` cell."""
+    _check_level(level)
     if count != (1 << level):
         raise ValueError(f"need 2**{level} = {1 << level} values, got {count}")
 
@@ -233,6 +239,7 @@ def _repeat(xs: tuple, rep: int) -> tuple:
 def indicator(idx, scale=1) -> DyadicStep:
     """scale * 1_{I(k,j)} as a level-k step function."""
     idx = as_index(idx)
+    _check_level(idx.k)
     n, d = to_frac(scale).as_integer_ratio()
     nums = [0] * (1 << idx.k)
     nums[idx.j - 1] = n

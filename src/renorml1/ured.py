@@ -13,84 +13,171 @@ height 1 - eps_n/4 > 1 - eps_n. Consequently
 for y_n = z + x_n, and every point t*z + x_N of the truncated segment stays
 in the closed ball with norm at least 1 - eps_N/4.
 
+Every `SparseSeq` holds only its reduced int lattice: sorted indices, nonzero
+int numerators and their least common denominator; `coords` derives the
+Fraction pairs on each read. The recursion builds x_n by appending one
+numerator to the tuples of x_{n-1}, rescaling them only when the
+denominator grows.
+
 A run stores x_n with n coordinates each, so Theta(steps**2) in all. Its
 claims are evaluated in one pass over those coordinates, linear in their
-number. `ured_recursion` makes that pass once and keeps its report on the
-run (`verified`); `verify_claim` makes it again on whatever run it is given.
+number, in ints over one common denominator: only the values a report prints
+become Fractions. The pass reads every stored coordinate and does not assume
+that x_m extends x_{m-1}. `ured_recursion` makes it once and keeps its
+report on the run (`verified`); `verify_claim` makes it again on whatever
+run it is given.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
+from math import gcd, lcm
+from operator import add, itemgetter, mul
 from typing import Sequence
 
 from .dyadic import frac_str, to_frac
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SparseSeq:
-    """A finitely supported sequence: sorted (index, nonzero value) pairs."""
+    """A finitely supported sequence: the value at index idx[k] is
+    Fraction(nums[k], den), with sorted indices >= 1, nonzero numerators and
+    den > 0 their least common denominator. The lattice is therefore unique,
+    and the dataclass `==` and `hash` on it are those of the sequence."""
 
-    coords: tuple[tuple[int, Fraction], ...]
+    idx: tuple[int, ...]
+    nums: tuple[int, ...]
+    den: int
 
-    def __post_init__(self):
-        coords = ((int(i), to_frac(v)) for i, v in sorted(self.coords))
-        clean = tuple(c for c in coords if c[1])
-        for i, _ in clean:
-            if i < 1:
-                raise ValueError(f"indices must be >= 1, got {i}")
-        if len({i for i, _ in clean}) != len(clean):
+    def __init__(self, coords):
+        pairs = []
+        for i, v in coords:
+            if not isinstance(i, int) or isinstance(i, bool):
+                raise TypeError(f"indices must be integers, got {i!r}")
+            v = to_frac(v)
+            if v:
+                if i < 1:
+                    raise ValueError(f"indices must be >= 1, got {i}")
+                pairs.append((i, v.as_integer_ratio()))
+        pairs.sort(key=itemgetter(0))
+        idx = tuple([i for i, _ in pairs])
+        if len(set(idx)) != len(idx):
             raise ValueError("duplicate indices")
-        object.__setattr__(self, "coords", clean)
+        den = lcm(*[d for _, (_, d) in pairs])
+        _set(self, idx, tuple([n * (den // d) for _, (n, d) in pairs]), den)
+
+    @property
+    def coords(self) -> tuple[tuple[int, Fraction], ...]:
+        """The sorted (index, nonzero value) pairs, as Fractions."""
+        return tuple(zip(self.idx, map(Fraction, self.nums, repeat(self.den))))
 
     @staticmethod
     def from_dict(d: dict) -> "SparseSeq":
-        return SparseSeq(tuple(d.items()))
+        return SparseSeq(d.items())
 
     @staticmethod
     def unit(i: int, value=1) -> "SparseSeq":
-        return SparseSeq(((i, to_frac(value)),))
+        return SparseSeq(((i, value),))
 
     @staticmethod
     def zero() -> "SparseSeq":
-        return SparseSeq(())
+        return _seq((), (), 1)
 
     def get(self, i: int) -> Fraction:
-        for j, v in self.coords:
-            if j == i:
-                return v
+        k = bisect_left(self.idx, i)
+        if k < len(self.idx) and self.idx[k] == i:
+            return Fraction(self.nums[k], self.den)
         return Fraction(0)
 
     def sup_norm(self) -> Fraction:
-        return max((abs(v) for _, v in self.coords), default=Fraction(0))
+        return Fraction(max(map(abs, self.nums), default=0), self.den)
 
     def __add__(self, other: "SparseSeq") -> "SparseSeq":
-        acc = dict(self.coords)
-        for i, v in other.coords:
-            acc[i] = acc.get(i, Fraction(0)) + v
-        return SparseSeq(tuple(acc.items()))
+        den = lcm(self.den, other.den)
+        acc = dict(zip(self.idx, map(mul, self.nums, repeat(den // self.den))))
+        scale = den // other.den
+        for i, n in zip(other.idx, other.nums):
+            acc[i] = acc.get(i, 0) + n * scale
+        idx = sorted(acc)
+        return _lattice(idx, list(map(acc.__getitem__, idx)), den)
 
     def __neg__(self) -> "SparseSeq":
-        return SparseSeq(tuple((i, -v) for i, v in self.coords))
+        return _seq(self.idx, tuple([-n for n in self.nums]), self.den)
 
     def __sub__(self, other: "SparseSeq") -> "SparseSeq":
         return self + (-other)
 
     def __mul__(self, c) -> "SparseSeq":
-        c = to_frac(c)
-        return SparseSeq(tuple((i, c * v) for i, v in self.coords))
+        cn, cd = to_frac(c).as_integer_ratio()
+        return _lattice(self.idx, [cn * n for n in self.nums], cd * self.den)
 
     __rmul__ = __mul__
 
     def to_json(self) -> dict:
-        return {str(i): frac_str(v) for i, v in self.coords}
+        return _seq_json(self, *_json_memos())
+
+
+def _set(x: SparseSeq, idx: tuple, nums: tuple, den: int) -> None:
+    object.__setattr__(x, "idx", idx)
+    object.__setattr__(x, "nums", nums)
+    object.__setattr__(x, "den", den)
+
+
+def _seq(idx: tuple, nums: tuple, den: int) -> SparseSeq:
+    """The sequence with numerators `nums` over `den` at the sorted indices
+    `idx`, already reduced: nonzero numerators over their least common
+    denominator. Nothing is checked."""
+    x = object.__new__(SparseSeq)
+    _set(x, idx, nums, den)
+    return x
+
+
+def _lattice(idx, nums, den: int) -> SparseSeq:
+    """The sequence Fraction(nums[k], den) at the sorted indices idx[k],
+    den > 0, with zero numerators dropped and the rest reduced."""
+    if 0 in nums:
+        kept = [(i, n) for i, n in zip(idx, nums) if n]
+        idx, nums = [i for i, _ in kept], [n for _, n in kept]
+    g = gcd(den, *nums)
+    return _seq(tuple(idx), tuple([n // g for n in nums]), den // g)
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """frac_str(Fraction(n, d)) for d > 0, without building the Fraction."""
+    g = gcd(n, d)
+    return f"{n // g}/{d // g}"
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with make(key) on its first lookup."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _json_memos() -> tuple[_Memo, _Memo]:
+    """(index -> its key text, den -> (num -> 'p/q' text of num/den)), so that
+    a report renders each distinct index and (num, den) once."""
+    return _Memo(str), _Memo(lambda den: _Memo(lambda n: _ratio_str(n, den)))
+
+
+def _seq_json(x: SparseSeq, labels: _Memo, texts: _Memo) -> dict:
+    return dict(zip(map(labels.__getitem__, x.idx), map(texts[x.den].__getitem__, x.nums)))
 
 
 def projection_tail(x: SparseSeq) -> SparseSeq:
     """Zero the first coordinate: idempotent, sup-norm non-increasing."""
-    return SparseSeq(tuple((i, v) for i, v in x.coords if i != 1))
+    if x.idx[:1] != (1,):
+        return x
+    return _lattice(x.idx[1:], x.nums[1:], x.den)
 
 
 @dataclass(frozen=True)
@@ -111,11 +198,12 @@ class RecursionRun:
         return len(self.xs) - 1
 
     def to_json(self) -> dict:
+        memos = _json_memos()
         return {
             "delta": frac_str(self.delta),
             "eps": [frac_str(e) for e in self.eps],
-            "z": self.z.to_json(),
-            "xs": [x.to_json() for x in self.xs],
+            "z": _seq_json(self.z, *memos),
+            "xs": [_seq_json(x, *memos) for x in self.xs],
             "xstars": list(self.xstars),
             "checks": self.checks,
         }
@@ -144,13 +232,22 @@ def ured_recursion(delta, eps: Sequence, steps: int) -> RecursionRun:
 
     z = SparseSeq.unit(1, 1 - delta)
     xs = [SparseSeq.zero()]
-    xstars: list[int] = []
-    for n in range(1, steps + 1):
-        height = 1 - eps[n - 1] / 4
-        xs.append(SparseSeq(xs[-1].coords + ((n + 1, height),)))
-        xstars.append(n + 1)
+    idx, nums, den = (), (), 1
+    for n, e in enumerate(eps[:steps], 1):
+        # x_n is x_{n-1} with height 1 - e/4 = hn/hd appended on coordinate n + 1
+        en, ed = e.as_integer_ratio()
+        g = gcd(en, 4)
+        hn, hd = (4 * ed - en) // g, 4 * ed // g
+        if den % hd:
+            grown = lcm(den, hd)
+            nums = tuple(map(mul, nums, repeat(grown // den)))
+            den = grown
+        idx += (n + 1,)
+        nums += (hn * (den // hd),)
+        xs.append(_seq(idx, nums, den))
+    xstars = tuple(range(2, steps + 2))
 
-    run = RecursionRun(delta, tuple(eps[:steps]), z, tuple(xs), tuple(xstars), {})
+    run = RecursionRun(delta, tuple(eps[:steps]), z, tuple(xs), xstars, {})
     z_plus, claims = _claims(run)
     if not claims["ok"]:
         raise RuntimeError("internal: recursion claims failed")
@@ -166,39 +263,50 @@ def ured_recursion(delta, eps: Sequence, steps: int) -> RecursionRun:
 def _claims(run: RecursionRun) -> tuple[list[Fraction], dict]:
     """(||z + x_m|| for m = 0..steps, the claim report of verify_claim).
 
-    One pass over the stored coordinates of `run`: each x_m becomes one
+    One pass over the stored coordinates of `run`, in ints over one
+    denominator D: every value of z, delta, eps and every x_m, the heights
+    1 - eps_n/4 and z/2 are integer multiples of 1/D. Each x_m becomes one
     coordinate table, read once for ||z + x_m||, ||z/2 + x_m|| and
-    ||2 x_m + z||; "for all m >= n" is a suffix minimum for (ii) and a scan
-    of the tables from n on for the norming equalities.
+    ||2 x_m + z|| and for the norming equalities of all n <= m; "for all
+    m >= n" in (ii) is a suffix minimum.
     """
     n_steps = run.steps
-    z = dict(run.z.coords)
-    tables = [dict(x.coords) for x in run.xs]
-    z_plus, half_z, doubled = [], [], []
-    for x in tables:
-        rest = max((abs(v) for i, v in x.items() if i not in z), default=Fraction(0))
-        shared = [(zi, x.get(i, 0)) for i, zi in z.items()]
-        for sups, a, b in ((z_plus, 1, 1), (half_z, Fraction(1, 2), 1), (doubled, 1, 2)):
-            # ||a z + b x||: off the support of z only b * x counts
-            sups.append(max([b * rest, *(abs(a * zi + b * xi) for zi, xi in shared)]))
+    z, xs, xstars = run.z, run.xs, run.xstars
+    eps = [e.as_integer_ratio() for e in run.eps[:n_steps]]
+    dn, dd = run.delta.as_integer_ratio()
+    # 4 for the heights, 2 for z/2
+    D = 8 * lcm(z.den, dd, *{x.den for x in xs}, *{d for _, d in eps})
+    Z = [n * (D // z.den) for n in z.nums]
+    half_Z = [zi // 2 for zi in Z]
+    on_z = set(z.idx)
+    E = [n * (D // d) for n, d in eps]
+    heights = [D - e // 4 for e in E]
 
-    heights = [1 - run.eps[n - 1] / 4 for n in range(1, n_steps + 1)]
-    claim1 = all(v < 1 for v in z_plus)
-    claim2 = all(
-        all(tables[m].get(run.xstars[n - 1], 0) == h for m in range(n, n_steps + 1))
-        and h > 1 - run.eps[n - 1]
-        for n, h in enumerate(heights, 1)
-    )
+    z_plus, half_z, doubled = [], [], []
+    claim2 = True
+    for m, x in enumerate(xs):
+        table = dict(zip(x.idx, map(mul, x.nums, repeat(D // x.den))))
+        # off the support of z only x counts
+        rest = max(map(abs, map(table.__getitem__, table.keys() - on_z)), default=0)
+        shared = list(map(table.get, z.idx, repeat(0)))
+        z_plus.append(max([rest, *map(abs, map(add, Z, shared))]))
+        half_z.append(max([rest, *map(abs, map(add, half_Z, shared))]))
+        doubled.append(max([2 * rest, *map(abs, map(add, Z, map(mul, shared, repeat(2))))]))
+        if m and claim2:  # x_m is normed by x*_n at height h_n for every n <= m
+            claim2 = list(map(table.get, xstars[:m], repeat(0))) == heights[:m]
+
+    claim1 = all(v < D for v in z_plus)
+    claim2 = claim2 and all(h > D - e for h, e in zip(heights, E))
     suffix_min = list(accumulate(reversed(half_z[1:]), min))[::-1]
-    halfway = all(s >= 1 - e for s, e in zip(suffix_min, run.eps))
-    doubled_ok = doubled[0] == 1 - run.delta and all(
+    halfway = all(s >= D - e for s, e in zip(suffix_min, E))
+    doubled_ok = doubled[0] == D - dn * (D // dd) and all(
         d == 2 * h for d, h in zip(doubled[1:], heights)
     )
-    return z_plus, {
+    return [Fraction(v, D) for v in z_plus], {
         "claim1": claim1,
         "claim2": claim2,
         "half_z_norming": halfway,
-        "doubled_norm": {"values": [frac_str(v) for v in doubled], "ok": doubled_ok},
+        "doubled_norm": {"values": [_ratio_str(v, D) for v in doubled], "ok": doubled_ok},
         "ok": claim1 and claim2 and halfway and doubled_ok,
     }
 

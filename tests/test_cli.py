@@ -7,7 +7,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from renorml1 import cli, split_pair
@@ -214,6 +214,18 @@ class TestUred:
         rc, _ = invoke(tmp_path, "ured", "--delta", "2/1", "--eps", "1/2")
         assert rc == 2
 
+    @pytest.mark.parametrize("eps", [",", " , ,", ""])
+    def test_empty_eps_schedule_exits_2(self, tmp_path, capsys, eps):
+        rc, text = invoke(tmp_path, "ured", "--delta", "1/2", "--eps", eps)
+        err = capsys.readouterr().err
+        assert rc == 2 and text == "" and err.startswith("input error:") and "--eps" in err
+
+    def test_empty_slice_schedule_exits_2(self, tmp_path, capsys):
+        path = write_json(tmp_path, "nbhd.json", NBHD)
+        rc, text = invoke(tmp_path, "probe", "slice", "--input", path, "--eps", ",")
+        err = capsys.readouterr().err
+        assert rc == 2 and text == "" and err.startswith("input error:") and "--eps" in err
+
 
 class TestSelftest:
     def test_passes(self, tmp_path):
@@ -306,6 +318,15 @@ class TestArgumentSchema:
                 parser.parse_args([*command, *own, flag, self.FLAGS[flag]])
             assert exc.value.code == 2
             assert flag in capsys.readouterr().err
+
+    def test_main_builds_its_parser_once(self, tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        for eps in ("1/2", "1/2,1/4", "1/3"):
+            assert invoke(tmp_path, "ured", "--delta", "1/2", "--eps", eps)[0] == 0
+        assert len(built) == 1
+        assert build_parser() is not build_parser()
 
     def test_prec_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -517,7 +538,46 @@ def fuzz_cases(draw):
     return argv, obj
 
 
+#: parts of fuzzed `ured` flags: zeros, negatives, 1/0, empty parts, values >= 2
+ured_parts = st.sampled_from(
+    ["1/2", "1/4", "3/4", "1/8", "7/4", "0", "0/1", "-1/4", "1/0", "2", "5/2", "", " ", "x", "1.5"]
+)
+
+
+def ured_accepts(delta: str, eps: str) -> bool:
+    """Whether `ured` should report on these flags, decided with Fractions."""
+    try:
+        d = Fraction(delta)
+        schedule = [Fraction(part) for part in eps.split(",") if part.strip()]
+    except (ValueError, ZeroDivisionError):
+        return False
+    return (
+        0 < d < 1
+        and bool(schedule)
+        and all(0 < e < 2 for e in schedule)
+        and all(b <= a for a, b in zip(schedule, schedule[1:]))
+    )
+
+
 class TestFuzzedInputs:
+    @settings(max_examples=150, deadline=None)
+    @given(ured_parts, st.lists(ured_parts, max_size=4).map(",".join))
+    @example("1/2", ",")
+    @example("1/2", "1/2, ,1/4")
+    def test_ured_flags_end_in_an_exit_code(self, tmp_path_factory, delta, eps):
+        out = tmp_path_factory.getbasetemp() / "fuzz-ured.out"
+        out.unlink(missing_ok=True)
+        err = io.StringIO()
+        with redirect_stderr(err):
+            rc = main(["ured", f"--delta={delta}", f"--eps={eps}", "--out", str(out)])
+        assert rc == (0 if ured_accepts(delta, eps) else 2)
+        if rc == 2:
+            assert not out.exists() and err.getvalue().startswith("input error:")
+            if ured_accepts(delta, "1/2") and not eps.replace(",", "").strip():
+                assert "--eps" in err.getvalue()
+        else:
+            assert json.loads(out.read_text())["verify"]["ok"]
+
     @settings(max_examples=250, deadline=None)
     @given(fuzz_cases())
     def test_every_input_ends_in_an_exit_code(self, tmp_path_factory, case):

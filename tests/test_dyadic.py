@@ -13,6 +13,7 @@ from renorml1 import (
     canonical,
     decompose,
     dyadic_project,
+    indicator,
     integral_over,
     lin_comb,
     norms,
@@ -44,6 +45,13 @@ class TestRefine:
     def test_overflow(self):
         with pytest.raises(LevelOverflowError):
             refine(mk(0, 1), MAX_LEVEL + 1)
+
+    @pytest.mark.parametrize("make", [DyadicStep.zero, lambda k: indicator((k, 1))])
+    @pytest.mark.parametrize("level", [MAX_LEVEL + 1, 62])
+    def test_constructors_check_the_level_before_allocating(self, make, level):
+        # 2**62 cells could never be allocated: a MemoryError, not the cap
+        with pytest.raises(LevelOverflowError, match=f"level {level} exceeds cap"):
+            make(level)
 
     @given(steps(), st.integers(min_value=0, max_value=3), st.data())
     def test_preserves_all_integrals(self, f, bump, data):

@@ -1,6 +1,7 @@
 import json
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -117,6 +118,66 @@ def tampered_runs(draw):
     return replace(run, xs=tuple(xs))
 
 
+#: primes above every height denominator 4 * 64 that `runs` can draw
+BIG_PRIMES = (257, 263, 1009, 999_983)
+
+
+@st.composite
+def reshaped_runs(draw):
+    """A run whose stored data the int claim pass must read in full: one
+    coordinate moved by +-1/p for a prime p that divides no height
+    denominator; a z with several coordinates, negative ones and one on the
+    support of some x_m; or an x_m that drops or gains coordinates, so it no
+    longer extends x_{m-1}."""
+    run = draw(runs())
+    how = draw(st.sampled_from(["prime", "z", "shorter", "longer"]))
+    m = draw(st.integers(min_value=0, max_value=run.steps))
+    coords = dict(run.xs[m].coords)
+    if how == "z":
+        values = st.fractions(min_value=-1, max_value=1, max_denominator=12)
+        z = {1: draw(values), draw(st.integers(2, run.steps + 3)): -draw(values.filter(bool))}
+        z.update(draw(st.dictionaries(st.integers(2, run.steps + 3), values, max_size=2)))
+        return replace(run, z=SparseSeq.from_dict(z))
+    if how == "prime":
+        anywhere = st.integers(1, run.steps + 2)
+        i = draw(st.sampled_from(sorted(coords)) | anywhere if coords else anywhere)
+        nudge = Fraction(draw(st.sampled_from([-1, 1])), draw(st.sampled_from(BIG_PRIMES)))
+        coords[i] = coords.get(i, Fraction(0)) + nudge
+    elif how == "shorter" and coords:
+        del coords[draw(st.sampled_from(sorted(coords)))]
+    else:
+        extra = st.integers(min_value=1, max_value=run.steps + 4)
+        for i in draw(st.lists(extra, min_size=1, max_size=3, unique=True)):
+            coords[i] = draw(st.fractions(min_value=-2, max_value=2, max_denominator=64))
+    xs = list(run.xs)
+    xs[m] = SparseSeq.from_dict(coords)
+    return replace(run, xs=tuple(xs))
+
+
+seq_dicts = st.dictionaries(
+    st.integers(min_value=1, max_value=9),
+    st.fractions(min_value=-4, max_value=4, max_denominator=24),
+    max_size=6,
+)
+
+
+def frac_sum(a: dict, b: dict) -> dict:
+    """The Fraction oracle for SparseSeq.__add__."""
+    out = dict(a)
+    for i, v in b.items():
+        out[i] = out.get(i, Fraction(0)) + v
+    return {i: v for i, v in out.items() if v}
+
+
+def assert_reduced(x: SparseSeq) -> None:
+    """(idx, nums, den) is the one reduced lattice of x."""
+    assert isinstance(x.den, int) and x.den > 0
+    assert all(type(i) is int and i >= 1 for i in x.idx)
+    assert list(x.idx) == sorted(set(x.idx))
+    assert len(x.nums) == len(x.idx) and all(type(n) is int and n for n in x.nums)
+    assert gcd(x.den, *x.nums) == 1
+
+
 class TestSparseSeq:
     def test_basics(self):
         x = SparseSeq.from_dict({2: Fraction(7, 8), 5: Fraction(-1, 3)})
@@ -134,6 +195,48 @@ class TestSparseSeq:
             SparseSeq(((0, Fraction(1)),))
         with pytest.raises(ValueError):
             SparseSeq(((2, Fraction(1)), (2, Fraction(2))))
+
+    @pytest.mark.parametrize("index", [2.7, 2.0, True, False, Fraction(2), "2"])
+    def test_indices_must_be_integers(self, index):
+        with pytest.raises(TypeError, match="indices must be integers"):
+            SparseSeq(((index, Fraction(1, 2)),))
+        with pytest.raises(TypeError, match="indices must be integers"):
+            SparseSeq.unit(index)
+
+    def test_lattice_fields(self):
+        x = SparseSeq.from_dict({5: Fraction(-1, 6), 2: Fraction(3, 4), 9: Fraction(0)})
+        assert (x.idx, x.nums, x.den) == ((2, 5), (9, -2), 12)
+        assert x.coords == ((2, Fraction(3, 4)), (5, Fraction(-1, 6)))
+        assert (SparseSeq.zero().idx, SparseSeq.zero().nums, SparseSeq.zero().den) == ((), (), 1)
+
+    @given(seq_dicts, seq_dicts, st.fractions(min_value=-3, max_value=3, max_denominator=10))
+    @settings(max_examples=150)
+    def test_every_result_is_reduced_and_identified_by_coords(self, a, b, c):
+        x, y = SparseSeq.from_dict(a), SparseSeq.from_dict(b)
+        i = next(iter(a), 1)
+        results = {
+            "from_dict": (x, {i: v for i, v in a.items() if v}),
+            "tuple": (SparseSeq(tuple(b.items())), {i: v for i, v in b.items() if v}),
+            "unit": (SparseSeq.unit(i, c), {i: c} if c else {}),
+            "zero": (SparseSeq.zero(), {}),
+            "add": (x + y, frac_sum(a, b)),
+            "sub": (x - y, frac_sum(a, {i: -v for i, v in b.items()})),
+            "neg": (-x, {i: -v for i, v in a.items() if v}),
+            "mul": (x * c, {i: c * v for i, v in a.items() if c * v}),
+            "rmul": (c * y, {i: c * v for i, v in b.items() if c * v}),
+            "projection_tail": (projection_tail(x), {i: v for i, v in a.items() if v and i != 1}),
+        }
+        for name, (r, want) in results.items():
+            assert_reduced(r)
+            assert r.coords == tuple(sorted(want.items())), name
+            assert SparseSeq(r.coords) == r
+            assert r.sup_norm() == max(map(abs, want.values()), default=0)
+            assert [r.get(j) for j in range(11)] == [want.get(j, 0) for j in range(11)]
+        for r, _ in results.values():
+            for q, _ in results.values():
+                assert (r == q) == (r.coords == q.coords)
+                if r == q:
+                    assert hash(r) == hash(q)
 
 
 class TestProjection:
@@ -216,6 +319,35 @@ class TestVerifyClaim:
         else:
             with pytest.raises(RuntimeError, match="claim verification failed"):
                 verify_claim(run)
+
+    @given(reshaped_runs())
+    @settings(max_examples=200)
+    def test_reshaped_run_matches_both_oracles(self, run):
+        z_plus, report = _claims(run)
+        assert report == oracle_verify(run)
+        claim1 = oracle_checks(run)["claim1"]
+        assert [frac_str(v) for v in z_plus] == claim1["values"]
+        assert report["claim1"] == claim1["ok"]
+
+    def test_prime_nudge_breaks_the_norming_equality(self):
+        run = ured_recursion(Fraction(1, 2), EPS3, 3)
+        x3 = dict(run.xs[3].coords)
+        x3[4] += Fraction(1, 999_983)  # x_3 no longer sits at height 31/32 on x*_3
+        bad = replace(run, xs=(*run.xs[:3], SparseSeq.from_dict(x3)))
+        assert bad.xs[3].den % 999_983 == 0
+        assert _claims(bad)[1] == oracle_verify(bad)
+        assert not _claims(bad)[1]["claim2"] and not _claims(bad)[1]["doubled_norm"]["ok"]
+
+    def test_x_m_that_does_not_extend_its_predecessor(self):
+        run = ured_recursion(Fraction(1, 2), EPS3, 3)
+        # x_3 without the coordinate x_1 placed: claim (2) fails at n = 1
+        shorter = replace(run, xs=(*run.xs[:3], SparseSeq.from_dict({3: Fraction(15, 16), 4: Fraction(31, 32)})))
+        # x_1 with an extra coordinate beyond the prefix, below every height
+        longer = replace(run, xs=(run.xs[0], run.xs[1] + SparseSeq.unit(9, Fraction(-1, 3)), *run.xs[2:]))
+        assert not _claims(shorter)[1]["claim2"]
+        assert _claims(longer)[1]["ok"]
+        for odd in (shorter, longer):
+            assert _claims(odd)[1] == oracle_verify(odd)
 
     def test_tampered_reference_runs(self):
         run = ured_recursion(Fraction(1, 2), EPS3, 3)
