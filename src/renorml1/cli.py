@@ -27,6 +27,7 @@ from fractions import Fraction
 from itertools import repeat
 
 from .dyadic import (
+    MAX_LEVEL,
     as_index,
     decimal_str,
     frac_str,
@@ -237,6 +238,9 @@ def _cmd_probe(args) -> int:
         obj = _load_json(args.input)
         try:
             A = [as_index(idx) for idx in _as_list(obj.get("A", []), "A")]
+            for k, _ in A:
+                if k > MAX_LEVEL:
+                    raise ValueError(f"cell level {k} exceeds cap {MAX_LEVEL}")
         except (ValueError, TypeError) as exc:
             raise InputError(f"'A' must list [k, j] cells: {exc}") from None
         rep = perturbation_l1_chain(_step(_need(obj, "f")), _step(_need(obj, "g")), A)

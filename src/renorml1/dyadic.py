@@ -15,10 +15,11 @@ Two step functions are equal iff their refinements to a common level have
 identical values, so the representation level is not part of the identity
 of a function.
 
-`mass_levels` is the one mass-level kernel: every computation of the cell
-integrals of f across levels (norm series, witness split checks,
-projections, weak smallness) streams them from it, one level at a time, as
-int numerators over one denominator.
+`mass_levels(masses)` is the one fold: every computation of cell integrals
+across levels (norm series and gradient, witness split checks, projections,
+weak smallness) hands it an int mass list of one level and reads the
+coarser levels from it, one at a time, over the caller's denominator
+(`den << level` for a step's own numerators).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from fractions import Fraction
 from itertools import chain, islice, repeat
 from math import gcd, isqrt, lcm
 from operator import add, mul, sub
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 #: Dense storage cap: no step function may live at a level above this.
 MAX_LEVEL = 20
@@ -93,7 +94,7 @@ class DyadicIndex(NamedTuple):
                 raise TypeError(f"cell index entries must be integers, got {x!r}")
         if self.k < 0:
             raise ValueError(f"dyadic level must be >= 0, got {self.k}")
-        if not 1 <= self.j <= (1 << self.k):
+        if not (self.j >= 1 and (self.j - 1) >> self.k == 0):  # 1 << k could be huge
             raise ValueError(f"cell position {self.j} out of range 1..2**{self.k}")
         return self
 
@@ -347,9 +348,9 @@ def dyadic_project(f: DyadicStep, K: int) -> DyadicStep:
         raise ValueError(f"level must be >= 0, got {K}")
     if K >= f.level:
         return refine(f, K)
-    D, levels = mass_levels(f)
-    # a level-K cell average is 2**K times its mass
-    return from_lattice(K, next(islice(levels, f.level - K, None)), D >> K)
+    # a level-K cell average is 2**K times its mass, which is over den << f.level
+    masses = next(islice(mass_levels(f.nums), f.level - K, None))
+    return from_lattice(K, masses, f.den << f.level - K)
 
 
 def reflect(f: DyadicStep) -> DyadicStep:
@@ -363,21 +364,15 @@ def fold_masses(masses: list) -> list:
     return list(map(add, masses[::2], masses[1::2]))
 
 
-def mass_levels(f: DyadicStep, absolute: bool = False) -> tuple[int, Iterator[list[int]]]:
-    """(D, levels): cell masses of f (or |f|) level by level, from f.level
-    down to 0, as int numerators over the one denominator D = den << f.level
-    (den from `lattice`; folding only adds masses, so D holds at every
-    level). The t-th list holds D times the integrals over the cells of
-    level f.level - t."""
-    nums, den = lattice(f)
-
-    def levels(masses: list[int]) -> Iterator[list[int]]:
+def mass_levels(masses: Sequence[int]) -> Iterator[Sequence[int]]:
+    """`masses`, int masses of the cells of one level over some denominator
+    D, then the masses of each coarser level down to the single cell [0, 1),
+    over the same D (folding only adds masses). The first item is `masses`
+    itself."""
+    yield masses
+    while len(masses) > 1:
+        masses = fold_masses(masses)
         yield masses
-        for _ in range(f.level):
-            masses = fold_masses(masses)
-            yield masses
-
-    return den << f.level, levels(list(map(abs, nums)) if absolute else nums)
 
 
 def abs_diff_masses(f: DyadicStep, g: DyadicStep) -> tuple[int, int, list[int]]:

@@ -170,14 +170,8 @@ def check_product_condition(eps: Sequence, deltas: Sequence, m: int) -> None:
             )
 
 
-def greedy_asymptotic_ell1(deltas: Sequence, m: int) -> SpikeFamily:
-    """Stack m spikes on nested leading cells so the l1 lower bound holds
-    with coefficients 1 - deltas[k].
-
-    The shrink schedule is eps_i = min(deltas[:i]) * 2**-(i+1); the finite
-    product conditions prod_{i=k..m} (1 - eps_i) > 1 - deltas[k-1] are
-    verified exactly for every k and a failure names the offending k.
-    """
+def _checked_deltas(deltas: Sequence, m: int) -> list[Fraction]:
+    """deltas as Fractions, after checking m >= 1 and that the first m lie in (0, 1)."""
     deltas = [to_frac(d) for d in deltas]
     if m < 1:
         raise ValueError("need m >= 1 members")
@@ -186,6 +180,18 @@ def greedy_asymptotic_ell1(deltas: Sequence, m: int) -> SpikeFamily:
     for d in deltas[:m]:
         if not 0 < d < 1:
             raise ValueError(f"deltas must lie in (0, 1), got {d}")
+    return deltas
+
+
+def greedy_asymptotic_ell1(deltas: Sequence, m: int) -> SpikeFamily:
+    """Stack m spikes on nested leading cells so the l1 lower bound holds
+    with coefficients 1 - deltas[k].
+
+    The shrink schedule is eps_i = min(deltas[:i]) * 2**-(i+1); the finite
+    product conditions prod_{i=k..m} (1 - eps_i) > 1 - deltas[k-1] are
+    verified exactly for every k and a failure names the offending k.
+    """
+    deltas = _checked_deltas(deltas, m)
     for a, b in zip(deltas, deltas[1:m]):
         if b > a:
             raise ValueError("deltas must be non-increasing")
@@ -203,14 +209,7 @@ def greedy_asymptotic_ell1(deltas: Sequence, m: int) -> SpikeFamily:
 def disjoint_spike_family(deltas: Sequence, m: int, K: int) -> SpikeFamily:
     """x_k = (1 - deltas[k]) * 2**K * 1_{I(K, k)}: disjoint supports, exact
     l1 lower bound with equality."""
-    deltas = [to_frac(d) for d in deltas]
-    if m < 1:
-        raise ValueError("need m >= 1 members")
-    if len(deltas) < m:
-        raise ValueError(f"need at least m = {m} deltas, got {len(deltas)}")
-    for d in deltas[:m]:
-        if not 0 < d < 1:
-            raise ValueError(f"deltas must lie in (0, 1), got {d}")
+    deltas = _checked_deltas(deltas, m)
     if K < 0 or K > MAX_LEVEL:
         raise LevelOverflowError(f"level {K} out of range 0..{MAX_LEVEL}")
     if (1 << K) < m:

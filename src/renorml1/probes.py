@@ -140,9 +140,8 @@ def weak_smallness(u: DyadicStep, depth: int) -> Fraction:
         raise ValueError(f"depth must be >= 0, got {depth}")
     # levels min(depth, u.level) down to 0: a cell finer than u's grid holds
     # half its parent's integral, so deeper levels never score higher
-    D, levels = mass_levels(u)
-    levels = islice(levels, max(u.level - depth, 0), None)
-    return Fraction(max(max(map(abs, masses)) for masses in levels), D)
+    levels = islice(mass_levels(u.nums), max(u.level - depth, 0), None)
+    return Fraction(max(max(map(abs, masses)) for masses in levels), u.den << u.level)
 
 
 @dataclass(frozen=True)

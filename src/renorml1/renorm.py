@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from operator import mul
 from typing import Optional
 
@@ -25,7 +26,6 @@ from .dyadic import (
     abs_diff_masses,
     as_index,
     dyadic_project,
-    fold_masses,
     frac_str,
     integral_over,
     lattice,
@@ -46,8 +46,7 @@ def seminorm(f: DyadicStep, idx) -> Fraction:
 def _series(f: DyadicStep, T: int) -> tuple[int, int, int]:
     """(B, S, D): `_mass_series` of the int masses of |f| at K = level(f),
     and their denominator D."""
-    D, levels = mass_levels(f, absolute=True)
-    return (*_mass_series(f.level, next(levels), T), D)
+    return (*_mass_series(f.level, list(map(abs, f.nums)), T), f.den << f.level)
 
 
 def _mass_series(K: int, masses: list[int], T: int) -> tuple[int, int]:
@@ -55,17 +54,15 @@ def _mass_series(K: int, masses: list[int], T: int) -> tuple[int, int]:
     sum_{k < min(T, K)} 4**-k * sum_j s(f, k, j)**2 = B / (D**2 * 4**K) and
     sum_j s(f, K, j)**2 = S / D**2, folding the masses one level at a time."""
     B, S = 0, sum(map(mul, masses, masses))
-    for k in range(K - 1, -1, -1):
-        masses = fold_masses(masses)
+    for k, ms in zip(range(K - 1, -1, -1), islice(mass_levels(masses), 1, None)):
         if k < T:
-            B += sum(map(mul, masses, masses)) << 2 * (K - k)
+            B += sum(map(mul, ms, ms)) << 2 * (K - k)
     return B, S
 
 
 def tnorm_sq(f: DyadicStep) -> Fraction:
     """Exact squared norm T(f)**2 (closed tail from f's own level up)."""
-    D, levels = mass_levels(f, absolute=True)
-    return _tnorm_sq(f.level, D, next(levels))
+    return _tnorm_sq(f.level, f.den << f.level, list(map(abs, f.nums)))
 
 
 def tnorm_sq_diff(f: DyadicStep, g: DyadicStep) -> Fraction:
@@ -233,15 +230,15 @@ class DualNormEstimate:
 def _tnorm_grad(u: DyadicStep) -> list[Fraction]:
     """Gradient of tnorm_sq at a componentwise-nonnegative u, per cell value."""
     L = u.level
-    D, levels = mass_levels(u)
-    # over 7 * D * 8**L: the closed tail contributes 16 times the mass of
-    # cell i, each level k < L 14 * 4**(L-k) times the level-k mass holding i
+    levels = mass_levels(u.nums)
+    # over 7 * D * 8**L, D = den << L: the closed tail contributes 16 times the
+    # mass of cell i, each level k < L 14 * 4**(L-k) times the level-k mass holding i
     grad = [n << 4 for n in next(levels)]
     for k, masses in zip(range(L - 1, -1, -1), levels):
         w, shift = 14 << 2 * (L - k), L - k
         for i in range(len(grad)):
             grad[i] += w * masses[i >> shift]
-    q = 7 * D << 3 * L
+    q = 7 * u.den << 4 * L
     return [Fraction(x, q) for x in grad]
 
 

@@ -1,8 +1,10 @@
 """Seeded invariant batteries behind the `selftest` CLI command.
 
 Each battery draws its own deterministic RNG stream from the master seed,
-re-verifies a family of exact invariants, and reports one line. Everything
-is an equality or inequality of rationals; there are no tolerances.
+re-verifies a family of exact invariants, and reports one line: `pass`, or
+`FAIL (<invariant>, trial <t>, seed <s>)` for the first invariant that
+failed. Everything is an equality or inequality of rationals; there are no
+tolerances.
 """
 
 from __future__ import annotations
@@ -47,62 +49,63 @@ def _sub_rng(seed: int, tag: str):
     return gen.rng_from_seed((seed ^ zlib.crc32(tag.encode())) & 0xFFFFFFFFFFFF)
 
 
-def _dyadic_core(seed: int, trials: int) -> bool:
+class InvariantFailure(Exception):
+    """A battery's invariant failed; the message is '<invariant>, trial <t>'."""
+
+
+def _require(ok: bool, invariant: str, trial: int) -> None:
+    """Trials count from 1; trial 0 is a battery's fixed, unseeded check."""
+    if not ok:
+        raise InvariantFailure(f"{invariant}, trial {trial}")
+
+
+def _dyadic_core(seed: int, trials: int) -> None:
     rng = _sub_rng(seed, "dyadic")
-    for _ in range(trials):
+    for t in range(1, trials + 1):
         f = gen.random_step(rng, max_level=4, max_num=16, max_den=16)
         K2 = min(f.level + rng.randint(0, 2), 6)
         g = refine(f, max(K2, f.level))
         k = rng.randint(0, 5)
         j = rng.randint(1, 1 << k)
-        if integral_over(g, (k, j)) != integral_over(f, (k, j)):
-            return False
+        _require(integral_over(g, (k, j)) == integral_over(f, (k, j)), "refine-keeps-integrals", t)
         m = k + rng.randint(1, 2)
         span = 1 << (m - k)
         total = sum(
             (integral_over(f, (m, i)) for i in range((j - 1) * span + 1, j * span + 1)),
             Fraction(0),
         )
-        if total != integral_over(f, (k, j)):
-            return False
+        _require(total == integral_over(f, (k, j)), "subcell-integrals-add", t)
         h = gen.random_step(rng, max_level=3, max_num=8, max_den=8)
-        if abs(pairing(f, h)) > norms(f).l1 * norms(h).linf:
-            return False
+        _require(abs(pairing(f, h)) <= norms(f).l1 * norms(h).linf, "pairing-bound", t)
         K = rng.randint(0, 4)
         p = dyadic_project(f, K)
-        if dyadic_project(p, K) != p or norms(p).l1 > norms(f).l1:
-            return False
+        _require(
+            dyadic_project(p, K) == p and norms(p).l1 <= norms(f).l1, "projection-contracts", t
+        )
         av, pos, neg = decompose(f)
-        if pos - neg != f or pos + neg != av:
-            return False
-        if reflect(reflect(f)) != f:
-            return False
-    return True
+        _require(pos - neg == f and pos + neg == av, "decompose-parts", t)
+        _require(reflect(reflect(f)) == f, "reflect-involution", t)
 
 
-def _renorm_invariants(seed: int, trials: int) -> bool:
+def _renorm_invariants(seed: int, trials: int) -> None:
     rng = _sub_rng(seed, "renorm")
-    for _ in range(trials):
+    for t in range(1, trials + 1):
         f = gen.random_step(rng, max_level=4, max_num=16, max_den=16)
-        t = tnorm_sq(f)
+        tsq = tnorm_sq(f)
         for T in (f.level, f.level + 1, f.level + 4):
-            if partial_below(f, T) + tail_formula(f, T) != t:
-                return False
-        if not check_equivalence(f).ok:
-            return False
-        if tnorm_sq(abs(f)) != t or tnorm_sq(reflect(f)) != t:
-            return False
+            _require(partial_below(f, T) + tail_formula(f, T) == tsq, "partial-plus-tail", t)
+        _require(check_equivalence(f).ok, "norm-equivalence", t)
+        _require(
+            tnorm_sq(abs(f)) == tsq and tnorm_sq(reflect(f)) == tsq, "abs-reflect-invariance", t
+        )
         c = gen.random_fraction(rng, 8, 8)
-        if tnorm_sq(c * f) != c * c * t:
-            return False
-        if tnorm_sq(refine(f, min(f.level + 2, 6))) != t:
-            return False
-    return True
+        _require(tnorm_sq(c * f) == c * c * tsq, "homogeneity", t)
+        _require(tnorm_sq(refine(f, min(f.level + 2, 6))) == tsq, "refine-invariance", t)
 
 
-def _strict_convexity(seed: int, trials: int) -> bool:
+def _strict_convexity(seed: int, trials: int) -> None:
     rng = _sub_rng(seed, "strict")
-    for _ in range(trials):
+    for t in range(1, trials + 1):
         f = gen.random_step(rng, max_level=3, max_num=8, max_den=8)
         g = gen.random_step(rng, max_level=3, max_num=8, max_den=8)
         case = triangle_equality_case(f, g)
@@ -110,77 +113,70 @@ def _strict_convexity(seed: int, trials: int) -> bool:
         D = tnorm_sq(f + g) - tnorm_sq(f) - tnorm_sq(g)
         equality = D >= 0 and D * D == 4 * tnorm_sq(f) * tnorm_sq(g)
         expected = equality and not (g.is_zero() and not f.is_zero())
-        if case.is_degenerate != expected:
-            return False
-        if midpoint_defect(f, g) < 0 or midpoint_defect(f, f) != 0:
-            return False
-        t = abs(gen.random_fraction(rng, 8, 8))
-        if not triangle_equality_case(t * g, g).is_degenerate and not g.is_zero():
-            return False
-    return True
+        _require(case.is_degenerate == expected, "equality-case-oracle", t)
+        _require(midpoint_defect(f, g) >= 0 and midpoint_defect(f, f) == 0, "midpoint-defect", t)
+        c = abs(gen.random_fraction(rng, 8, 8))
+        _require(
+            triangle_equality_case(c * g, g).is_degenerate or g.is_zero(), "scaled-degenerate", t
+        )
 
 
-def _split_identities(seed: int, trials: int) -> bool:
+def _split_identities(seed: int, trials: int) -> None:
     import math
 
     rng = _sub_rng(seed, "split")
-    for _ in range(trials):
+    for t in range(1, trials + 1):
         f = gen.random_step(rng, max_level=3, max_num=8, max_den=8)
         K = rng.randint(0, 4)
         sp = split_pair(f, K)  # raises on any identity failure
-        if norms(sp.f1).l1 != norms(f).l1:
-            return False
+        _require(norms(sp.f1).l1 == norms(f).l1, "split-l1", t)
         for j in range(1, (1 << K) + 1):
             cell = DyadicIndex(K, j)
-            if integral_over(sp.f1 - f, cell) != 0 or integral_over(sp.f2 - f, cell) != 0:
-                return False
+            _require(
+                integral_over(sp.f1 - f, cell) == 0 and integral_over(sp.f2 - f, cell) == 0,
+                "split-cell-integrals",
+                t,
+            )
         # the tail bounds assume l1(f) <= 1: rescale into the ball first
         l1 = norms(f).l1
         fb = f * Fraction(1, math.ceil(l1)) if l1 > 1 else f
         spb = split_pair(fb, K)
-        if tnorm_sq(spb.f1) > tnorm_sq(fb) + Fraction(1, 1 << K):
-            return False
-        if tnorm_sq(spb.f1 - spb.f2) < 4 * (tnorm_sq(fb) - Fraction(1, 1 << K)):
-            return False
-    return True
+        _require(tnorm_sq(spb.f1) <= tnorm_sq(fb) + Fraction(1, 1 << K), "split-norm-upper", t)
+        _require(
+            tnorm_sq(spb.f1 - spb.f2) >= 4 * (tnorm_sq(fb) - Fraction(1, 1 << K)),
+            "split-gap-lower",
+            t,
+        )
 
 
-def _witness_runs(seed: int, trials: int) -> bool:
+def _witness_runs(seed: int, trials: int) -> None:
     rng = _sub_rng(seed, "witness")
-    for _ in range(max(2, trials // 5)):
+    for t in range(1, max(2, trials // 5) + 1):
         nbhd = gen.random_weak_nbhd(rng)
         eps = Fraction(1, 10)
         rep = d2p_witness(nbhd, eps)
-        if not all(ch.ok for ch in rep.checks.values()):
-            return False
-        if tnorm_sq(rep.g1) >= 1 or tnorm_sq(rep.g2) >= 1:
-            return False
-        if tnorm_sq(rep.g1 - rep.g2) <= (2 - eps) ** 2:
-            return False
-        if not (nbhd.contains(rep.g1) and nbhd.contains(rep.g2)):
-            return False
-    return True
+        _require(all(ch.ok for ch in rep.checks.values()), "witness-checks", t)
+        _require(tnorm_sq(rep.g1) < 1 and tnorm_sq(rep.g2) < 1, "witness-in-open-ball", t)
+        _require(tnorm_sq(rep.g1 - rep.g2) > (2 - eps) ** 2, "witness-gap", t)
+        _require(nbhd.contains(rep.g1) and nbhd.contains(rep.g2), "witness-in-neighborhood", t)
 
 
-def _chain_and_smallness(seed: int, trials: int) -> bool:
+def _chain_and_smallness(seed: int, trials: int) -> None:
     rng = _sub_rng(seed, "chain")
-    for _ in range(trials):
+    for t in range(1, trials + 1):
         f = gen.random_step(rng, max_level=4, max_num=8, max_den=8)
         g = gen.random_step(rng, max_level=4, max_num=8, max_den=8)
         A = gen.random_disjoint_indices(rng, rng.randint(0, 4))
-        rep = perturbation_l1_chain(f, g, A)
-        if not rep.ok:
-            return False
+        _require(perturbation_l1_chain(f, g, A).ok, "chain-inequality", t)
         D = rng.randint(0, 4)
-        if weak_smallness(f, D) > norms(f).l1:
-            return False
+        _require(weak_smallness(f, D) <= norms(f).l1, "smallness-below-l1", t)
     rad = gen.rademacher(5)
-    return weak_smallness(rad, 4) == 0 and norms(rad).l1 == 1
+    _require(weak_smallness(rad, 4) == 0 and norms(rad).l1 == 1, "rademacher-smallness", 0)
 
 
-def _octahedral(seed: int, trials: int) -> bool:
+def _octahedral(seed: int, trials: int) -> None:
     rng = _sub_rng(seed, "oct")
-    for _ in range(max(3, trials // 3)):
+    for t in range(1, max(3, trials // 3) + 1):
         E = [
             gen.random_step(rng, max_level=3, max_num=8, max_den=8)
             for _ in range(rng.randint(1, 3))
@@ -197,38 +193,32 @@ def _octahedral(seed: int, trials: int) -> bool:
             v1 = refine(x, K).values[0]
             for alpha in (Fraction(0), -v1 / (1 << K)):
                 lhs = norms(x + alpha * y).l1
-                if lhs < (1 - eps) * (l1x + abs(alpha)):
-                    return False
-    return True
+                _require(lhs >= (1 - eps) * (l1x + abs(alpha)), "octahedral-lower-bound", t)
 
 
-def _ell1_families(seed: int, trials: int) -> bool:
+def _ell1_families(seed: int, trials: int) -> None:
     rng = _sub_rng(seed, "ell1")
     fam = greedy_asymptotic_ell1([Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)], 3)
-    for _ in range(trials):
+    for t in range(1, trials + 1):
         alphas = [gen.random_fraction(rng, 8, 8) for _ in range(3)]
-        if not ell1_bounds(fam, alphas).ok:
-            return False
+        _require(ell1_bounds(fam, alphas).ok, "greedy-bounds", t)
     deltas = sorted(
         (Fraction(rng.randint(1, 9), 10) for _ in range(4)), reverse=True
     )
     disj = disjoint_spike_family(deltas, 4, 3)
-    for _ in range(trials):
+    for t in range(1, trials + 1):
         alphas = [gen.random_fraction(rng, 8, 8) for _ in range(4)]
         b = ell1_bounds(disj, alphas)
-        if b.value != b.lower:
-            return False
+        _require(b.value == b.lower, "disjoint-bound-equality", t)
     pair = dual_segment(disj)
     nonsmooth_pairings(disj, pair)  # raises on pattern mismatch
-    return True
 
 
-def _ured(seed: int, trials: int) -> bool:
+def _ured(seed: int, trials: int) -> None:
     eps = [Fraction(1, 2**n) for n in range(1, 7)]
     run = ured_recursion(Fraction(1, 2), eps, 6)
     verify_claim(run)
     segment_check(run, [Fraction(0), Fraction(1, 2), Fraction(1)], 6)
-    return True
 
 
 BATTERIES = [
@@ -245,13 +235,17 @@ BATTERIES = [
 
 
 def run_selftest(seed: int, trials: int = 25) -> tuple[bool, list[str]]:
+    """(all passed, report lines); a failed battery's line names the
+    invariant, the trial and the seed."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    lines = []
-    all_ok = True
+    lines, ok = [], True
     for name, battery in BATTERIES:
-        ok = battery(seed, trials)
-        all_ok = all_ok and ok
-        lines.append(f"{name}: {'pass' if ok else 'FAIL'}")
-    lines.append(f"selftest: {'pass' if all_ok else 'FAIL'} (seed={seed}, trials={trials})")
-    return all_ok, lines
+        try:
+            battery(seed, trials)
+            lines.append(f"{name}: pass")
+        except InvariantFailure as exc:
+            lines.append(f"{name}: FAIL ({exc}, seed {seed})")
+            ok = False
+    lines.append(f"selftest: {'pass' if ok else 'FAIL'} (seed={seed}, trials={trials})")
+    return ok, lines

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 from typing import Optional, Sequence
 
@@ -31,10 +32,10 @@ from .dyadic import (
     DyadicStep,
     abs_diff_masses,
     LevelOverflowError,
-    fold_masses,
     frac_str,
     from_lattice,
     lattice,
+    mass_levels,
     norms,
     pairing,
     step_to_json,
@@ -170,7 +171,9 @@ class WitnessReport:
 def choose_gamma(f_inf, delta, eps) -> Fraction:
     """Largest gamma = 2**-p (p >= 1) with (5*f_inf + 1)*gamma < delta and
     2*(1-gamma)**1.5 > 2 - eps, the latter compared as 4*(1-gamma)**3 >
-    (2-eps)**2 (vacuous for eps >= 2)."""
+    (2-eps)**2 (vacuous for eps >= 2). LevelOverflowError when no
+    gamma >= 2**-(4*MAX_LEVEL + 64) qualifies: a smaller one puts the split
+    level K + 2 far past MAX_LEVEL."""
     f_inf, delta, eps = to_frac(f_inf), to_frac(delta), to_frac(eps)
     if delta <= 0:
         raise ValueError("delta must be > 0")
@@ -184,8 +187,10 @@ def choose_gamma(f_inf, delta, eps) -> Fraction:
         ):
             return gamma
         p += 1
-        if p > 4 * MAX_LEVEL + 64:  # cannot happen for valid inputs
-            raise RuntimeError("internal: no admissible gamma found")
+        if p > 4 * MAX_LEVEL + 64:
+            raise LevelOverflowError(
+                f"gamma would be below 2**-{p - 1}, so the split level exceeds cap {MAX_LEVEL}"
+            )
 
 
 def choose_K(gamma, functional_levels) -> int:
@@ -238,9 +243,7 @@ def _level_K_masses(f: DyadicStep, K: int) -> tuple[int, Sequence[int], list[int
     one read of f's numerators at level max(K, level(f))."""
     L = max(f.level, K)
     nums, den = lattice(f, L)
-    m, a = nums, list(map(abs, nums))
-    for _ in range(L - K):
-        m, a = fold_masses(m), fold_masses(a)
+    m, a = (next(islice(mass_levels(ms), L - K, None)) for ms in (nums, list(map(abs, nums))))
     return den << L, m, a
 
 
@@ -267,12 +270,9 @@ def _verify_split(f: DyadicStep, K: int, f1: DyadicStep, f2: DyadicStep) -> dict
     D = lcm(*(d for _, d, _ in streams))
 
     def from_K(level: int, d: int, masses):
-        for _ in range(level - K):
-            masses = fold_masses(masses)
         s = D // d
-        while True:
-            yield masses if s == 1 else [x * s for x in masses]
-            masses = fold_masses(masses)
+        for ms in islice(mass_levels(masses), level - K, None):
+            yield ms if s == 1 else [x * s for x in ms]
 
     dev = dict.fromkeys(("id5", "id6", "id7"), 0)
     for k, m, m1, m2, a, a1, a2, ad in zip(range(K, -1, -1), *(from_K(*st) for st in streams)):

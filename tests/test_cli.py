@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from renorml1 import cli, split_pair
+from renorml1 import cli, selftest, split_pair
 from renorml1.cli import _json_text, build_parser, main
 from renorml1.dyadic import MAX_LEVEL, frac_str
 from conftest import steps
@@ -110,6 +110,16 @@ class TestWitness:
     def test_missing_input_exits_2(self, tmp_path):
         rc, _ = invoke(tmp_path, "witness", "--input", str(tmp_path / "no.json"), "--eps", "1/5")
         assert rc == 2
+
+    # no gamma >= 2**-144 is admissible here, and a smaller one could never
+    # fit its split level under the cap: an input error, not an internal one
+    @pytest.mark.parametrize("delta, eps", [(f"1/{2**200}", "1/5"), ("1/10", f"1/{2**200}")])
+    def test_tiny_delta_or_eps_exceeds_the_cap(self, tmp_path, capsys, delta, eps):
+        path = write_json(tmp_path, "nbhd.json", dict(NBHD, delta=delta))
+        rc, text = invoke(tmp_path, "witness", "--input", path, "--eps", eps)
+        err = capsys.readouterr().err
+        assert rc == 2 and text == ""
+        assert err.startswith("input error:") and f"exceeds cap {MAX_LEVEL}" in err
 
 
 class TestProbe:
@@ -233,6 +243,17 @@ class TestSelftest:
         assert rc == 0
         assert "selftest: pass" in text
 
+    def test_failing_battery_names_invariant_trial_and_seed(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(selftest, "midpoint_defect", lambda f, g: Fraction(-1))
+        rc, text = invoke(tmp_path, "selftest", "--seed", "7", "--trials", "3")
+        lines = text.splitlines()
+        assert rc == 1
+        assert "strict-convexity: FAIL (midpoint-defect, trial 1, seed 7)" in lines
+        assert [line for line in lines if "FAIL" in line] == [
+            "strict-convexity: FAIL (midpoint-defect, trial 1, seed 7)",
+            "selftest: FAIL (seed=7, trials=3)",
+        ]
+
 
 class TestInputErrors:
     CHAIN = {"f": CONST_78, "g": CONST_78}
@@ -250,6 +271,10 @@ class TestInputErrors:
             ("1/2", ["norm"], "in.json"),
             (dict(CHAIN, A=[[1.7, 1]]), ["probe", "chain"], "'A'"),
             (dict(CHAIN, A=[[True, 1]]), ["probe", "chain"], "'A'"),
+            # j is range-checked without building 1 << k, and the level is capped
+            (dict(CHAIN, A=[[MAX_LEVEL + 1, 1]]), ["probe", "chain"], "'A'"),
+            (dict(CHAIN, A=[[15000, 1]]), ["probe", "chain"], "'A'"),
+            (dict(CHAIN, A=[[10**10, 1]]), ["probe", "chain"], "'A'"),
         ],
     )
     def test_exit_2_names_field(self, tmp_path, capsys, obj, argv, field):
@@ -509,6 +534,19 @@ valid_cases = st.one_of(
     st.tuples(
         st.just(["probe", "chain"]),
         st.fixed_dictionaries({"f": valid_steps(), "g": valid_steps(), "A": st.lists(cells(), max_size=3)}),
+    ),
+    st.tuples(st.just(["split", "--level", "2"]), valid_steps()),
+    st.tuples(
+        st.sampled_from([["probe", "strict"], ["probe", "midpoint"]]),
+        st.fixed_dictionaries({"f": valid_steps(), "g": valid_steps()}),
+    ),
+    st.tuples(
+        st.sampled_from([["probe", "extreme", "--eps", "1/2"], ["probe", "slice", "--eps", "1/2,1/4"]]),
+        st.fixed_dictionaries({
+            "center": st.one_of(st.just(NEAR_UNIT), valid_steps()),
+            "functionals": st.lists(valid_steps(), max_size=2),
+            "delta": st.sampled_from(["1/2", "1/10"]),
+        }),
     ),
     st.tuples(
         st.sampled_from([["ell1", "greedy"], ["ell1", "spikes", "--level", "3"], ["ell1", "dual", "--level", "3"]]),

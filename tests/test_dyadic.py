@@ -220,6 +220,14 @@ class TestJson:
 
 
 class TestIndex:
+    def test_validate_never_builds_the_cell_count(self):
+        # a cell of level 10**10 is checked without 1 << 10**10 (1.25 GB)
+        assert DyadicIndex(10**10, 1).validate() == (10**10, 1)
+        for k, j in ((0, 2), (3, 9), (3, 0), (10**10, 0)):
+            with pytest.raises(ValueError, match="out of range"):
+                DyadicIndex(k, j).validate()
+        assert DyadicIndex(3, 8).validate() == (3, 8)
+
     def test_containment(self):
         assert DyadicIndex(1, 1).contains(DyadicIndex(3, 4))
         assert not DyadicIndex(1, 1).contains(DyadicIndex(3, 5))

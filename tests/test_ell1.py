@@ -176,6 +176,20 @@ class TestDisjointFamily:
         with pytest.raises(CapacityError):
             disjoint_spike_family([Fraction(1, 2)] * 5, 5, 2)
 
+    @pytest.mark.parametrize("build", [greedy_asymptotic_ell1, lambda ds, m: disjoint_spike_family(ds, m, 3)])
+    @pytest.mark.parametrize(
+        "deltas, m, message",
+        [
+            ([Fraction(1, 2)], 0, "need m >= 1 members"),
+            ([Fraction(1, 2)], 2, "need at least m = 2 deltas, got 1"),
+            (["1/2", "3/2"], 2, r"deltas must lie in \(0, 1\), got 3/2"),
+            ([Fraction(0)], 1, r"deltas must lie in \(0, 1\), got 0"),
+        ],
+    )
+    def test_both_families_check_deltas_alike(self, build, deltas, m, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build(deltas, m)
+
     @given(st.lists(small, min_size=3, max_size=3))
     @settings(max_examples=60)
     def test_lower_bound_with_equality(self, alphas):
