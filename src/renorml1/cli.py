@@ -204,10 +204,7 @@ def _cmd_norm(args) -> int:
 
 def _cmd_split(args) -> int:
     f = _step(_load_json(args.input))
-    if args.level is None:
-        raise InputError("split needs --level K")
-    sp = split_pair(f, args.level)
-    _emit_json(sp.to_json(), args.out)
+    _emit_json(split_pair(f, args.level).to_json(), args.out)
     return 0
 
 
@@ -245,7 +242,7 @@ def _cmd_probe(args) -> int:
             raise InputError(f"'A' must list [k, j] cells: {exc}") from None
         rep = perturbation_l1_chain(_step(_need(obj, "f")), _step(_need(obj, "g")), A)
         _emit_json(rep.to_json(), args.out)
-    elif args.what == "slice":
+    else:  # slice
         nbhd = _nbhd_from_json(_load_json(args.input))
         eps = _eps_schedule(args, "probe slice")
         entries = slice_diameter_lb(nbhd.center, nbhd.functionals, nbhd.delta, eps)
@@ -254,8 +251,6 @@ def _cmd_probe(args) -> int:
         if failed:
             sys.stderr.write(f"slice entries failed: {failed[0].error}\n")
             return 1
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown probe {args.what}")
     return 0
 
 
@@ -266,28 +261,19 @@ def _cmd_ell1(args) -> int:
     if not isinstance(m, int) or isinstance(m, bool):
         raise InputError(f"'m' must be an integer, got {m!r}")
     if args.what == "greedy":
-        fam = greedy_asymptotic_ell1(deltas, m)
-        _emit_json(fam.to_json(), args.out)
+        report = greedy_asymptotic_ell1(deltas, m).to_json()
     else:
-        if args.level is None:
-            raise InputError("ell1 spikes/dual need --level K")
         fam = disjoint_spike_family(deltas, m, args.level)
-        if args.what == "spikes":
-            _emit_json(fam.to_json(), args.out)
-        else:
+        report = fam.to_json()
+        if args.what == "dual":
             pair = dual_segment(fam)
-            report = {
-                "family": fam.to_json(),
-                "dual": pair.to_json(),
-                "nonsmooth": nonsmooth_pairings(fam, pair).to_json(),
-            }
-            _emit_json(report, args.out)
+            nonsmooth = nonsmooth_pairings(fam, pair).to_json()
+            report = {"family": report, "dual": pair.to_json(), "nonsmooth": nonsmooth}
+    _emit_json(report, args.out)
     return 0
 
 
 def _cmd_ured(args) -> int:
-    if args.delta is None:
-        raise InputError("ured needs --delta")
     delta = _parse_rat(args.delta)
     eps = _eps_schedule(args, "ured")
     run = ured_recursion(delta, eps, len(eps))
@@ -312,14 +298,14 @@ def _digit_count(text: str) -> int:
     return int(text)
 
 
-#: add_argument keywords per flag; each subcommand declares only the flags its
-#: handler reads, so any other flag exits 2 through argparse.
+#: add_argument keywords per flag; each subcommand and each probe or ell1 kind
+#: declares only the flags its handler reads, so any other flag exits 2.
 _FLAGS = {
     "--input": dict(required=True, help="input JSON path"),
     "--out": dict(help="output path (default stdout)"),
     "--eps": dict(help="rational eps, or comma-separated schedule"),
-    "--delta": dict(help="rational delta"),
-    "--level": dict(type=int, help="dyadic level parameter"),
+    "--delta": dict(required=True, help="rational delta"),
+    "--level": dict(type=int, required=True, help="dyadic level parameter"),
     "--float-digits": dict(type=_digit_count, default=12, dest="float_digits"),
     "--seed": dict(type=int, default=0, help="seed for randomized trials"),
     "--trials": dict(type=int, default=25, help="trial count"),
@@ -333,22 +319,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, *flags, what=()):
-        p = sub.add_parser(name)
-        if what:
-            p.add_argument("what", choices=what)
+    def command(parent, name, handler, *flags):
+        p = parent.add_parser(name)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(handler=handler)
 
-    command("norm", _cmd_norm, "--input", "--out", "--float-digits")
-    command("split", _cmd_split, "--input", "--out", "--level")
-    command("witness", _cmd_witness, "--input", "--out", "--eps")
-    command("ured", _cmd_ured, "--delta", "--eps", "--out")
-    command("selftest", _cmd_selftest, "--seed", "--trials", "--out")
-    command("probe", _cmd_probe, "--input", "--out", "--eps", "--float-digits",
-            what=("strict", "midpoint", "extreme", "chain", "slice"))
-    command("ell1", _cmd_ell1, "--input", "--out", "--level", what=("greedy", "spikes", "dual"))
+    def kinds(name, handler, **flags):
+        what = sub.add_parser(name).add_subparsers(dest="what", required=True)
+        for kind, own in flags.items():
+            command(what, kind, handler, "--input", "--out", *own)
+
+    command(sub, "norm", _cmd_norm, "--input", "--out", "--float-digits")
+    command(sub, "split", _cmd_split, "--input", "--out", "--level")
+    command(sub, "witness", _cmd_witness, "--input", "--out", "--eps")
+    command(sub, "ured", _cmd_ured, "--delta", "--eps", "--out")
+    command(sub, "selftest", _cmd_selftest, "--seed", "--trials", "--out")
+    kinds("probe", _cmd_probe, strict=(), midpoint=("--float-digits",), extreme=("--eps",),
+          chain=(), slice=("--eps", "--float-digits"))
+    kinds("ell1", _cmd_ell1, greedy=(), spikes=("--level",), dual=("--level",))
     return parser
 
 

@@ -311,11 +311,9 @@ def decompose(f: DyadicStep) -> tuple[DyadicStep, DyadicStep, DyadicStep]:
 
 
 def integral_over(f: DyadicStep, idx) -> Fraction:
-    """Exact integral of f over the dyadic cell I(k, j).
-
-    k may lie above or below f's level; above MAX_LEVEL is fine, since no
-    storage is involved.
-    """
+    """Exact integral of f over the dyadic cell I(k, j), k above or below
+    f's level. Past MAX_LEVEL no storage is involved, but the result's
+    denominator has k bits."""
     k, j = as_index(idx)
     if k >= f.level:
         return Fraction(f.nums[(j - 1) >> (k - f.level)], f.den << k)

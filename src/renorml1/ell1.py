@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .checks import check, require
 from .dyadic import (
     MAX_LEVEL,
     DyadicIndex,
@@ -283,22 +284,20 @@ def dual_segment(family: SpikeFamily) -> DualPair:
     ystar = DyadicStep(K, tuple(yv))
 
     mid = Fraction(1, 2) * (xstar + ystar)
-    if not (
-        norms(xstar).linf == 1
-        and norms(ystar).linf == 1
-        and norms(mid).linf == 1
-        and norms(xstar - ystar).linf == 2
-    ):
-        raise RuntimeError("internal: dual segment norm identities failed")
-
+    checks = {
+        "xstar": check(norms(xstar).linf, "==", 1),
+        "ystar": check(norms(ystar).linf, "==", 1),
+        "midpoint": check(norms(mid).linf, "==", 1),
+        "difference": check(norms(xstar - ystar).linf, "==", 2),
+    }
     rows = []
     for pos, (s, d) in enumerate(zip(family.members, family.deltas), start=1):
-        px = pairing(s.as_step(), xstar)
-        py = pairing(s.as_step(), ystar)
-        want_y = (1 - d) if pos % 2 == 0 else -(1 - d)
-        if px != 1 - d or py != want_y:
-            raise RuntimeError("internal: dual segment pairing pattern failed")
+        step = s.as_step()
+        px, py = pairing(step, xstar), pairing(step, ystar)
+        checks[f"<x_{pos}, xstar>"] = check(px, "==", 1 - d)
+        checks[f"<x_{pos}, ystar>"] = check(py, "==", (1 - d) if pos % 2 == 0 else d - 1)
         rows.append((px, py))
+    require("dual segment", checks)
     return DualPair(xstar, ystar, tuple(rows))
 
 
@@ -338,9 +337,7 @@ def nonsmooth_pairings(family: SpikeFamily, pair: DualPair) -> NonsmoothReport:
         odd, even = 2 * i - 1, 2 * i
         a = pair.pairings[odd - 1][1]
         b = pair.pairings[even - 1][1]
-        gap = b - a
         want = 2 - family.deltas[even - 1] - family.deltas[odd - 1]
-        if gap != want:
-            raise RuntimeError("internal: nonsmooth pairing gap mismatch")
-        rows.append((i, a, b, gap))
+        require("nonsmooth pairings", {f"gap {i}": check(b - a, "==", want)})
+        rows.append((i, a, b, b - a))
     return NonsmoothReport(tuple(rows))

@@ -15,8 +15,11 @@ from fractions import Fraction
 from itertools import islice
 from typing import Optional, Sequence
 
+from .checks import check, require
 from .dyadic import (
+    MAX_LEVEL,
     DyadicStep,
+    LevelOverflowError,
     as_index,
     frac_str,
     integral_over,
@@ -71,8 +74,7 @@ def strong_extreme_failure(nbhd: WeakNbhd, eps) -> ExtremeFailureWitness:
     u = half * (rep.g1 - rep.g2)
     l1_u = norms(u).l1
     floor = (1 - rep.gamma) * norms(nbhd.center).l1
-    if l1_u < floor:
-        raise RuntimeError("internal: l1(u) fell below (1-gamma)*l1(f)")
+    require("extreme probe", {"l1_floor": check(l1_u, ">=", floor)})
     return ExtremeFailureWitness(center, u, rep.ball_sq, l1_u, floor, rep)
 
 
@@ -107,11 +109,14 @@ def perturbation_l1_chain(
 ) -> ChainReport:
     """Evaluate (l1(f+g) + l1(f-g))/2 >= l1(f) + int_A |g| - 2 int_A |f|.
 
-    A is a disjoint list of dyadic indices. The inequality holds for every
-    valid input (pointwise max(|f|,|g|) = (|f+g|+|f-g|)/2); a violation is a
-    library bug.
+    A is a disjoint list of dyadic indices of level <= MAX_LEVEL. The
+    inequality holds for every valid input (pointwise max(|f|,|g|) =
+    (|f+g|+|f-g|)/2); a violation is a library bug.
     """
     cells = [as_index(idx) for idx in A]
+    for k, _ in cells:
+        if k > MAX_LEVEL:
+            raise LevelOverflowError(f"cell level {k} exceeds cap {MAX_LEVEL}")
     for i in range(len(cells)):
         for j in range(i + 1, len(cells)):
             if cells[i].overlaps(cells[j]):
@@ -124,10 +129,8 @@ def perturbation_l1_chain(
     l1_f = norms(f).l1
     lhs = (l1_sum + l1_diff) / 2
     rhs = l1_f + int_a_g - 2 * int_a_f
-    ok = lhs >= rhs
-    if not ok:
-        raise RuntimeError("internal: perturbation chain inequality violated")
-    return ChainReport(lhs, rhs, l1_sum, l1_diff, int_a_g, int_a_f, l1_f, ok)
+    require("perturbation chain", {"chain": check(lhs, ">=", rhs)})
+    return ChainReport(lhs, rhs, l1_sum, l1_diff, int_a_g, int_a_f, l1_f, True)
 
 
 def weak_smallness(u: DyadicStep, depth: int) -> Fraction:
@@ -174,10 +177,8 @@ def slice_diameter_lb(
         except GapConditionError as exc:
             out.append(SliceEntry(eps, None, str(exc)))
             continue
-        gap = rep.gap_sq
-        if gap > 4:
-            raise RuntimeError("internal: squared slice gap exceeded 4")
-        out.append(SliceEntry(eps, gap))
+        require("slice probe", {"gap_sq": check(rep.gap_sq, "<=", 4)})
+        out.append(SliceEntry(eps, rep.gap_sq))
     return out
 
 

@@ -35,9 +35,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import gcd, lcm
-from operator import add, itemgetter, mul
+from operator import add, eq, itemgetter, mul, sub
 from typing import Sequence
 
+from .checks import Check, check, require
 from .dyadic import frac_str, to_frac
 
 
@@ -248,27 +249,29 @@ def ured_recursion(delta, eps: Sequence, steps: int) -> RecursionRun:
     xstars = tuple(range(2, steps + 2))
 
     run = RecursionRun(delta, tuple(eps[:steps]), z, tuple(xs), xstars, {})
-    z_plus, claims = _claims(run)
-    if not claims["ok"]:
-        raise RuntimeError("internal: recursion claims failed")
+    z_plus, report, claims = _claims(run)
+    require("recursion claims", claims)
     checks = {
-        "claim1": {"values": [frac_str(v) for v in z_plus], "ok": claims["claim1"]},
-        "claim2": {"ok": claims["claim2"]},
+        "claim1": {"values": [frac_str(v) for v in z_plus], "ok": report["claim1"]},
+        "claim2": {"ok": report["claim2"]},
     }
     run = replace(run, checks=checks)
-    object.__setattr__(run, "verified", claims)
+    object.__setattr__(run, "verified", report)
     return run
 
 
-def _claims(run: RecursionRun) -> tuple[list[Fraction], dict]:
-    """(||z + x_m|| for m = 0..steps, the claim report of verify_claim).
+def _claims(run: RecursionRun) -> tuple[list[Fraction], dict, dict[str, Check]]:
+    """(||z + x_m|| for m = 0..steps, the claim report of verify_claim, the
+    four claims as checks of their measured sides).
 
     One pass over the stored coordinates of `run`, in ints over one
     denominator D: every value of z, delta, eps and every x_m, the heights
     1 - eps_n/4 and z/2 are integer multiples of 1/D. Each x_m becomes one
     coordinate table, read once for ||z + x_m||, ||z/2 + x_m|| and
     ||2 x_m + z|| and for the norming equalities of all n <= m; "for all
-    m >= n" in (ii) is a suffix minimum.
+    m >= n" in (ii) is a suffix minimum. The checks measure max ||z + x_m||,
+    the failed norming conditions, the least slack of (ii) and the largest
+    deviation from (iii).
     """
     n_steps = run.steps
     z, xs, xstars = run.z, run.xs, run.xstars
@@ -283,7 +286,7 @@ def _claims(run: RecursionRun) -> tuple[list[Fraction], dict]:
     heights = [D - e // 4 for e in E]
 
     z_plus, half_z, doubled = [], [], []
-    claim2 = True
+    unnormed = 0
     for m, x in enumerate(xs):
         table = dict(zip(x.idx, map(mul, x.nums, repeat(D // x.den))))
         # off the support of z only x counts
@@ -292,23 +295,25 @@ def _claims(run: RecursionRun) -> tuple[list[Fraction], dict]:
         z_plus.append(max([rest, *map(abs, map(add, Z, shared))]))
         half_z.append(max([rest, *map(abs, map(add, half_Z, shared))]))
         doubled.append(max([2 * rest, *map(abs, map(add, Z, map(mul, shared, repeat(2))))]))
-        if m and claim2:  # x_m is normed by x*_n at height h_n for every n <= m
-            claim2 = list(map(table.get, xstars[:m], repeat(0))) == heights[:m]
+        # x_m is normed by x*_n at height h_n for every n <= m
+        normed, want = list(map(table.get, xstars[:m], repeat(0))), heights[:m]
+        if normed != want:
+            unnormed += m - sum(map(eq, normed, want))
 
-    claim1 = all(v < D for v in z_plus)
-    claim2 = claim2 and all(h > D - e for h, e in zip(heights, E))
+    unnormed += sum(h <= D - e for h, e in zip(heights, E))
     suffix_min = list(accumulate(reversed(half_z[1:]), min))[::-1]
-    halfway = all(s >= D - e for s, e in zip(suffix_min, E))
-    doubled_ok = doubled[0] == D - dn * (D // dd) and all(
-        d == 2 * h for d, h in zip(doubled[1:], heights)
-    )
-    return [Fraction(v, D) for v in z_plus], {
-        "claim1": claim1,
-        "claim2": claim2,
-        "half_z_norming": halfway,
-        "doubled_norm": {"values": [_ratio_str(v, D) for v in doubled], "ok": doubled_ok},
-        "ok": claim1 and claim2 and halfway and doubled_ok,
+    slack = min((s - D + e for s, e in zip(suffix_min, E)), default=0)
+    exact = [D - dn * (D // dd), *(2 * h for h in heights)]
+    checks = {
+        "claim1": check(Fraction(max(z_plus), D), "<", 1),
+        "claim2": check(unnormed, "==", 0),
+        "half_z_norming": check(Fraction(slack, D), ">=", 0),
+        "doubled_norm": check(Fraction(max(map(abs, map(sub, doubled, exact))), D), "==", 0),
     }
+    report = {name: c.ok for name, c in checks.items()}
+    report["doubled_norm"] = {"values": [_ratio_str(v, D) for v in doubled], "ok": report["doubled_norm"]}
+    report["ok"] = all(c.ok for c in checks.values())
+    return [Fraction(v, D) for v in z_plus], report, checks
 
 
 def verify_claim(run: RecursionRun) -> dict:
@@ -322,9 +327,8 @@ def verify_claim(run: RecursionRun) -> dict:
     one pass whose cost is linear in the stored coordinates: O(steps**2),
     since x_n has n of them.
     """
-    report = _claims(run)[1]
-    if not report["ok"]:
-        raise RuntimeError("internal: claim verification failed")
+    report, checks = _claims(run)[1:]
+    require("claim verification", checks)
     return report
 
 
@@ -340,13 +344,12 @@ def segment_check(run: RecursionRun, t_grid: Sequence, N: int) -> dict:
         if not 0 <= t <= 1:
             raise ValueError(f"grid points must lie in [0, 1], got {t}")
     floor = 1 - run.eps[N - 1] / 4
-    rows = []
-    ok = True
+    rows, checks = [], {}
     for t in ts:
         val = (t * run.z + run.xs[N]).sup_norm()
-        row_ok = floor <= val < 1
-        ok = ok and row_ok
-        rows.append({"t": frac_str(t), "sup_norm": frac_str(val), "ok": row_ok})
-    if not ok:
-        raise RuntimeError("internal: segment check failed")
-    return {"N": N, "floor": frac_str(floor), "rows": rows, "ok": ok}
+        at = frac_str(t)
+        low = checks[f"floor at t={at}"] = check(val, ">=", floor)
+        high = checks[f"ball at t={at}"] = check(val, "<", 1)
+        rows.append({"t": at, "sup_norm": frac_str(val), "ok": low.ok and high.ok})
+    require("segment check", checks)
+    return {"N": N, "floor": frac_str(floor), "rows": rows, "ok": True}

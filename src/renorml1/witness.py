@@ -16,7 +16,7 @@ exactly far apart:
 
 Everything here is verified exactly on every run; the named checks are part
 of the report. A failed *input* condition raises GapConditionError; a failed
-*theorem* would be a library bug and raises RuntimeError.
+*theorem* would be a library bug and raises RuntimeError (`checks.require`).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from itertools import islice
 from math import lcm
 from typing import Optional, Sequence
 
+from .checks import Check, check, require
 from .dyadic import (
     MAX_LEVEL,
     DyadicStep,
@@ -71,34 +72,16 @@ class WeakNbhd:
                 raise ValueError(f"functional {i} has linf > 1")
 
     def contains(self, g: DyadicStep) -> bool:
-        return all(
-            abs(pairing(g, h) - pairing(self.center, h)) < self.delta
-            for h in self.functionals
-        )
+        return self.deviation(g) < self.delta
 
-
-@dataclass(frozen=True)
-class Check:
-    """One exactly evaluated (in)equality; `relation` relates lhs to rhs."""
-
-    lhs: Fraction
-    rhs: Fraction
-    relation: str  # "==", "<", "<=", ">"
-    ok: bool
-
-    def to_json(self) -> dict:
-        return {"lhs": frac_str(self.lhs), "rhs": frac_str(self.rhs), "ok": self.ok}
-
-
-def _check(lhs: Fraction, relation: str, rhs: Fraction) -> Check:
-    ok = {
-        "==": lhs == rhs,
-        "<": lhs < rhs,
-        "<=": lhs <= rhs,
-        ">": lhs > rhs,
-        ">=": lhs >= rhs,
-    }[relation]
-    return Check(lhs, rhs, relation, ok)
+    def deviation(self, *gs: DyadicStep) -> Fraction:
+        """max over l and the given g of |<g, h_l> - <f, h_l>|, pairing f
+        with each functional once; 0 without functionals."""
+        worst = Fraction(0)
+        for h in self.functionals:
+            fh = pairing(self.center, h)
+            worst = max([worst, *(abs(pairing(g, h) - fh) for g in gs)])
+        return worst
 
 
 @dataclass(frozen=True)
@@ -282,11 +265,9 @@ def _verify_split(f: DyadicStep, K: int, f1: DyadicStep, f2: DyadicStep) -> dict
         if any(dev.values()):
             shown = ", ".join(f"{name}={frac_str(Fraction(d, D))}" for name, d in dev.items())
             raise RuntimeError(f"internal: split identity failed at level {k} ({shown})")
-    checks = {name: _check(Fraction(d, D), "==", Fraction(0)) for name, d in dev.items()}
-    checks["linf4x"] = _check(max(norms(f1).linf, norms(f2).linf), "<=", 4 * norms(f).linf)
-    if not checks["linf4x"].ok:
-        raise RuntimeError("internal: linf(f_i) <= 4 linf(f) failed")
-    return checks
+    checks = {name: check(Fraction(d, D), "==", Fraction(0)) for name, d in dev.items()}
+    checks["linf4x"] = check(max(norms(f1).linf, norms(f2).linf), "<=", 4 * norms(f).linf)
+    return require("split check", checks)
 
 
 def d2p_witness(nbhd: WeakNbhd, eps) -> WitnessReport:
@@ -329,24 +310,13 @@ def d2p_witness(nbhd: WeakNbhd, eps) -> WitnessReport:
     g2 = shrink * sp.f2
 
     checks = dict(sp.checks)
-    worst = zero = Fraction(0)
-    # |<g - f, h>| as <g, h> - <f, h>: the same Fraction by bilinearity,
-    # without a dense g - f per functional and per g
-    for h in nbhd.functionals:
-        fh = pairing(f, h)
-        for g in (g1, g2):
-            worst = max(worst, abs(pairing(g, h) - fh))
-    checks["pairing_l"] = _check(worst, "<", nbhd.delta)
+    checks["pairing_l"] = check(nbhd.deviation(g1, g2), "<", nbhd.delta)
     ball_sq = (tnorm_sq(g1), tnorm_sq(g2))
-    checks["ball"] = _check(max(ball_sq), "<", Fraction(1))
+    checks["ball"] = check(max(ball_sq), "<", Fraction(1))
     gap = tnorm_sq_diff(g1, g2)
-    if gap < guaranteed:
-        raise RuntimeError("internal: exact gap fell below the guaranteed bound")
-    checks["gap"] = _check(gap, ">", target) if eps < 2 else _check(gap, ">=", zero)
-
-    if not all(chk.ok for chk in checks.values()):
-        bad = [name for name, chk in checks.items() if not chk.ok]
-        raise RuntimeError(f"internal: witness checks failed: {bad}")
+    checks["gap"] = check(gap, ">" if eps < 2 else ">=", target)
+    # the guaranteed bound is verified but not reported
+    require("witness", {"guaranteed_gap": check(gap, ">=", guaranteed), **checks})
     return WitnessReport(
         gamma=gamma,
         K=K,

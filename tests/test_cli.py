@@ -327,8 +327,14 @@ class TestArgumentSchema:
         ("norm",): {"--input", "--out", "--float-digits"},
         ("split",): {"--input", "--out", "--level"},
         ("witness",): {"--input", "--out", "--eps"},
-        ("probe", "strict"): {"--input", "--out", "--eps", "--float-digits"},
-        ("ell1", "greedy"): {"--input", "--out", "--level"},
+        ("probe", "strict"): {"--input", "--out"},
+        ("probe", "midpoint"): {"--input", "--out", "--float-digits"},
+        ("probe", "extreme"): {"--input", "--out", "--eps"},
+        ("probe", "chain"): {"--input", "--out"},
+        ("probe", "slice"): {"--input", "--out", "--eps", "--float-digits"},
+        ("ell1", "greedy"): {"--input", "--out"},
+        ("ell1", "spikes"): {"--input", "--out", "--level"},
+        ("ell1", "dual"): {"--input", "--out", "--level"},
         ("ured",): {"--delta", "--eps", "--out"},
         ("selftest",): {"--seed", "--trials", "--out"},
     }
@@ -343,6 +349,18 @@ class TestArgumentSchema:
                 parser.parse_args([*command, *own, flag, self.FLAGS[flag]])
             assert exc.value.code == 2
             assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(["split", "--input", "f.json"], "--level"), (["ell1", "spikes", "--input", "fam.json"], "--level"),
+         (["ell1", "dual", "--input", "fam.json"], "--level"), (["ured", "--eps", "1/2"], "--delta")],
+    )
+    def test_missing_required_flag_exits_2(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"required: {flag}" in err and "Traceback" not in err
 
     def test_main_builds_its_parser_once(self, tmp_path, monkeypatch):
         built = []

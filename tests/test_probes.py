@@ -17,7 +17,8 @@ from renorml1 import (
     tnorm_sq,
     weak_smallness,
 )
-from renorml1.dyadic import DyadicIndex, integral_over
+from renorml1 import probes
+from renorml1.dyadic import MAX_LEVEL, DyadicIndex, LevelOverflowError, integral_over
 from renorml1.gen import rademacher
 from renorml1.probes import slice_csv
 from conftest import mk, steps
@@ -110,6 +111,15 @@ class TestPerturbationChain:
     def test_overlap_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
             perturbation_l1_chain(mk(0, 1), mk(0, 1), [(1, 1), (2, 2)])
+
+    def test_cell_above_the_cap_raises_before_integrating(self, monkeypatch):
+        # a level-10**10 integral would need a 10**10-bit denominator (1.25 GB)
+        monkeypatch.setattr(probes, "integral_over", lambda f, idx: pytest.fail("integrated"))
+        f = mk(0, 1)
+        with pytest.raises(LevelOverflowError, match=f"cell level {10**10} exceeds cap {MAX_LEVEL}"):
+            perturbation_l1_chain(f, f, [(10**10, 1)])
+        with pytest.raises(LevelOverflowError):
+            perturbation_l1_chain(f, f, [(0, 1), (MAX_LEVEL + 1, 1)])
 
     @given(steps(max_level=3), steps(max_level=3), st.data())
     @settings(max_examples=60)

@@ -323,8 +323,13 @@ class TestVerifyClaim:
     @given(reshaped_runs())
     @settings(max_examples=200)
     def test_reshaped_run_matches_both_oracles(self, run):
-        z_plus, report = _claims(run)
+        z_plus, report, checks = _claims(run)
         assert report == oracle_verify(run)
+        # the report renders the ok of each claim's Check; claim1 measures the largest norm
+        shown = {**report, "doubled_norm": report["doubled_norm"]["ok"]}
+        assert {name: c.ok for name, c in checks.items()} == {n: shown[n] for n in checks}
+        assert report["ok"] == all(shown[n] for n in checks)
+        assert checks["claim1"].lhs == max(z_plus)
         claim1 = oracle_checks(run)["claim1"]
         assert [frac_str(v) for v in z_plus] == claim1["values"]
         assert report["claim1"] == claim1["ok"]

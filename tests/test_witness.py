@@ -255,6 +255,29 @@ class TestPairingCheck:
         assert rep.checks["pairing_l"].lhs == old_pairing_l(nbhd, rep)
         assert nbhd.contains(rep.g1) and nbhd.contains(rep.g2)
 
+    def test_deviation_pairs_the_center_once_per_functional(self, monkeypatch):
+        from renorml1 import witness
+
+        center = mk(1, 0, Fraction(1, 2))
+        nbhd = WeakNbhd(center, (mk(0, 1), mk(1, 1, -1)), Fraction(1, 4))
+        g1, g2 = center + mk(0, Fraction(1, 5)), center + mk(1, Fraction(1, 3), 0)
+        calls = []
+        monkeypatch.setattr(witness, "pairing", lambda f, h: calls.append(f) or pairing(f, h))
+        # <g1 - f, h_l> is 1/5 and 0, <g2 - f, h_l> is 1/6 for both functionals
+        assert nbhd.deviation(g1, g2) == Fraction(1, 5)
+        assert [f is center for f in calls] == [True, False, False] * 2
+        assert nbhd.deviation() == 0 and WeakNbhd(center, (), 1).deviation(g1) == 0
+
+    def test_witness_pairs_three_times_per_functional(self, monkeypatch):
+        from renorml1 import witness
+
+        nbhd = WeakNbhd(near_unit_scale(mk(0, 1), Fraction(1, 10**4)), (mk(0, 1), mk(1, 1, 0)), Fraction(1, 10))
+        calls = []
+        monkeypatch.setattr(witness, "pairing", lambda f, h: calls.append(h) or pairing(f, h))
+        rep = d2p_witness(nbhd, Fraction(1, 5))
+        assert len(calls) == 3 * len(nbhd.functionals)
+        assert rep.checks["pairing_l"].lhs == old_pairing_l(nbhd, rep)
+
     def test_contains_is_strict_at_the_boundary(self):
         center = mk(1, 0, Fraction(1, 2))
         nbhd = WeakNbhd(center, (mk(0, 1), mk(1, 1, -1)), Fraction(1, 4))
