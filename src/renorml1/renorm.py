@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from operator import mul
-from typing import Optional
+from typing import Optional, Sequence
 
 from .dyadic import (
     DyadicStep,
@@ -74,9 +74,17 @@ def tnorm_sq_diff(f: DyadicStep, g: DyadicStep) -> Fraction:
 def _tnorm_sq(K: int, D: int, masses: list[int]) -> Fraction:
     """T(f)**2 of a level-K step f from D times the masses of |f| on the
     level-K cells."""
-    B, S = _mass_series(K, masses, K)
+    return tnorm_sq_from_squares(K, D, [sum(map(mul, ms, ms)) for ms in mass_levels(masses)])
+
+
+def tnorm_sq_from_squares(K: int, D: int, squares: Sequence[int]) -> Fraction:
+    """T(f)**2 of a level-K step f from squares[i] = D**2 * sum_j s(f, K - i, j)**2,
+    i = 0..K: the sums of squares of the int masses of |f| over D, level by
+    level in `mass_levels` order."""
+    # level K - i weighs 4**i against level K; the tail closes at level K
+    B = sum(sq << 2 * i for i, sq in enumerate(squares) if i)
     # below + (8/7) * top / 4**K over the denominator 7 * D**2 * 4**K
-    return Fraction(7 * B + 8 * S, 7 * D * D << 2 * K)
+    return Fraction(7 * B + 8 * squares[0], 7 * D * D << 2 * K)
 
 
 def partial_below(f: DyadicStep, T: int) -> Fraction:
@@ -255,7 +263,15 @@ def dual_norm_estimate(
     per-cell integrals of |h|. Every accepted iterate strictly improves the
     exact ratio; iteration stops once the relative improvement drops below
     `tol` or `max_iter` is hit (flagged through `converged`).
+
+    L must be at least level(h); a smaller L raises ValueError naming both
+    levels. At L >= level(h) the level-L supremum is the full dual norm of h:
+    the conditional expectation onto the level-L cells keeps <f, h> and does
+    not increase T(f) (Jensen on the cells of level <= L, Cauchy-Schwarz on
+    the finer ones), so restricting f to level L loses nothing.
     """
+    if L < h.level:
+        raise ValueError(f"dual-norm level L = {L} is below the level {h.level} of h")
     tol = to_frac(tol)
     hL = dyadic_project(h, L)
     c = [abs(v) / (1 << L) for v in hL.values]  # |<e_i, h>| for unit cell values

@@ -15,22 +15,31 @@ exactly far apart:
     T(g1 - g2)**2 >= 4 (1-gamma)**2 (T(f)**2 - 2**-K) > (2 - eps)**2.
 
 Everything here is verified exactly on every run; the named checks are part
-of the report. A failed *input* condition raises GapConditionError; a failed
-*theorem* would be a library bug and raises RuntimeError (`checks.require`).
+of the report. The split check folds each level-(K+2) mass stream (f1, f2,
+|f1|, |f2| and |f1 - f2|) once, down to level 0, and the witness reads every
+other check off those folds: since g_i is exactly (1 - gamma) * f_i,
+T(g_i)**2 and T(g1 - g2)**2 are (1 - gamma)**2 times the squared norms the
+folds sum, and <g_i, h_l> is (1 - gamma) times f_i's masses at level(h_l)
+dotted with h_l's numerators. Each is an exact value measured on the
+reported f1 and f2. A failed *input* condition raises GapConditionError; a
+failed *theorem* would be a library bug and raises RuntimeError
+(`checks.require`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
-from math import lcm
-from typing import Optional, Sequence
+from itertools import chain, islice, repeat
+from math import gcd, lcm
+from operator import mul
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .checks import Check, check, require
 from .dyadic import (
     MAX_LEVEL,
     DyadicStep,
+    _new,
     abs_diff_masses,
     LevelOverflowError,
     frac_str,
@@ -42,7 +51,7 @@ from .dyadic import (
     step_to_json,
     to_frac,
 )
-from .renorm import tnorm_sq, tnorm_sq_diff
+from .renorm import tnorm_sq, tnorm_sq_from_squares
 
 
 class GapConditionError(ValueError):
@@ -77,10 +86,16 @@ class WeakNbhd:
     def deviation(self, *gs: DyadicStep) -> Fraction:
         """max over l and the given g of |<g, h_l> - <f, h_l>|, pairing f
         with each functional once; 0 without functionals."""
+        return self.deviation_of(lambda h: [pairing(g, h) for g in gs])
+
+    def deviation_of(self, brackets: Callable[[DyadicStep], Iterable[Fraction]]) -> Fraction:
+        """max over l of |x - <f, h_l>| for every x in brackets(h_l), the
+        brackets <g, h_l> of some functions g already known; 0 without
+        functionals."""
         worst = Fraction(0)
         for h in self.functionals:
             fh = pairing(self.center, h)
-            worst = max([worst, *(abs(pairing(g, h) - fh) for g in gs)])
+            worst = max([worst, *(abs(x - fh) for x in brackets(h))])
         return worst
 
 
@@ -92,6 +107,9 @@ class SplitPair:
     f1 carries them on quarters 4j-3 / 4j-2 of that cell, f2 on 4j-1 / 4j.
     `checks` holds what the split check measured: the largest deviation from
     each identity (5)-(7) over the cells of level <= K, and max linf(f_i).
+    `tnorm_sq` holds T(f1)**2, T(f2)**2 and T(f1 - f2)**2, and `cell_masses` the
+    masses of f1 and f2 on the cells of every level <= K, both read off the
+    split check's one fold of each mass stream of f1 and f2.
     """
 
     K: int
@@ -100,10 +118,22 @@ class SplitPair:
     f1: DyadicStep
     f2: DyadicStep
     checks: dict[str, Check]
+    tnorm_sq: tuple[Fraction, Fraction, Fraction]
+    #: (D, levels): levels[k] holds D times the masses of f1 and of f2 on the
+    #: level-k cells, k = 0..K
+    cell_masses: tuple[int, tuple[tuple[list[int], list[int]], ...]] = field(repr=False, compare=False)
 
     #: (b, c) as the level-K steps `split_pair` built, whose kept numerators
     #: render each distinct mass once; None for a pair built otherwise
     _masses = None
+
+    def pairings(self, h: DyadicStep) -> tuple[Fraction, Fraction]:
+        """(<f1, h>, <f2, h>) for a functional h of level <= K: the masses of
+        f1 and f2 at level(h) dotted with h's numerators."""
+        if h.level > self.K:
+            raise ValueError(f"functional level {h.level} exceeds the split's K = {self.K}")
+        D, levels = self.cell_masses
+        return tuple(Fraction(sum(map(mul, ms, h.nums)), D * h.den) for ms in levels[h.level])
 
     def to_json(self) -> dict:
         if self._masses is None:
@@ -206,27 +236,33 @@ def split_pair(f: DyadicStep, K: int) -> SplitPair:
         raise LevelOverflowError(f"split level {K}+2 exceeds cap {MAX_LEVEL}")
     # pos[j] / D and neg[j] / D are the masses of |f| + f and |f| - f (twice
     # f's positive and negative parts) on the level-K cell j
-    D, m, a = _level_K_masses(f, K)
+    fK = _level_K_masses(f, K)
+    D, m, a = fK
     pos = [x + y for x, y in zip(a, m)]
     neg = [x - y for x, y in zip(a, m)]
     b, c = (from_lattice(K, ms, 2 * D) for ms in (pos, neg))
 
-    # heights 2**(K+2) * b[j] and -2**(K+2) * c[j], over the denominator D
-    heights = [(p << K + 1, -q << K + 1) for p, q in zip(pos, neg)]
-    f1 = from_lattice(K + 2, [x for hq in heights for x in (*hq, 0, 0)], D)
-    f2 = from_lattice(K + 2, [x for hq in heights for x in (0, 0, *hq)], D)
+    # heights 2**(K+2) * b[j] and -2**(K+2) * c[j] over D, reduced once on
+    # the level-K lists and then laid out on the quarters of cell j
+    g = gcd(D, gcd(*pos, *neg) << K + 1)
+    up = [(p << K + 1) // g for p in pos]
+    down = [-((q << K + 1) // g) for q in neg]
+    zeros = repeat(0)
+    f1 = _new(K + 2, tuple(chain.from_iterable(zip(up, down, zeros, zeros))), D // g)
+    f2 = _new(K + 2, tuple(chain.from_iterable(zip(zeros, zeros, up, down))), D // g)
 
-    sp = SplitPair(K, b.values, c.values, f1, f2, _verify_split(f, K, f1, f2))
+    sp = SplitPair(K, b.values, c.values, f1, f2, *_verify_split(f, K, fK, f1, f2))
     object.__setattr__(sp, "_masses", (b, c))
     return sp
 
 
-def _level_K_masses(f: DyadicStep, K: int) -> tuple[int, Sequence[int], list[int]]:
+def _level_K_masses(f: DyadicStep, K: int) -> tuple[int, list[int], list[int]]:
     """(D, m, a): D times the masses of f and |f| on the level-K cells, from
-    one read of f's numerators at level max(K, level(f))."""
+    one read of f's numerators at level max(K, level(f)); lists, like every
+    folded level they are compared with."""
     L = max(f.level, K)
     nums, den = lattice(f, L)
-    m, a = (next(islice(mass_levels(ms), L - K, None)) for ms in (nums, list(map(abs, nums))))
+    m, a = (list(next(islice(mass_levels(ms), L - K, None))) for ms in (nums, list(map(abs, nums))))
     return den << L, m, a
 
 
@@ -235,39 +271,62 @@ def _max_dev(ms: list[int], ref: list[int]) -> int:
     return 0 if ms == ref else max(abs(m - r) for m, r in zip(ms, ref))
 
 
-def _verify_split(f: DyadicStep, K: int, f1: DyadicStep, f2: DyadicStep) -> dict[str, Check]:
-    """Measure (5)-(7) on every cell of level <= K for f1, f2 of level K+2.
+class _Verified(NamedTuple):
+    """What `_verify_split` measured: the split checks, and the norms and
+    masses read off the same folds (the last two fields of a SplitPair)."""
 
-    The seven mass streams are compared as int numerators over the lcm D of
-    their denominators; the deviations are reported as exact Fractions.
-    The masses of f1 - f2 come from the lattices of f1 and f2
-    (`abs_diff_masses`), not from a built step."""
-    Df, mf, af = _level_K_masses(f, K)
+    checks: dict[str, Check]
+    tnorm_sq: tuple[Fraction, Fraction, Fraction]
+    cell_masses: tuple[int, tuple[tuple[list[int], list[int]], ...]]
+
+
+def _verify_split(f: DyadicStep, K: int, fK: tuple, f1: DyadicStep, f2: DyadicStep) -> _Verified:
+    """Measure (5)-(7) on every cell of level <= K for f1, f2 of level >= K+2,
+    given f's level-K masses fK = `_level_K_masses(f, K)`.
+
+    The mass streams of f1, f2, |f1|, |f2| and |f1 - f2| are each folded
+    once, from their common level L down to level 0. On the levels <= K they
+    are compared with f's as int numerators over the lcm D of all
+    denominators; the deviations are reported as exact Fractions. The same
+    folds give T(f1)**2, T(f2)**2 and T(f1 - f2)**2 from the level sums of
+    squares of the three absolute streams, and the masses of f1 and f2 on
+    every level <= K. The masses of f1 - f2 come from the lattices of f1 and
+    f2 (`abs_diff_masses`), not from a built step."""
+    Df, mf, af = fK
     L = max(f1.level, f2.level)
     (n1, d1), (n2, d2) = lattice(f1, L), lattice(f2, L)
     streams = [
-        (K, Df, mf), (L, d1 << L, n1), (L, d2 << L, n2),
-        (K, Df, af), (L, d1 << L, list(map(abs, n1))),
-        (L, d2 << L, list(map(abs, n2))), abs_diff_masses(f1, f2),
+        (d1 << L, n1), (d2 << L, n2), (d1 << L, list(map(abs, n1))),
+        (d2 << L, list(map(abs, n2))), abs_diff_masses(f1, f2)[1:],
     ]
-    D = lcm(*(d for _, d, _ in streams))
+    D = lcm(Df, *(d for d, _ in streams))
 
-    def from_K(level: int, d: int, masses):
+    def to_D(d: int, ms):
         s = D // d
-        for ms in islice(mass_levels(masses), level - K, None):
-            yield ms if s == 1 else [x * s for x in ms]
+        return ms if s == 1 else [x * s for x in ms]
 
+    squares = ([], [], [])
+    kept = []
+    below_K = zip(mass_levels(mf), mass_levels(af))
     dev = dict.fromkeys(("id5", "id6", "id7"), 0)
-    for k, m, m1, m2, a, a1, a2, ad in zip(range(K, -1, -1), *(from_K(*st) for st in streams)):
+    for k, levels in zip(range(L, -1, -1), zip(*(mass_levels(ms) for _, ms in streams))):
+        for sq, ms in zip(squares, levels[2:]):
+            sq.append(sum(map(mul, ms, ms)))
+        if k > K:
+            continue
+        m1, m2, a1, a2, ad = (to_D(d, ms) for (d, _), ms in zip(streams, levels))
+        m, a = (to_D(Df, ms) for ms in next(below_K))
         dev["id5"] = max(dev["id5"], _max_dev(m1, m), _max_dev(m2, m))
         dev["id6"] = max(dev["id6"], _max_dev(a1, a), _max_dev(a2, a))
         dev["id7"] = max(dev["id7"], _max_dev(ad, [2 * x for x in a]))
         if any(dev.values()):
             shown = ", ".join(f"{name}={frac_str(Fraction(d, D))}" for name, d in dev.items())
             raise RuntimeError(f"internal: split identity failed at level {k} ({shown})")
+        kept.append((m1, m2))
     checks = {name: check(Fraction(d, D), "==", Fraction(0)) for name, d in dev.items()}
     checks["linf4x"] = check(max(norms(f1).linf, norms(f2).linf), "<=", 4 * norms(f).linf)
-    return require("split check", checks)
+    norms_sq = tuple(tnorm_sq_from_squares(L, d, sq) for (d, _), sq in zip(streams[2:], squares))
+    return _Verified(require("split check", checks), norms_sq, (D, tuple(reversed(kept))))
 
 
 def d2p_witness(nbhd: WeakNbhd, eps) -> WitnessReport:
@@ -309,11 +368,15 @@ def d2p_witness(nbhd: WeakNbhd, eps) -> WitnessReport:
     g1 = shrink * sp.f1
     g2 = shrink * sp.f2
 
+    # g_i = (1 - gamma) * f_i exactly, so every bracket scales by 1 - gamma
+    # and every squared norm by its square
     checks = dict(sp.checks)
-    checks["pairing_l"] = check(nbhd.deviation(g1, g2), "<", nbhd.delta)
-    ball_sq = (tnorm_sq(g1), tnorm_sq(g2))
+    checks["pairing_l"] = check(
+        nbhd.deviation_of(lambda h: [shrink * x for x in sp.pairings(h)]), "<", nbhd.delta
+    )
+    t1, t2, t12 = (shrink * shrink * t for t in sp.tnorm_sq)
+    ball_sq, gap = (t1, t2), t12
     checks["ball"] = check(max(ball_sq), "<", Fraction(1))
-    gap = tnorm_sq_diff(g1, g2)
     checks["gap"] = check(gap, ">" if eps < 2 else ">=", target)
     # the guaranteed bound is verified but not reported
     require("witness", {"guaranteed_gap": check(gap, ">=", guaranteed), **checks})

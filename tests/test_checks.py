@@ -123,7 +123,13 @@ class TestForcedFailures:
     def test_witness_guaranteed_gap(self, monkeypatch):
         nbhd = unit_nbhd()
         guaranteed = d2p_witness(nbhd, Fraction(1, 5)).guaranteed_gap_sq
-        monkeypatch.setattr(witness, "tnorm_sq_diff", lambda f, g: Fraction(0))
+        real = witness.split_pair
+
+        def no_gap(f, K):  # the split check's fold of |f1 - f2| read as 0
+            sp = real(f, K)
+            return replace(sp, tnorm_sq=(*sp.tnorm_sq[:2], Fraction(0)))
+
+        monkeypatch.setattr(witness, "split_pair", no_gap)
         with raises_internal(f"internal: witness failed: guaranteed_gap (0/1 >= {frac_str(guaranteed)})"):
             d2p_witness(nbhd, Fraction(1, 5))
 

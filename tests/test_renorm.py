@@ -185,6 +185,12 @@ class TestDualNormEstimate:
         v = est.maximizer.values
         assert v[0] == -v[1] and v[0] > 0
 
+    def test_level_below_the_functional_rejected(self):
+        h = mk(2, 1, Fraction(1, 3), 0, Fraction(-2, 5))
+        with pytest.raises(ValueError, match="dual-norm level L = 1 is below the level 2 of h"):
+            dual_norm_estimate(h, 1)
+        assert dual_norm_estimate(h, 2).lower_sq > 0
+
     def test_certificate_is_exact(self):
         h = mk(2, 1, Fraction(1, 3), 0, Fraction(-2, 5))
         est = dual_norm_estimate(h, 2)

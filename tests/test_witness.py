@@ -21,7 +21,7 @@ from renorml1 import (
 )
 from renorml1.dyadic import DyadicIndex, abs_diff_masses, indicator, integral_over, lattice, refine
 from renorml1.renorm import tnorm_sq_diff
-from renorml1.witness import _verify_split
+from renorml1.witness import _level_K_masses, _verify_split
 from conftest import mk, steps
 
 
@@ -76,6 +76,13 @@ class TestSplitPair:
         sp = split_pair(DyadicStep.zero(1), 2)
         assert sp.f1.is_zero() and sp.f2.is_zero()
 
+    def test_pairings_read_the_split_masses(self):
+        sp = split_pair(mk(1, 1, -1), 1)
+        for h in (mk(0, 1), mk(1, 1, Fraction(1, 2))):
+            assert sp.pairings(h) == (pairing(sp.f1, h), pairing(sp.f2, h))
+        with pytest.raises(ValueError, match="functional level 2 exceeds the split's K = 1"):
+            sp.pairings(mk(2, 1, 0, 0, 1))
+
     @given(steps(max_level=3), st.integers(min_value=0, max_value=4))
     @settings(max_examples=50)
     def test_identities_every_cell(self, f, K):
@@ -115,6 +122,11 @@ class TestSplitPair:
         assert tnorm_sq(sp.f1 - sp.f2) >= 4 * (tnorm_sq(f) - two_K)
 
 
+def verify_split(f, K, f1, f2):
+    """The split check of f1, f2 against the center f at level K."""
+    return _verify_split(f, K, _level_K_masses(f, K), f1, f2)
+
+
 class TestSplitCheck:
     F = mk(2, 1, Fraction(-1, 2), 3, 0)
 
@@ -123,14 +135,14 @@ class TestSplitCheck:
         assert [sp.checks[name].lhs for name in ("id5", "id6", "id7")] == [0, 0, 0]
         assert sp.checks["linf4x"].lhs == max(norms(sp.f1).linf, norms(sp.f2).linf)
         assert all(chk.ok for chk in sp.checks.values())
-        assert _verify_split(self.F, 3, sp.f1, sp.f2) == sp.checks
+        assert verify_split(self.F, 3, sp.f1, sp.f2).checks == sp.checks
 
     def test_wrong_f2_raises(self):
         sp = split_pair(self.F, 3)
         # extra mass 1/224 on a cell where f2 vanishes and f1 = 4
         wrong = sp.f2 + indicator((5, 1), Fraction(1, 7))
         with pytest.raises(RuntimeError, match="id5=1/224, id6=1/224, id7=1/224"):
-            _verify_split(self.F, 3, sp.f1, wrong)
+            verify_split(self.F, 3, sp.f1, wrong)
 
     def test_wrong_f2_over_other_denominators(self):
         # values over 3 and 5: the center's lattice denominator is 15, that of
@@ -144,14 +156,14 @@ class TestSplitCheck:
         wrong = sp.f2 + indicator((3, 3), Fraction(-6, 7))
         assert lattice(wrong)[1] == 210
         with pytest.raises(RuntimeError, match=r"level 1 \(id5=3/28, id6=1/840, id7=1/840\)"):
-            _verify_split(center, 1, sp.f1, wrong)
+            verify_split(center, 1, sp.f1, wrong)
 
     def test_f2_equal_to_f1_fails_only_id7(self):
         # f1 - f1 = 0 has none of the doubled mass 2 |f| that id7 asks for,
         # while f1 alone matches f on (5) and (6)
         sp = split_pair(self.F, 3)
         with pytest.raises(RuntimeError, match=r"level 3 \(id5=0/1, id6=0/1, id7=3/4\)"):
-            _verify_split(self.F, 3, sp.f1, sp.f1)
+            verify_split(self.F, 3, sp.f1, sp.f1)
 
     def test_witness_reports_the_measured_checks(self):
         center = near_unit_scale(self.F, Fraction(1, 10**4))
@@ -268,14 +280,15 @@ class TestPairingCheck:
         assert [f is center for f in calls] == [True, False, False] * 2
         assert nbhd.deviation() == 0 and WeakNbhd(center, (), 1).deviation(g1) == 0
 
-    def test_witness_pairs_three_times_per_functional(self, monkeypatch):
+    def test_witness_pairs_the_center_once_per_functional(self, monkeypatch):
+        # <g_i, h> comes from the split check's masses of f_i; only <f, h> is paired
         from renorml1 import witness
 
         nbhd = WeakNbhd(near_unit_scale(mk(0, 1), Fraction(1, 10**4)), (mk(0, 1), mk(1, 1, 0)), Fraction(1, 10))
         calls = []
-        monkeypatch.setattr(witness, "pairing", lambda f, h: calls.append(h) or pairing(f, h))
+        monkeypatch.setattr(witness, "pairing", lambda f, h: calls.append((f, h)) or pairing(f, h))
         rep = d2p_witness(nbhd, Fraction(1, 5))
-        assert len(calls) == 3 * len(nbhd.functionals)
+        assert [(f is nbhd.center, h) for f, h in calls] == [(True, h) for h in nbhd.functionals]
         assert rep.checks["pairing_l"].lhs == old_pairing_l(nbhd, rep)
 
     def test_contains_is_strict_at_the_boundary(self):
@@ -350,9 +363,50 @@ class TestWitness:
             assert chk["ok"] is True
 
 
+class TestWitnessFromFolds:
+    """The witness reads ball, gap and pairing_l off the split check's one
+    fold of each level-(K+2) mass stream; the dense functions on g1 and g2
+    are the oracle."""
+
+    @given(
+        steps(max_level=3),
+        st.lists(steps(max_level=6, fractions=unit_values), max_size=3),
+        st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1)]),
+        st.sampled_from([Fraction(1, 3), Fraction(1, 5), Fraction(1, 10), Fraction(2)]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_checks_equal_the_dense_oracle(self, f, functionals, delta, eps):
+        assume(norms(f).l1 > 0)
+        nbhd = WeakNbhd(near_unit_scale(f, Fraction(1, 10**4)), functionals, delta)
+        try:
+            gamma = choose_gamma(norms(nbhd.center).linf, delta, eps)
+            assume(choose_K(gamma, [h.level for h in functionals]) <= 9)
+            rep = d2p_witness(nbhd, eps)
+        except GapConditionError:
+            assume(False)
+        g1, g2 = rep.g1, rep.g2
+        assert rep.ball_sq == (tnorm_sq(g1), tnorm_sq(g2))
+        assert rep.gap_sq == tnorm_sq_diff(g1, g2) == tnorm_sq(g1 - g2)
+        assert rep.checks["pairing_l"].lhs == nbhd.deviation(g1, g2)
+
+    def test_each_level_K_plus_2_stream_is_folded_once(self, monkeypatch):
+        # f1, f2, |f1|, |f2| and |f1 - f2|: a second fold of g1 or g2 fails here
+        from renorml1 import dyadic, renorm, witness
+
+        center = near_unit_scale(mk(2, 1, Fraction(-1, 2), 3, 0), Fraction(1, 10**4))
+        nbhd = WeakNbhd(center, (mk(1, 1, -1), mk(2, 0, 1, 0, -1)), Fraction(1, 10))
+        real, lengths = dyadic.mass_levels, []
+        for module in (dyadic, renorm, witness):
+            monkeypatch.setattr(module, "mass_levels", lambda ms: lengths.append(len(ms)) or real(ms))
+        rep = d2p_witness(nbhd, Fraction(1, 5))
+        assert max(lengths) == 1 << rep.K + 2
+        assert lengths.count(1 << rep.K + 2) == 5
+
+
 class TestGapFromLattices:
-    """The witness reads T(g1 - g2)**2 from the numerators of g1 and g2 over
-    their lcm; it must equal tnorm_sq of the dense step g1 - g2."""
+    """The witness gap T(g1 - g2)**2, read off the fold of |f1 - f2|, must
+    equal tnorm_sq of the dense step g1 - g2; `tnorm_sq_diff` must equal it
+    from the lattices of f and g alone."""
 
     @given(
         steps(max_level=3),
