@@ -16,10 +16,10 @@ identical values, so the representation level is not part of the identity
 of a function.
 
 `mass_levels(masses)` is the one fold: every computation of cell integrals
-across levels (norm series and gradient, witness split checks, projections,
-weak smallness) hands it an int mass list of one level and reads the
-coarser levels from it, one at a time, over the caller's denominator
-(`den << level` for a step's own numerators).
+across levels (norm series, the dual norm's Q product, witness split
+checks, projections, weak smallness) hands it an int mass list of one
+level and reads the coarser levels from it, one at a time, over the
+caller's denominator (`den << level` for a step's own numerators).
 """
 
 from __future__ import annotations
@@ -194,8 +194,10 @@ class DyadicStep:
         return _new(self.level, tuple([-n for n in self.nums]), self.den)
 
     def __mul__(self, c) -> "DyadicStep":
+        # nums and den are coprime, so one gcd of two ints reduces the product
         cn, cd = to_frac(c).as_integer_ratio()
-        return from_lattice(self.level, [cn * n for n in self.nums], cd * self.den)
+        g = gcd(cn * gcd(*self.nums), cd * self.den)
+        return _new(self.level, tuple([cn * n // g for n in self.nums]), cd * self.den // g)
 
     __rmul__ = __mul__
 

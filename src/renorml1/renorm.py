@@ -18,15 +18,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from operator import mul
+from math import gcd, lcm
+from operator import add, floordiv, mul
 from typing import Optional, Sequence
 
+from .checks import Check, check, require
 from .dyadic import (
     DyadicStep,
+    _repeat,
     abs_diff_masses,
     as_index,
     dyadic_project,
     frac_str,
+    from_lattice,
     integral_over,
     lattice,
     mass_levels,
@@ -34,7 +38,6 @@ from .dyadic import (
     pairing,
     refine,
     sqrt_floor_decimal,
-    to_frac,
 )
 
 
@@ -44,20 +47,16 @@ def seminorm(f: DyadicStep, idx) -> Fraction:
 
 
 def _series(f: DyadicStep, T: int) -> tuple[int, int, int]:
-    """(B, S, D): `_mass_series` of the int masses of |f| at K = level(f),
-    and their denominator D."""
-    return (*_mass_series(f.level, list(map(abs, f.nums)), T), f.den << f.level)
-
-
-def _mass_series(K: int, masses: list[int], T: int) -> tuple[int, int]:
-    """(B, S) for D times the masses of |f| on the level-K cells:
+    """(B, S, D) with D = den << K, K = level(f):
     sum_{k < min(T, K)} 4**-k * sum_j s(f, k, j)**2 = B / (D**2 * 4**K) and
-    sum_j s(f, K, j)**2 = S / D**2, folding the masses one level at a time."""
+    sum_j s(f, K, j)**2 = S / D**2, folding the int masses of |f| one level
+    at a time."""
+    K, masses = f.level, list(map(abs, f.nums))
     B, S = 0, sum(map(mul, masses, masses))
     for k, ms in zip(range(K - 1, -1, -1), islice(mass_levels(masses), 1, None)):
         if k < T:
             B += sum(map(mul, ms, ms)) << 2 * (K - k)
-    return B, S
+    return B, S, f.den << K
 
 
 def tnorm_sq(f: DyadicStep) -> Fraction:
@@ -214,17 +213,16 @@ def triangle_equality_case(f: DyadicStep, g: DyadicStep) -> EqualityCase:
     return EqualityCase("Strict")
 
 
-# -- dual-norm lower bounds ----------------------------------------------------
+# -- the exact dual norm -------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class DualNormEstimate:
-    """Certified lower bound on sup{<f, h> : T(f) <= 1, level(f) <= L}.
-
-    The certificate is the exact pair (pairing_sq, tnorm_sq) of the best
-    *unnormalized* maximizer found; lower_sq = pairing_sq / tnorm_sq is the
-    exact squared value of the normalized candidate, hence a true lower
-    bound regardless of how far the ascent got.
+    """The exact level-L dual norm of h, attained by the level-L step
+    `maximizer` once normalized: `pairing_sq` = <maximizer, h>**2 and
+    `tnorm_sq` = T(maximizer)**2 as the kernel measures them, and their ratio
+    `lower_sq` the squared dual norm (so named when an ascent bounded it from
+    below). `checks` is the KKT certificate, `iterations` the support solves.
     """
 
     lower_sq: Fraction
@@ -232,103 +230,96 @@ class DualNormEstimate:
     pairing_sq: Fraction
     tnorm_sq: Fraction
     iterations: int
-    converged: bool
+    checks: dict[str, Check]
+
+    @property
+    def converged(self) -> bool:
+        return all(c.ok for c in self.checks.values())
 
 
-def _tnorm_grad(u: DyadicStep) -> list[Fraction]:
-    """Gradient of tnorm_sq at a componentwise-nonnegative u, per cell value."""
-    L = u.level
-    levels = mass_levels(u.nums)
-    # over 7 * D * 8**L, D = den << L: the closed tail contributes 16 times the
-    # mass of cell i, each level k < L 14 * 4**(L-k) times the level-k mass holding i
-    grad = [n << 4 for n in next(levels)]
-    for k, masses in zip(range(L - 1, -1, -1), levels):
-        w, shift = 14 << 2 * (L - k), L - k
-        for i in range(len(grad)):
-            grad[i] += w * masses[i >> shift]
-    q = 7 * u.den << 4 * L
-    return [Fraction(x, q) for x in grad]
+def _q_product(L: int, u: Sequence[int]) -> list[int]:
+    """Q u for the int values u of a level-L step: Q = 8 I plus
+    7 * 4**(L-k) 1_B 1_B^T for each cell B of each level k < L, so that
+    T(u)**2 = u^T Q u / (7 * 16**L * D**2) for u >= 0 over a denominator D.
+    The weighted masses of one fold add up from a 0 above [0, 1) down."""
+    acc = [0]
+    for k, masses in enumerate(reversed(list(islice(mass_levels(u), 1, None)))):
+        acc = [a + (7 << 2 * (L - k)) * m for a, m in zip(_repeat(acc, 2), masses)]
+    return [8 * x + a for x, a in zip(u, _repeat(acc, 2))]
 
 
-def dual_norm_estimate(
-    h: DyadicStep,
-    L: int,
-    tol=Fraction(1, 10**9),
-    max_iter: int = 400,
-) -> DualNormEstimate:
-    """Projected ascent for the support function of the norm ball at level L.
+def _support_solve(L: int, c: list[int], S: list[bool]) -> tuple[list[int], int]:
+    """(U, E) with u = U / E solving Q_SS u_S = c_S, and u = 0 off S.
 
-    The search aligns signs with h cellwise and maximizes the exact ratio
-    (c . u)**2 / tnorm_sq(u) over the nonnegative orthant, where c holds the
-    per-cell integrals of |h|. Every accepted iterate strictly improves the
-    exact ratio; iteration stops once the relative improvement drops below
-    `tol` or `max_iter` is hit (flagged through `converged`).
+    A node's matrix A is its children's block diagonal B plus w 1 1^T: one
+    Sherman-Morrison step each. Bottom up, a node carries (a, b, d), d = det A,
+    proportional to (1^T A^-1 c, 1^T A^-1 1, 1); top down, it shifts its
+    children's right-hand side by s 1, s = w 1^T x, summed as T / E."""
+    a = [x if s else 0 for x, s in zip(c, S)]
+    b = [1 if s else 0 for s in S]
+    d = [8 if s else 1 for s in S]
+    nodes = []
+    for k in range(L - 1, -1, -1):
+        d1, d2 = d[::2], d[1::2]
+        a = list(map(add, map(mul, a[::2], d2), map(mul, a[1::2], d1)))
+        b = list(map(add, map(mul, b[::2], d2), map(mul, b[1::2], d1)))
+        dB = list(map(mul, d1, d2))
+        w = 7 << 2 * (L - k)
+        d = [x + w * y for x, y in zip(dB, b)]
+        nodes.append((w, a, dB, d))
+    T, E = [0], [1]
+    for w, a, dB, d in reversed(nodes):
+        T = [t * x + w * y * e for t, x, y, e in zip(T, dB, a, E)]
+        E = list(map(mul, E, d))
+        g = list(map(gcd, T, E))
+        T, E = _repeat(map(floordiv, T, g), 2), _repeat(map(floordiv, E, g), 2)
+    # each cell solves 8 u_i = c_i - T / E
+    D = lcm(*(8 * e for e in E))
+    return [(x * e - t) * (D // (8 * e)) if s else 0 for x, s, t, e in zip(c, S, T, E)], D
 
-    L must be at least level(h); a smaller L raises ValueError naming both
-    levels. At L >= level(h) the level-L supremum is the full dual norm of h:
-    the conditional expectation onto the level-L cells keeps <f, h> and does
-    not increase T(f) (Jensen on the cells of level <= L, Cauchy-Schwarz on
-    the finer ones), so restricting f to level L loses nothing.
+
+def dual_norm_estimate(h: DyadicStep, L: int) -> DualNormEstimate:
+    """The exact dual norm of h over the steps of level <= L, certified.
+
+    T(f) depends on |f| only. With c the |values| of `dyadic_project(h, L)`,
+    the squared norm is 7 * 4**L * max (c . u)**2 / u^T Q u over u >= 0
+    (`_q_product`): 7 * 4**L * c . u at the minimizer u of u^T Q u / 2 - c . u
+    over u >= 0, attained at sigma * u for the signs sigma of h. Solve on the
+    support of c and drop the entries <= 0 until none is left. That is exact:
+    u is 0 where c is, and on an S holding its support, u = z + M w_S for the
+    solve z on S, w = Q u - c >= 0 and M = (Q_SS)^-1, which is <= 0 off the
+    diagonal (node by node A^-1 = B^-1 - w B^-1 1 1^T B^-1 / (1 + w 1^T B^-1 1)
+    with A^-1 1 >= 0); where u > 0, w = 0 and z >= u > 0. The last z > 0
+    minimizes over the steps supported in S, u among them, so it is u, and
+    Lawson-Hanson would find no index to add. Every call checks `nonneg`,
+    `stationary` ((Q u)_i = c_i where u_i > 0) and `dual_feasible`
+    ((Q u)_i >= c_i elsewhere) on the int lattice through `checks.require`.
+
+    L < level(h) raises ValueError. At L >= level(h) this is the full dual
+    norm of h: the conditional expectation onto the level-L cells keeps
+    <f, h> and does not increase T(f) (Jensen on the cells of level <= L,
+    Cauchy-Schwarz on the finer ones).
     """
     if L < h.level:
         raise ValueError(f"dual-norm level L = {L} is below the level {h.level} of h")
-    tol = to_frac(tol)
     hL = dyadic_project(h, L)
-    c = [abs(v) / (1 << L) for v in hL.values]  # |<e_i, h>| for unit cell values
-    sigma = [1 if v > 0 else (-1 if v < 0 else 0) for v in hL.values]
-
-    def build(u: list[Fraction]) -> DyadicStep:
-        return DyadicStep(L, tuple(s * x for s, x in zip(sigma, u)))
-
-    if all(x == 0 for x in c):
-        zero = DyadicStep.zero(L)
-        return DualNormEstimate(Fraction(0), zero, Fraction(0), Fraction(0), 0, True)
-
-    def ratio(u: list[Fraction]) -> Fraction:
-        p = sum((ci * ui for ci, ui in zip(c, u)), Fraction(0))
-        q = tnorm_sq(DyadicStep(L, tuple(u)))
-        return p * p / q
-
-    u = [ci for ci in c]  # sign-aligned start: masses proportional to |h|
-    r = ratio(u)
-    step = Fraction(1)
-    iters = 0
-    converged = False
-    for iters in range(1, max_iter + 1):
-        uf = DyadicStep(L, tuple(u))
-        q = tnorm_sq(uf)
-        p = sum((ci * ui for ci, ui in zip(c, u)), Fraction(0))
-        gq = _tnorm_grad(uf)
-        d = [2 * ci * q - p * gi for ci, gi in zip(c, gq)]
-        d = [di if (ui > 0 or di > 0) else Fraction(0) for ui, di in zip(u, d)]
-        if all(di == 0 for di in d):
-            converged = True
-            break
-        scale = max(abs(di) for di in d)
-        d = [di / scale for di in d]
-        improved = False
-        t = step
-        for _ in range(40):
-            cand = [max(Fraction(0), ui + t * di) for ui, di in zip(u, d)]
-            cand = [x.limit_denominator(1 << 48) for x in cand]
-            if any(x > 0 for x in cand):
-                rc = ratio(cand)
-                if rc > r:
-                    rel = (rc - r) / r if r > 0 else Fraction(1)
-                    u, r = cand, rc
-                    step = t * 2
-                    improved = True
-                    if rel < tol:
-                        converged = True
-                    break
-            t /= 2
-        if not improved:
-            converged = True
-            break
-        if converged:
-            break
-
-    f_star = build(u)
+    c = list(map(abs, hL.nums))
+    S = [x > 0 for x in c]
+    U, E = _support_solve(L, c, S)
+    solves = 1
+    while not all(x > 0 for x, s in zip(U, S) if s):
+        S = [x > 0 for x in U]
+        U, E = _support_solve(L, c, S)
+        solves += 1
+    # E * (Q u - c): zero on the support, nonnegative off it
+    slack = [y - E * x for x, y in zip(c, _q_product(L, U))]
+    checks = require("dual norm", {
+        "nonneg": check(min(U), ">=", 0),
+        "stationary": check(max((abs(r) for r, x in zip(slack, U) if x), default=0), "==", 0),
+        "dual_feasible": check(min((r for r, x in zip(slack, U) if not x), default=0), ">=", 0),
+    })
+    # u = U / E solves the program for hL's numerators c, over hL.den
+    f_star = from_lattice(L, [x if n > 0 else -x for x, n in zip(U, hL.nums)], E * hL.den)
     p = pairing(f_star, h)
-    q = tnorm_sq(f_star)
-    return DualNormEstimate(p * p / q, f_star, p * p, q, iters, converged)
+    value = Fraction(7 * sum(map(mul, c, U)) << 2 * L, E * hL.den * hL.den)
+    return DualNormEstimate(value, f_star, p * p, tnorm_sq(f_star), solves, checks)

@@ -324,7 +324,8 @@ def _verify_split(f: DyadicStep, K: int, fK: tuple, f1: DyadicStep, f2: DyadicSt
             raise RuntimeError(f"internal: split identity failed at level {k} ({shown})")
         kept.append((m1, m2))
     checks = {name: check(Fraction(d, D), "==", Fraction(0)) for name, d in dev.items()}
-    checks["linf4x"] = check(max(norms(f1).linf, norms(f2).linf), "<=", 4 * norms(f).linf)
+    linf = max(Fraction(max(ms), d >> L) for d, ms in streams[2:4])  # |f1|, |f2|
+    checks["linf4x"] = check(linf, "<=", 4 * norms(f).linf)
     norms_sq = tuple(tnorm_sq_from_squares(L, d, sq) for (d, _), sq in zip(streams[2:], squares))
     return _Verified(require("split check", checks), norms_sq, (D, tuple(reversed(kept))))
 

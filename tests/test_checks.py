@@ -16,15 +16,17 @@ from renorml1 import (
     cli,
     d2p_witness,
     disjoint_spike_family,
+    dual_norm_estimate,
     dual_segment,
     ell1,
+    indicator,
     near_unit_scale,
     nonsmooth_pairings,
     perturbation_l1_chain,
     probes,
+    renorm,
     segment_check,
     slice_diameter_lb,
-    split_pair,
     strong_extreme_failure,
     ured,
     ured_recursion,
@@ -97,6 +99,21 @@ class TestOneRaiseSite:
                         sites.add((name, fn.name))
         assert sites == {("checks.py", "require"), ("witness.py", "_verify_split")}
 
+    def test_no_rounding_in_the_package(self):
+        """Every value is exact: no `float(...)` and no `limit_denominator`
+        call anywhere in the package."""
+        calls = [
+            (name, node.lineno)
+            for name, tree in self.modules().items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (
+                (isinstance(node.func, ast.Name) and node.func.id == "float")
+                or (isinstance(node.func, ast.Attribute) and node.func.attr == "limit_denominator")
+            )
+        ]
+        assert calls == []
+
     def test_the_check_record_is_defined_once(self):
         defined = [
             (name, node.name)
@@ -133,16 +150,25 @@ class TestForcedFailures:
         with raises_internal(f"internal: witness failed: guaranteed_gap (0/1 >= {frac_str(guaranteed)})"):
             d2p_witness(nbhd, Fraction(1, 5))
 
-    def test_witness_split_linf4x(self, monkeypatch):
-        real = witness.norms
-
-        def fat(f):  # linf of the level-3 split f1, f2 read five times too big
-            return real(f)._replace(linf=5 * real(f).linf) if f.level == 3 else real(f)
-
-        monkeypatch.setattr(witness, "norms", fat)
-        # f = 1 at K = 1: f1 and f2 have height 4 on their quarters, reported as 20
+    def test_witness_split_linf4x(self):
+        # f has mass 5/16 and linf 1; f1 and f2 put that mass as a height of
+        # 20 on one level-6 cell each, which keeps (5)-(7) at K = 0
+        f = mk(2, 1, Fraction(1, 4), 0, 0)
+        f1, f2 = (indicator((6, j), 20) for j in (1, 2))
         with raises_internal("internal: split check failed: linf4x (20/1 <= 4/1)"):
-            split_pair(mk(0, 1), 1)
+            witness._verify_split(f, 0, witness._level_K_masses(f, 0), f1, f2)
+
+    def test_dual_norm(self, monkeypatch):
+        real = renorm._support_solve
+
+        def doubled(L, c, S):  # every solve reads u twice too big
+            U, E = real(L, c, S)
+            return [2 * x for x in U], E
+
+        monkeypatch.setattr(renorm, "_support_solve", doubled)
+        # h = 1 at L = 0: u = 1/8 read as 2/8, so 8 u - 1 = 1, times E = 8
+        with raises_internal("internal: dual norm failed: stationary (8/1 == 0/1)"):
+            dual_norm_estimate(mk(0, 1), 0)
 
     def test_probe_chain(self, monkeypatch):
         real = probes.norms

@@ -22,6 +22,7 @@ from renorml1 import (
     reflect,
     step_from_json,
     step_to_json,
+    tnorm_sq,
 )
 from conftest import mk, steps
 
@@ -162,11 +163,15 @@ class TestProject:
         assert dyadic_project(f, 1) == f
         assert dyadic_project(f, 0) == mk(0, 0)
 
-    @given(steps(), st.integers(min_value=0, max_value=4))
-    def test_idempotent_and_contracting(self, f, K):
+    @given(steps(), st.integers(min_value=0, max_value=4), st.data())
+    def test_idempotent_and_contracting(self, f, K, data):
         p = dyadic_project(f, K)
         assert dyadic_project(p, K) == p
         assert norms(p).l1 <= norms(f).l1
+        # so the level-K dual norm of a functional of level <= K is its full one
+        assert tnorm_sq(p) <= tnorm_sq(f)
+        h = data.draw(steps(max_level=min(K, 3)))
+        assert pairing(p, h) == pairing(f, h)
 
     @given(steps(), st.integers(min_value=0, max_value=4), st.data())
     def test_preserves_coarse_integrals(self, f, K, data):

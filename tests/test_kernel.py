@@ -5,7 +5,8 @@ kernels, kept verbatim apart from their names: every value stays a reduced
 Fraction and every sum is a Fraction sum. The kernels must return equal
 Fractions on every input, at mixed levels, on zero and all-negative
 functions, and on values with 2**48-sized denominators (the shape of the
-`limit_denominator(1 << 48)` iterates of `dual_norm_estimate`).
+rounded iterates of the projected ascent that `dual_norm_estimate` ran
+before its exact solve).
 
 `oracle_lattice` is the former body of `lattice`, which recomputed the
 numerators from the values on every call. Every step now holds only its
@@ -49,7 +50,7 @@ from renorml1.dyadic import (
     step_from_json,
     step_to_json,
 )
-from renorml1.renorm import _series, _tnorm_grad, partial_below, tail_formula, tnorm_sq
+from renorml1.renorm import _q_product, _series, partial_below, tail_formula, tnorm_sq
 from conftest import mk, small_fractions
 
 # -- oracles: the Fraction kernel ----------------------------------------------
@@ -135,7 +136,7 @@ def oracle_tnorm_grad(u):
 
 # -- inputs --------------------------------------------------------------------
 
-#: values like the dual-norm ascent's iterates: denominators up to 2**48
+#: values with denominators up to 2**48
 wide = st.builds(
     lambda n, d: Fraction(n, d).limit_denominator(1 << 48),
     st.integers(-(1 << 60), 1 << 60),
@@ -206,8 +207,9 @@ def test_norms_projection_and_gradient(f, K):
     if K < f.level:
         masses = list(oracle_mass_levels(f))[f.level - K]
         assert dyadic_project(f, K).values == tuple(m * (1 << K) for m in masses)
-    u = abs(f)
-    assert _tnorm_grad(u) == oracle_tnorm_grad(u)
+    # T(u)**2 = u^T Q u / (7 * 16**L): its gradient is 2 Q u / (7 * 16**L)
+    u, L = abs(f), f.level
+    assert [Fraction(2 * x, 7 * u.den << 4 * L) for x in _q_product(L, u.nums)] == oracle_tnorm_grad(u)
 
 
 # -- steps built by the kernel keep their numerators ---------------------------

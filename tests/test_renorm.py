@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import combinations
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from renorml1 import (
     tnorm_sq,
     triangle_equality_case,
 )
-from renorml1.dyadic import integral_over, norms, pairing
+from renorml1.dyadic import dyadic_project, integral_over, mass_levels, norms, pairing, to_frac
 from conftest import mk, steps
 
 
@@ -166,6 +168,104 @@ class TestTriangleEqualityCase:
             assert case.is_degenerate and case.ratio == t
 
 
+# -- dual-norm oracles ----------------------------------------------------------
+
+
+def dense_q(L):
+    """The matrix Q of `dual_norm_estimate`, entry by entry: 8 on the
+    diagonal, plus 7 * 4**(L-k) for each level k < L on which cells i and j
+    lie in one cell."""
+    n = 1 << L
+    return [
+        [(8 if i == j else 0) + sum(7 * 4 ** (L - k) for k in range(L) if i >> (L - k) == j >> (L - k)) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def gauss_solve(A, b):
+    """x with A x = b for a nonsingular A, by Fraction Gaussian elimination."""
+    n = len(b)
+    rows = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(A, b)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                t = rows[r][col] / rows[col][col]
+                rows[r] = [x - t * y for x, y in zip(rows[r], rows[col])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
+
+
+def brute_dual_sq(h, L):
+    """max of 7 * 4**L * c . u over every support S whose solution u of
+    Q_SS u_S = c_S is >= 0. The minimizer of u^T Q u / 2 - c . u over u >= 0
+    is the solution on its own support, and every other such u has the
+    objective -c . u / 2 >= the minimum, so the largest c . u is the one."""
+    c = [abs(v) for v in dyadic_project(h, L).values]
+    Q = dense_q(L)
+    best = Fraction(0)
+    for r in range(1, len(c) + 1):
+        for S in combinations(range(len(c)), r):
+            u = gauss_solve([[Q[i][j] for j in S] for i in S], [c[i] for i in S])
+            if min(u) >= 0:
+                best = max(best, 7 * 4**L * sum(c[i] * x for i, x in zip(S, u)))
+    return best
+
+
+def ascent_lower_sq(h, L, tol=Fraction(1, 10**9), max_iter=400):
+    """The projected ascent that `dual_norm_estimate` ran before its exact
+    solve, kept as a lower-bound oracle: the exact squared ratio of its last
+    iterate, whose steps are rounded by `limit_denominator(1 << 48)`."""
+    tol = to_frac(tol)
+    hL = dyadic_project(h, L)
+    c = [abs(v) / (1 << L) for v in hL.values]
+    sigma = [1 if v > 0 else (-1 if v < 0 else 0) for v in hL.values]
+    if all(x == 0 for x in c):
+        return Fraction(0)
+
+    def grad(uf):
+        levels = mass_levels(uf.nums)
+        g = [n << 4 for n in next(levels)]
+        for k, masses in zip(range(L - 1, -1, -1), levels):
+            w, shift = 14 << 2 * (L - k), L - k
+            for i in range(len(g)):
+                g[i] += w * masses[i >> shift]
+        return [Fraction(x, 7 * uf.den << 4 * L) for x in g]
+
+    def ratio(u):
+        p = sum((ci * ui for ci, ui in zip(c, u)), Fraction(0))
+        return p * p / tnorm_sq(DyadicStep(L, tuple(u)))
+
+    u, step = list(c), Fraction(1)
+    r = ratio(u)
+    for _ in range(max_iter):
+        uf = DyadicStep(L, tuple(u))
+        q = tnorm_sq(uf)
+        p = sum((ci * ui for ci, ui in zip(c, u)), Fraction(0))
+        d = [2 * ci * q - p * gi for ci, gi in zip(c, grad(uf))]
+        d = [di if (ui > 0 or di > 0) else Fraction(0) for ui, di in zip(u, d)]
+        if all(di == 0 for di in d):
+            break
+        scale = max(abs(di) for di in d)
+        d = [di / scale for di in d]
+        improved = done = False
+        t = step
+        for _ in range(40):
+            cand = [max(Fraction(0), ui + t * di) for ui, di in zip(u, d)]
+            cand = [x.limit_denominator(1 << 48) for x in cand]
+            if any(x > 0 for x in cand):
+                rc = ratio(cand)
+                if rc > r:
+                    done = (rc - r) / r < tol
+                    u, r, step, improved = cand, rc, t * 2, True
+                    break
+            t /= 2
+        if not improved or done:
+            break
+    f_star = DyadicStep(L, tuple(s * x for s, x in zip(sigma, u)))
+    return pairing(f_star, h) ** 2 / tnorm_sq(f_star)
+
+
 class TestDualNormEstimate:
     def test_constant_functional(self):
         est = dual_norm_estimate(mk(0, 1), 2)
@@ -200,3 +300,40 @@ class TestDualNormEstimate:
         assert est.lower_sq == est.pairing_sq / est.tnorm_sq
         # never exceeds the easy upper bound linf(h)^2
         assert est.lower_sq <= norms(h).linf ** 2
+
+    def test_drops_a_cell(self):
+        # the full support solves to u = (893, -691) / 12800: one drop, then u = (1/36, 0)
+        est = dual_norm_estimate(mk(1, 1, Fraction(1, 100)), 1)
+        assert est.iterations == 2 and est.converged
+        assert est.maximizer == mk(1, Fraction(1, 36), 0)
+        assert est.lower_sq == Fraction(7, 9) == est.pairing_sq / est.tnorm_sq
+        assert est.checks["dual_feasible"].lhs > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps(), st.integers(0, 2))
+    def test_kkt_certificate_holds(self, h, extra):
+        L = h.level + extra
+        est = dual_norm_estimate(h, L)
+        assert est.converged and list(est.checks) == ["nonneg", "stationary", "dual_feasible"]
+        hL = dyadic_project(h, L).values
+        assert est.maximizer.level == L
+        assert all(x * y >= 0 for x, y in zip(est.maximizer.values, hL))
+        # Q u = c on the support of u and Q u >= c off it, on the dense Q
+        u, c = [abs(x) for x in est.maximizer.values], [abs(y) for y in hL]
+        Qu = [sum(map(mul, row, u), Fraction(0)) for row in dense_q(L)]
+        assert all(q == ci if x else q >= ci for x, q, ci in zip(u, Qu, c))
+        assert est.lower_sq == 7 * 4**L * sum(map(mul, c, u))
+        if est.tnorm_sq:
+            assert est.lower_sq == est.pairing_sq / est.tnorm_sq
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps(max_level=2), st.integers(0, 2))
+    def test_equals_the_best_support(self, h, L):
+        L = max(L, h.level)
+        assert dual_norm_estimate(h, L).lower_sq == brute_dual_sq(h, L)
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps(max_level=2), st.integers(0, 3))
+    def test_never_below_the_ascent(self, h, L):
+        L = max(L, h.level)
+        assert dual_norm_estimate(h, L).lower_sq >= ascent_lower_sq(h, L)

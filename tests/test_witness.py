@@ -19,7 +19,7 @@ from renorml1 import (
     split_pair,
     tnorm_sq,
 )
-from renorml1.dyadic import DyadicIndex, abs_diff_masses, indicator, integral_over, lattice, refine
+from renorml1.dyadic import DyadicIndex, abs_diff_masses, from_lattice, indicator, integral_over, lattice, refine
 from renorml1.renorm import tnorm_sq_diff
 from renorml1.witness import _level_K_masses, _verify_split
 from conftest import mk, steps
@@ -363,6 +363,15 @@ class TestWitness:
             assert chk["ok"] is True
 
 
+def assert_scaled_split(rep):
+    """g_i is (1 - gamma) * f_i, down to the lattice `from_lattice` reduces
+    from every numerator of the product."""
+    p, q = (1 - rep.gamma).as_integer_ratio()
+    for g, fi in ((rep.g1, rep.pair.f1), (rep.g2, rep.pair.f2)):
+        want = from_lattice(fi.level, [p * n for n in fi.nums], q * fi.den)
+        assert (g.level, g.nums, g.den) == (want.level, want.nums, want.den)
+
+
 class TestWitnessFromFolds:
     """The witness reads ball, gap and pairing_l off the split check's one
     fold of each level-(K+2) mass stream; the dense functions on g1 and g2
@@ -388,6 +397,20 @@ class TestWitnessFromFolds:
         assert rep.ball_sq == (tnorm_sq(g1), tnorm_sq(g2))
         assert rep.gap_sq == tnorm_sq_diff(g1, g2) == tnorm_sq(g1 - g2)
         assert rep.checks["pairing_l"].lhs == nbhd.deviation(g1, g2)
+        assert_scaled_split(rep)
+
+    @pytest.mark.parametrize(
+        "center, delta",
+        [
+            # 1 - gamma = 15/16 and f_i over 3 with heights 8 and -4: g_i over 4
+            (mk(1, Fraction(2, 3), Fraction(-1, 3)), Fraction(1, 2)),
+            (mk(2, Fraction(6, 7), 0, Fraction(-3, 7), Fraction(2, 7)), Fraction(1, 2)),
+            (mk(2, Fraction(4, 5), Fraction(-4, 5), 0, Fraction(2, 5)), Fraction(1, 10)),
+            (mk(0, Fraction(1, 3)), Fraction(1, 2)),
+        ],
+    )
+    def test_g_is_the_scaled_split(self, center, delta):
+        assert_scaled_split(d2p_witness(WeakNbhd(center, (), delta), 2))
 
     def test_each_level_K_plus_2_stream_is_folded_once(self, monkeypatch):
         # f1, f2, |f1|, |f2| and |f1 - f2|: a second fold of g1 or g2 fails here
