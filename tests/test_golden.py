@@ -1,14 +1,18 @@
-"""Byte-identity of CLI reports on a fixed input set.
+"""Byte-identity of CLI reports and demo output on a fixed input set.
 
 Each case runs ``renorml1.cli.main`` in-process and compares the sha256 of
 the report file with a digest recorded before the mass-level kernel was
-consolidated. Any change to a report byte, however small, fails here; if a
-report format changes on purpose, re-record the digest in the same change
-and say why.
+consolidated, or, for a later case, before the change its comment names.
+``scripts/ured_demo.py`` is held to the digest of what it prints. Any change
+to a report byte, however small, fails here; if a report format changes on
+purpose, re-record the digest in the same change and say why.
 """
 
 import hashlib
 import json
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -108,6 +112,20 @@ CASES = {
         ["split", "--input", "@f", "--level", "13"],
         "1d4de9b5ce68ccb625e780b1f78d061d4fd6d81c0adfd5e2f4259465c4112242",
     ),
+    # recorded before a run stored one shared coordinate lattice: 120 steps
+    # on the prime denominators 997 and 999983; the first height is over
+    # 999983 and the second over 4 * 999983, so the lattice is rescaled
+    "ured_120": (
+        ["ured", "--delta", "331/997", "--eps", ",".join(f"{1_999_964 - 16_381 * k}/999983" for k in range(120))],
+        "f1fd3f34d5eed86a5d11265dd5a363591239af2ffee626bd9ab8f39252fe8c9a",
+    ),
+}
+
+#: (argv of scripts/ured_demo.py, sha256 of what it prints), recorded with the
+#: ured golden case above
+DEMOS = {
+    "default": ([], "a491163484814d99c5e6b903e142eb8e1d7acfa91896b55cfba9b01f8b03abce"),
+    "steps_25": (["--steps", "25", "--delta", "1/7"], "2920c04b5d594011183a68e935ea2bc2a2ef73dd9b22e4d8d43fc16d822c7133"),
 }
 
 
@@ -128,3 +146,12 @@ def report_digest(tmp_path, argv) -> str:
 def test_report_bytes_unchanged(tmp_path, name):
     argv, digest = CASES[name]
     assert report_digest(tmp_path, argv) == digest
+
+
+@pytest.mark.parametrize("name", sorted(DEMOS))
+def test_ured_demo_output_unchanged(monkeypatch, capsys, name):
+    argv, digest = DEMOS[name]
+    script = Path(__file__).resolve().parents[1] / "scripts" / "ured_demo.py"
+    monkeypatch.setattr(sys, "argv", [str(script), *argv])
+    runpy.run_path(str(script), run_name="__main__")
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
