@@ -27,7 +27,7 @@ def main() -> None:
     print(f"z = (1 - {frac_str(delta)}) e_1, eps_n = 2^-n")
     print(f"{'n':>3} {'eps_n':>8} {'||2x_n+z||':>12} {'2 - ||2x_n+z||':>16}")
     for n in range(1, args.steps + 1):
-        val = (2 * run.xs[n] + run.z).sup_norm()
+        val = (2 * run.x(n) + run.z).sup_norm()
         print(f"{n:>3} {frac_str(eps[n-1]):>8} {frac_str(val):>12} {frac_str(2 - val):>16}")
     print(f"difference x_n - (z + x_n) = -z fixed, sup-norm {frac_str(run.z.sup_norm())}")
 

@@ -24,7 +24,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 
 from .dyadic import (
     MAX_LEVEL,
@@ -49,7 +49,7 @@ from .probes import (
 )
 from .renorm import norm_report, triangle_equality_case
 from .selftest import run_selftest
-from .ured import segment_check, ured_recursion
+from .ured import PrefixMaps, segment_check, ured_recursion
 from .witness import GapConditionError, WeakNbhd, d2p_witness, split_pair
 
 
@@ -154,6 +154,9 @@ def _encode(o, depth: int, chunks: list[str]) -> None:
     levels deep. A non-empty container whose items are all scalars goes to
     the C encoder in one call, with the item separator carrying the newline
     and indent of its items; only the nesting above it is walked here."""
+    if isinstance(o, PrefixMaps):
+        _encode_prefixes(o, depth, chunks)
+        return
     if isinstance(o, dict):
         items, brackets = o.values(), "{}"
     elif isinstance(o, (list, tuple)):
@@ -181,6 +184,24 @@ def _encode(o, depth: int, chunks: list[str]) -> None:
             _encode(value, depth + 1, chunks)
             sep = "," + inner
     chunks.extend((outer, brackets[1]))
+
+
+def _encode_prefixes(o: PrefixMaps, depth: int, chunks: list[str]) -> None:
+    """Append the text of json.dumps(o.expand(), indent=2) nested `depth`
+    levels deep. The last object's members are encoded by one C-encoder call,
+    joined by the member separator; each object is a prefix of that text,
+    since the separator's newline never occurs inside an encoded string."""
+    if not o.counts:
+        chunks.append("[]")
+        return
+    inner, member = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
+    sep = "," + member
+    body = json.dumps(dict(zip(o.keys, o.values)), separators=(sep, ": "))[1:-1]
+    members = body.split(sep) if body else []
+    ends = list(accumulate((len(m) + len(sep) for m in members), initial=-len(sep)))
+    opened, closed = "{" + member, inner + "}"
+    objects = [opened + body[: ends[c]] + closed if c else "{}" for c in o.counts]
+    chunks.extend(("[", inner, ("," + inner).join(objects), "\n" + "  " * depth, "]"))
 
 
 def _json_key(key) -> str:

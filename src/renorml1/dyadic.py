@@ -40,11 +40,16 @@ class LevelOverflowError(ValueError):
 
 
 def to_frac(x) -> Fraction:
-    """Coerce int / Fraction / 'p/q' string to Fraction. Floats are rejected."""
+    """Coerce int / Fraction / 'p/q' string to Fraction. Floats are rejected,
+    and so are strings in exponent notation: `Fraction` would build the power
+    of ten before any range check, 10**300000000 for '1e300000000'."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool) or isinstance(x, float):
         raise TypeError(f"exact rational required, got {type(x).__name__}: {x!r}")
+    if isinstance(x, str) and ("e" in x or "E" in x):
+        shown = x if len(x) <= 24 else x[:21] + "..."
+        raise ValueError(f"exponent notation is not a rational 'p/q': {shown!r}")
     try:
         return Fraction(x)
     except ZeroDivisionError:

@@ -15,17 +15,19 @@ in the closed ball with norm at least 1 - eps_N/4.
 
 Every `SparseSeq` holds only its reduced int lattice: sorted indices, nonzero
 int numerators and their least common denominator; `coords` derives the
-Fraction pairs on each read. The recursion builds x_n by appending one
-numerator to the tuples of x_{n-1}, rescaling them only when the
-denominator grows.
+Fraction pairs on each read.
 
-A run stores x_n with n coordinates each, so Theta(steps**2) in all. Its
-claims are evaluated in one pass over those coordinates, linear in their
-number, in ints over one common denominator: only the values a report prints
-become Fractions. The pass reads every stored coordinate and does not assume
-that x_m extends x_{m-1}. `ured_recursion` makes it once and keeps its
-report on the run (`verified`); `verify_claim` makes it again on whatever
-run it is given.
+x_n is x_{n-1} with one coordinate appended, so a run stores one coordinate
+lattice, that of x_steps over the least common denominator of the heights,
+and the length of each x_m: x_m is a prefix of the lattice, and `xs`
+expands the prefixes only when read. Its claims are evaluated in one pass
+over the lattice, linear in the steps, in ints over one common denominator:
+prefix maxima give the norms of every x_m, each norming equality is one read
+of the lattice, and "for all m >= n" is a suffix minimum. Only the values a
+report prints become Fractions. `ured_recursion` makes the pass once and
+keeps its report on the run (`verified`); `verify_claim` makes it again on
+whatever run it is given. The report renders each coordinate once and
+writes x_m as a prefix of that text (`PrefixMaps`).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import gcd, lcm
-from operator import add, eq, itemgetter, mul, sub
+from operator import itemgetter, lt, mul, sub
 from typing import Sequence
 
 from .checks import Check, check, require
@@ -118,7 +120,7 @@ class SparseSeq:
     __rmul__ = __mul__
 
     def to_json(self) -> dict:
-        return _seq_json(self, *_json_memos())
+        return dict(zip(map(str, self.idx), map(_ratio_str, self.nums, repeat(self.den))))
 
 
 def _set(x: SparseSeq, idx: tuple, nums: tuple, den: int) -> None:
@@ -152,28 +154,6 @@ def _ratio_str(n: int, d: int) -> str:
     return f"{n // g}/{d // g}"
 
 
-class _Memo(dict):
-    """A dict that fills a missing key with make(key) on its first lookup."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
-def _json_memos() -> tuple[_Memo, _Memo]:
-    """(index -> its key text, den -> (num -> 'p/q' text of num/den)), so that
-    a report renders each distinct index and (num, den) once."""
-    return _Memo(str), _Memo(lambda den: _Memo(lambda n: _ratio_str(n, den)))
-
-
-def _seq_json(x: SparseSeq, labels: _Memo, texts: _Memo) -> dict:
-    return dict(zip(map(labels.__getitem__, x.idx), map(texts[x.den].__getitem__, x.nums)))
-
-
 def projection_tail(x: SparseSeq) -> SparseSeq:
     """Zero the first coordinate: idempotent, sup-norm non-increasing."""
     if x.idx[:1] != (1,):
@@ -182,11 +162,34 @@ def projection_tail(x: SparseSeq) -> SparseSeq:
 
 
 @dataclass(frozen=True)
+class PrefixMaps:
+    """The JSON list whose m-th object maps the first counts[m] of `keys` to
+    their `values`, in order; the keys are distinct. `expand` builds that list
+    of dicts. The CLI emitter writes the same bytes from the key and value
+    texts without building it: each object is a prefix of the last one."""
+
+    keys: tuple[str, ...]
+    values: tuple[str, ...]
+    counts: tuple[int, ...]
+
+    def expand(self) -> list[dict]:
+        return [dict(zip(self.keys[:c], self.values[:c])) for c in self.counts]
+
+
+@dataclass(frozen=True)
 class RecursionRun:
+    """A run as one coordinate lattice: x_m is Fraction(nums[k], den) at
+    idx[k] for the first lengths[m] positions k, with zero numerators
+    dropped. idx is strictly increasing from >= 1 and den > 0; lengths[0]
+    belongs to x_0 and there is one eps and one xstar per step."""
+
     delta: Fraction
     eps: tuple[Fraction, ...]
     z: SparseSeq
-    xs: tuple[SparseSeq, ...]  # xs[0] = 0, xs[n] after step n
+    idx: tuple[int, ...]
+    nums: tuple[int, ...]
+    den: int
+    lengths: tuple[int, ...]  # x_m holds the first lengths[m] coordinates
     xstars: tuple[int, ...]  # coordinate index evaluated by the n-th functional
     checks: dict
 
@@ -194,17 +197,43 @@ class RecursionRun:
     #: to verify_claim(run); None for a run built otherwise (`replace` too)
     verified = None
 
+    def __post_init__(self):
+        n = len(self.idx)
+        if len(self.nums) != n or self.den <= 0 or not all(map(lt, (0, *self.idx), self.idx)):
+            raise ValueError("a run's lattice needs increasing indices >= 1 and one numerator each over den > 0")
+        if not all(0 <= k <= n for k in self.lengths):
+            raise ValueError(f"step lengths must lie in 0..{n}")
+        if not len(self.eps) == len(self.xstars) == len(self.lengths) - 1:
+            raise ValueError("a run needs one eps and one xstar per step")
+
     @property
     def steps(self) -> int:
-        return len(self.xs) - 1
+        return len(self.lengths) - 1
+
+    def x(self, m: int) -> SparseSeq:
+        """x_m: the first lengths[m] coordinates of the lattice."""
+        k = self.lengths[m]
+        return _lattice(self.idx[:k], self.nums[:k], self.den)
+
+    @property
+    def xs(self) -> tuple[SparseSeq, ...]:
+        """(x_0, ..., x_steps), expanded on each read: Theta(steps**2)."""
+        return tuple(map(self.x, range(len(self.lengths))))
 
     def to_json(self) -> dict:
-        memos = _json_memos()
+        """The run's report; `xs` is a PrefixMaps, the list of the x_m as
+        {"index": "p/q"} objects, with each coordinate rendered once."""
+        shown = [k for k, n in enumerate(self.nums) if n]
+        held = [0, *accumulate(map(bool, self.nums))]
         return {
             "delta": frac_str(self.delta),
             "eps": [frac_str(e) for e in self.eps],
-            "z": _seq_json(self.z, *memos),
-            "xs": [_seq_json(x, *memos) for x in self.xs],
+            "z": self.z.to_json(),
+            "xs": PrefixMaps(
+                tuple([str(self.idx[k]) for k in shown]),
+                tuple([_ratio_str(self.nums[k], self.den) for k in shown]),
+                tuple(map(held.__getitem__, self.lengths)),
+            ),
             "xstars": list(self.xstars),
             "checks": self.checks,
         }
@@ -214,7 +243,10 @@ def ured_recursion(delta, eps: Sequence, steps: int) -> RecursionRun:
     """Run the fresh-coordinate recursion for `steps` steps.
 
     delta in (0, 1); eps positive, non-increasing, < 2, with len(eps) >=
-    steps. Step n places height 1 - eps[n-1]/4 on coordinate n + 1.
+    steps. Step n places height 1 - eps[n-1]/4 on coordinate n + 1, so x_n
+    is x_{n-1} with one coordinate appended: the run stores x_steps once,
+    over the least common denominator of the heights, and x_n as its first
+    n coordinates.
     """
     delta = to_frac(delta)
     if not 0 < delta < 1:
@@ -231,24 +263,16 @@ def ured_recursion(delta, eps: Sequence, steps: int) -> RecursionRun:
         if b > a:
             raise ValueError("eps must be non-increasing")
 
-    z = SparseSeq.unit(1, 1 - delta)
-    xs = [SparseSeq.zero()]
-    idx, nums, den = (), (), 1
-    for n, e in enumerate(eps[:steps], 1):
-        # x_n is x_{n-1} with height 1 - e/4 = hn/hd appended on coordinate n + 1
-        en, ed = e.as_integer_ratio()
+    heights = []  # 1 - e/4 = (4 ed - en) / (4 ed), reduced by gcd(en, 4)
+    for en, ed in map(Fraction.as_integer_ratio, eps[:steps]):
         g = gcd(en, 4)
-        hn, hd = (4 * ed - en) // g, 4 * ed // g
-        if den % hd:
-            grown = lcm(den, hd)
-            nums = tuple(map(mul, nums, repeat(grown // den)))
-            den = grown
-        idx += (n + 1,)
-        nums += (hn * (den // hd),)
-        xs.append(_seq(idx, nums, den))
-    xstars = tuple(range(2, steps + 2))
-
-    run = RecursionRun(delta, tuple(eps[:steps]), z, tuple(xs), xstars, {})
+        heights.append(((4 * ed - en) // g, 4 * ed // g))
+    den = lcm(*[hd for _, hd in heights])
+    nums = tuple([hn * (den // hd) for hn, hd in heights])
+    coords = tuple(range(2, steps + 2))
+    run = RecursionRun(
+        delta, tuple(eps[:steps]), SparseSeq.unit(1, 1 - delta), coords, nums, den, tuple(range(steps + 1)), coords, {}
+    )
     z_plus, report, claims = _claims(run)
     require("recursion claims", claims)
     checks = {
@@ -264,43 +288,58 @@ def _claims(run: RecursionRun) -> tuple[list[Fraction], dict, dict[str, Check]]:
     """(||z + x_m|| for m = 0..steps, the claim report of verify_claim, the
     four claims as checks of their measured sides).
 
-    One pass over the stored coordinates of `run`, in ints over one
-    denominator D: every value of z, delta, eps and every x_m, the heights
-    1 - eps_n/4 and z/2 are integer multiples of 1/D. Each x_m becomes one
-    coordinate table, read once for ||z + x_m||, ||z/2 + x_m|| and
-    ||2 x_m + z|| and for the norming equalities of all n <= m; "for all
-    m >= n" in (ii) is a suffix minimum. The checks measure max ||z + x_m||,
-    the failed norming conditions, the least slack of (ii) and the largest
-    deviation from (iii).
+    One pass over the lattice of `run`, in ints over one denominator D: every
+    value of z, delta, eps and the lattice, the heights 1 - eps_n/4 and z/2
+    are integer multiples of 1/D. ||z + x_m||, ||z/2 + x_m|| and
+    ||2 x_m + z|| are the prefix maximum of |x| off the support of z up to
+    lengths[m], against the few coordinates on it. The norming equality of
+    x*_n is one read of the lattice at the position of xstars[n-1]: x_m
+    holds that value when lengths[m] exceeds the position, and 0 otherwise,
+    so "for all m >= n" needs only the suffix minimum of the lengths. Only a
+    run whose x_m are too short for some x*_n and would read the stored value
+    correctly counts those x_m one by one. (ii) is a suffix minimum of
+    ||z/2 + x_m||. The checks measure max ||z + x_m||, the number of failed
+    norming conditions, the least slack of (ii) and the largest deviation
+    from (iii).
     """
-    n_steps = run.steps
-    z, xs, xstars = run.z, run.xs, run.xstars
-    eps = [e.as_integer_ratio() for e in run.eps[:n_steps]]
+    n_steps, z, lengths = run.steps, run.z, run.lengths
+    eps = [e.as_integer_ratio() for e in run.eps]
     dn, dd = run.delta.as_integer_ratio()
     # 4 for the heights, 2 for z/2
-    D = 8 * lcm(z.den, dd, *{x.den for x in xs}, *{d for _, d in eps})
-    Z = [n * (D // z.den) for n in z.nums]
-    half_Z = [zi // 2 for zi in Z]
-    on_z = set(z.idx)
+    D = 8 * lcm(z.den, dd, run.den, *{d for _, d in eps})
+    X = [*map(mul, run.nums, repeat(D // run.den)), 0]  # X[-1]: a coordinate no x_m holds
     E = [n * (D // d) for n, d in eps]
     heights = [D - e // 4 for e in E]
+    at = dict(zip(run.idx, range(len(run.idx))))
 
-    z_plus, half_z, doubled = [], [], []
+    # off the support of z only x counts: its prefix maxima, read at each length
+    off = list(map(abs, X))
+    on_z = [(zn * (D // z.den), at.get(i, -1)) for i, zn in zip(z.idx, z.nums)]
+    for _, k in on_z:
+        off[k] = 0
+    prefix_max = [0, *accumulate(off, max)]
+    rest = list(map(prefix_max.__getitem__, lengths))
+
+    def norms(z_div: int, x_mul: int) -> list[int]:
+        """||z / z_div + x_mul x_m|| for m = 0..steps, times D."""
+        out = [x_mul * r for r in rest]
+        for zi, k in on_z:
+            held, missed = abs(zi // z_div + x_mul * X[k]), abs(zi // z_div)
+            out = [max(v, held if length > k else missed) for v, length in zip(out, lengths)]
+        return out
+
+    z_plus, half_z, doubled = norms(1, 1), norms(2, 1), norms(1, 2)
+
+    # x_m (m >= n) reads X[k] at the position k of x*_n if lengths[m] > k, else 0
+    shortest = list(accumulate(reversed(lengths[1:]), min))[::-1]
     unnormed = 0
-    for m, x in enumerate(xs):
-        table = dict(zip(x.idx, map(mul, x.nums, repeat(D // x.den))))
-        # off the support of z only x counts
-        rest = max(map(abs, map(table.__getitem__, table.keys() - on_z)), default=0)
-        shared = list(map(table.get, z.idx, repeat(0)))
-        z_plus.append(max([rest, *map(abs, map(add, Z, shared))]))
-        half_z.append(max([rest, *map(abs, map(add, half_Z, shared))]))
-        doubled.append(max([2 * rest, *map(abs, map(add, Z, map(mul, shared, repeat(2))))]))
-        # x_m is normed by x*_n at height h_n for every n <= m
-        normed, want = list(map(table.get, xstars[:m], repeat(0))), heights[:m]
-        if normed != want:
-            unnormed += m - sum(map(eq, normed, want))
-
+    for n, (i, h, low) in enumerate(zip(run.xstars, heights, shortest), 1):
+        k = at.get(i, -1)
+        held, missed = X[k] != h, h != 0
+        short = sum(length <= k for length in lengths[n:]) if held != missed and low <= k else 0
+        unnormed += held * (n_steps - n + 1 - short) + missed * short
     unnormed += sum(h <= D - e for h, e in zip(heights, E))
+
     suffix_min = list(accumulate(reversed(half_z[1:]), min))[::-1]
     slack = min((s - D + e for s, e in zip(suffix_min, E)), default=0)
     exact = [D - dn * (D // dd), *(2 * h for h in heights)]
@@ -323,9 +362,8 @@ def verify_claim(run: RecursionRun) -> dict:
     (ii) ||z/2 + x_m|| >= 1 - eps_n for all m >= n >= 1;
     (iii) ||2 x_n + z|| = 2 (1 - eps_n/4) for n >= 1 (and = 1 - delta at 0).
 
-    Everything is re-derived from the run's own z, xs, xstars and eps, in
-    one pass whose cost is linear in the stored coordinates: O(steps**2),
-    since x_n has n of them.
+    Everything is re-derived from the run's own z, lattice, lengths, xstars
+    and eps, in one pass linear in the steps.
     """
     report, checks = _claims(run)[1:]
     require("claim verification", checks)
@@ -344,9 +382,10 @@ def segment_check(run: RecursionRun, t_grid: Sequence, N: int) -> dict:
         if not 0 <= t <= 1:
             raise ValueError(f"grid points must lie in [0, 1], got {t}")
     floor = 1 - run.eps[N - 1] / 4
+    x_N = run.x(N)
     rows, checks = [], {}
     for t in ts:
-        val = (t * run.z + run.xs[N]).sup_norm()
+        val = (t * run.z + x_N).sup_norm()
         at = frac_str(t)
         low = checks[f"floor at t={at}"] = check(val, ">=", floor)
         high = checks[f"ball at t={at}"] = check(val, "<", 1)

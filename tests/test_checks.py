@@ -35,7 +35,6 @@ from renorml1 import (
 )
 from renorml1.checks import Check, check, require
 from renorml1.dyadic import frac_str
-from renorml1.ured import SparseSeq
 from conftest import mk
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "renorml1"
@@ -242,7 +241,8 @@ class TestForcedFailures:
 
     def test_ured_segment(self):
         run = ured_recursion(Fraction(1, 2), [Fraction(1, 2), Fraction(1, 4)], 2)
-        bad = replace(run, xs=(*run.xs[:2], run.xs[2] + SparseSeq.unit(9, 1)))
+        # x_2 also holds a coordinate 1 appended at index 9
+        bad = replace(run, idx=(*run.idx, 9), nums=(*run.nums, run.den), lengths=(0, 1, 3))
         with raises_internal("internal: segment check failed: ball at t=0/1 (1/1 < 1/1)"):
             segment_check(bad, [Fraction(0), Fraction(1)], 2)
 

@@ -296,6 +296,41 @@ class TestInputErrors:
         assert rc == 2 and text == ""
         assert err.startswith("input error:") and str(level) in err and f"cap {MAX_LEVEL}" in err
 
+    # Fraction("1e300000000") builds 10**300000000 before any range check, and
+    # Fraction("1e-5000") exceeds int's digit limit for string conversion
+    @pytest.mark.parametrize(
+        "argv, obj, shown",
+        [
+            (["ured", "--delta", "1/2", "--eps", "1e300000000"], None, "'1e300000000'"),
+            (["ured", "--delta", "1/2", "--eps", "1/2,1E-3"], None, "'1E-3'"),
+            (["ured", "--delta", "1e-5000", "--eps", "1/2"], None, "'1e-5000'"),
+            (["witness", "--eps", "1e300000000"], NBHD, "'1e300000000'"),
+            (["witness", "--eps", "1/5"], dict(NBHD, delta="2.5e-1"), "'2.5e-1'"),
+            (["norm"], {"level": 1, "values": ["1/2", "1e300000000"]}, "'1e300000000'"),
+            (["norm"], {"level": 0, "values": ["7" * 40 + "e9"]}, "'" + "7" * 21 + "...'"),
+        ],
+    )
+    def test_exponent_notation_is_rejected_naming_the_value(self, tmp_path, capsys, argv, obj, shown):
+        if obj is not None:
+            argv = [*argv, "--input", write_json(tmp_path, "in.json", obj)]
+        rc, text = invoke(tmp_path, *argv)
+        err = capsys.readouterr().err
+        assert rc == 2 and text == ""
+        assert err == f"input error: exponent notation is not a rational 'p/q': {shown}\n"
+
+    def test_exponent_notation_exits_at_once(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "renorml1", "ured", "--delta", "1/2", "--eps", "1e300000000"],
+            capture_output=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2 and proc.stdout == b""
+
+    def test_plain_decimals_are_still_rationals(self, tmp_path):
+        rc, text = invoke(tmp_path, "ured", "--delta", "0.5", "--eps", "1.5,1,0.25")
+        assert rc == 0
+        assert json.loads(text)["eps"] == ["3/2", "1/1", "1/4"]
+
     @pytest.mark.parametrize(
         "argv, digits",
         [

@@ -1,7 +1,9 @@
 import json
+from bisect import bisect_right
 from dataclasses import replace
 from fractions import Fraction
-from math import gcd
+from itertools import accumulate
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from renorml1 import (
     ured_recursion,
     verify_claim,
 )
+from renorml1.cli import _json_text
 from renorml1.dyadic import frac_str
 from renorml1.ured import _claims
 
@@ -88,34 +91,49 @@ def runs(draw, max_steps=12):
     return ured_recursion(delta, eps, len(eps))
 
 
+def coordinates(run) -> dict:
+    """The shared coordinates of `run`: index -> value, stored zeros too."""
+    return {i: Fraction(n, run.den) for i, n in zip(run.idx, run.nums)}
+
+
+def relattice(run, coords: dict, lengths=None):
+    """`run` with the shared coordinates `coords` (index -> value; a zero stays
+    a stored zero) and the step `lengths`. By default x_m holds every new
+    coordinate up to the last index it held before, so a changed value moves
+    every x_m that holds it and an inserted index joins every x_m that holds
+    a later one."""
+    idx = sorted(coords)
+    values = [Fraction(coords[i]) for i in idx]
+    den = lcm(*[v.denominator for v in values])
+    if lengths is None:
+        lengths = [bisect_right(idx, run.idx[k - 1]) if k else 0 for k in run.lengths]
+    nums = tuple([v.numerator * (den // v.denominator) for v in values])
+    return replace(run, idx=tuple(idx), nums=nums, den=den, lengths=tuple(lengths))
+
+
 @st.composite
 def tampered_runs(draw):
-    """A run with one coordinate of one x_m set to a new value (0 deletes
-    it), with one norming index shifted, or built by hand on a permuted
-    eps schedule, which ured_recursion would reject."""
+    """A run with one shared coordinate set to a new value (0 deletes it from
+    every x_m, a new index joins every x_m past it), with one norming index
+    shifted, or built by hand on a permuted eps schedule, which
+    ured_recursion would reject."""
     run = draw(runs())
     how = draw(st.sampled_from(["coordinate", "xstars", "eps order"]))
     if how == "eps order":
         eps = draw(st.permutations(run.eps))
-        xs = [SparseSeq.zero()]
-        for n, e in enumerate(eps, 1):
-            xs.append(xs[-1] + SparseSeq.unit(n + 1, 1 - e / 4))
-        return replace(run, eps=tuple(eps), xs=tuple(xs))
+        return relattice(replace(run, eps=tuple(eps)), {n + 1: 1 - e / 4 for n, e in enumerate(eps, 1)})
     if how == "xstars" and run.steps:
         n = draw(st.integers(min_value=0, max_value=run.steps - 1))
         xstars = list(run.xstars)
         xstars[n] += draw(st.sampled_from([-2, -1, 1, 2]))
         return replace(run, xstars=tuple(xstars))
-    m = draw(st.integers(min_value=0, max_value=run.steps))
-    coords = dict(run.xs[m].coords)
+    coords = coordinates(run)
     i = draw(st.integers(min_value=1, max_value=run.steps + 2))
     coords[i] = draw(
         st.fractions(min_value=-2, max_value=2, max_denominator=64)
         | st.sampled_from([coords.get(i, Fraction(0)) + d for d in (Fraction(-1, 64), Fraction(1, 64))])
     )
-    xs = list(run.xs)
-    xs[m] = SparseSeq.from_dict(coords)
-    return replace(run, xs=tuple(xs))
+    return relattice(run, coords)
 
 
 #: primes above every height denominator 4 * 64 that `runs` can draw
@@ -125,14 +143,16 @@ BIG_PRIMES = (257, 263, 1009, 999_983)
 @st.composite
 def reshaped_runs(draw):
     """A run whose stored data the int claim pass must read in full: one
-    coordinate moved by +-1/p for a prime p that divides no height
+    shared coordinate moved by +-1/p for a prime p that divides no height
     denominator; a z with several coordinates, negative ones and one on the
-    support of some x_m; or an x_m that drops or gains coordinates, so it no
-    longer extends x_{m-1}."""
+    support of some x_m; or one step length made shorter, or longer, past
+    up to three coordinates appended to the lattice, so that x_m no longer
+    extends x_{m-1} or x_{m+1} no longer extends x_m."""
     run = draw(runs())
     how = draw(st.sampled_from(["prime", "z", "shorter", "longer"]))
     m = draw(st.integers(min_value=0, max_value=run.steps))
-    coords = dict(run.xs[m].coords)
+    coords = coordinates(run)
+    lengths = list(run.lengths)
     if how == "z":
         values = st.fractions(min_value=-1, max_value=1, max_denominator=12)
         z = {1: draw(values), draw(st.integers(2, run.steps + 3)): -draw(values.filter(bool))}
@@ -143,15 +163,28 @@ def reshaped_runs(draw):
         i = draw(st.sampled_from(sorted(coords)) | anywhere if coords else anywhere)
         nudge = Fraction(draw(st.sampled_from([-1, 1])), draw(st.sampled_from(BIG_PRIMES)))
         coords[i] = coords.get(i, Fraction(0)) + nudge
-    elif how == "shorter" and coords:
-        del coords[draw(st.sampled_from(sorted(coords)))]
-    else:
-        extra = st.integers(min_value=1, max_value=run.steps + 4)
-        for i in draw(st.lists(extra, min_size=1, max_size=3, unique=True)):
-            coords[i] = draw(st.fractions(min_value=-2, max_value=2, max_denominator=64))
-    xs = list(run.xs)
-    xs[m] = SparseSeq.from_dict(coords)
-    return replace(run, xs=tuple(xs))
+        return relattice(run, coords)
+    if how == "shorter" and lengths[m]:
+        lengths[m] -= draw(st.integers(min_value=1, max_value=lengths[m]))
+        return relattice(run, coords, lengths)
+    extra = st.integers(min_value=run.steps + 2, max_value=run.steps + 6)
+    for i in draw(st.lists(extra, max_size=3, unique=True)):
+        coords[i] = draw(st.fractions(min_value=-2, max_value=2, max_denominator=64))
+    if lengths[m] < len(coords):
+        lengths[m] = draw(st.integers(min_value=lengths[m] + 1, max_value=len(coords)))
+    return relattice(run, coords, lengths)
+
+
+@st.composite
+def lattice_runs(draw, max_coords=8, max_steps=6):
+    """A RecursionRun built by hand on any lattice, with stored zeros, and
+    any step lengths; its claims need not hold."""
+    idx = sorted(draw(st.sets(st.integers(min_value=1, max_value=40), max_size=max_coords)))
+    values = draw(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=12), min_size=len(idx), max_size=len(idx)))
+    lengths = draw(st.lists(st.integers(min_value=0, max_value=len(idx)), min_size=1, max_size=max_steps + 1))
+    eps = tuple(Fraction(1, n + 1) for n in range(len(lengths) - 1))
+    run = ured_recursion(Fraction(1, 3), eps, len(eps))
+    return relattice(run, dict(zip(idx, values)), lengths)
 
 
 seq_dicts = st.dictionaries(
@@ -271,6 +304,38 @@ class TestRecursion:
         assert run.xs[1].get(run.xstars[0]) == Fraction(7, 8)
         assert Fraction(7, 8) > 1 - EPS3[0]
 
+    def test_one_lattice_of_prefixes(self):
+        run = ured_recursion(Fraction(1, 2), EPS3, 3)
+        # 7/8, 15/16, 31/32 over 32; x_m is the first m coordinates
+        assert (run.idx, run.nums, run.den, run.lengths) == ((2, 3, 4), (28, 30, 31), 32, (0, 1, 2, 3))
+        assert run.x(1) == run.xs[1] == SparseSeq.unit(2, Fraction(7, 8))
+        assert run.x(1).den == 8  # each prefix is reduced on its own
+
+    @given(runs())
+    @settings(max_examples=60)
+    def test_prefixes_equal_the_partial_sums(self, run):
+        xs = [SparseSeq.zero()]
+        for n, e in enumerate(run.eps, 1):
+            xs.append(xs[-1] + SparseSeq.unit(n + 1, 1 - e / 4))
+        assert run.xs == tuple(xs)
+        assert [run.x(m) for m in range(run.steps + 1)] == xs
+        assert run.lengths == tuple(range(run.steps + 1)) and run.idx == run.xstars
+
+    def test_malformed_lattice_is_rejected(self):
+        run = ured_recursion(Fraction(1, 2), EPS3, 3)
+        for bad in (
+            dict(idx=(2, 4, 3)),
+            dict(idx=(0, 3, 4)),
+            dict(nums=(28, 30)),
+            dict(den=0),
+            dict(lengths=(0, 1, 2, 4)),
+            dict(lengths=(0, -1, 2, 3)),
+            dict(lengths=(0, 1, 2)),
+            dict(xstars=(2, 3)),
+        ):
+            with pytest.raises(ValueError):
+                replace(run, **bad)
+
     def test_zero_steps(self):
         run = ured_recursion(Fraction(1, 2), EPS3, 0)
         assert run.xs == (SparseSeq.zero(),)
@@ -336,35 +401,37 @@ class TestVerifyClaim:
 
     def test_prime_nudge_breaks_the_norming_equality(self):
         run = ured_recursion(Fraction(1, 2), EPS3, 3)
-        x3 = dict(run.xs[3].coords)
-        x3[4] += Fraction(1, 999_983)  # x_3 no longer sits at height 31/32 on x*_3
-        bad = replace(run, xs=(*run.xs[:3], SparseSeq.from_dict(x3)))
+        coords = coordinates(run)
+        coords[4] += Fraction(1, 999_983)  # x_3 no longer sits at height 31/32 on x*_3
+        bad = relattice(run, coords)
         assert bad.xs[3].den % 999_983 == 0
         assert _claims(bad)[1] == oracle_verify(bad)
         assert not _claims(bad)[1]["claim2"] and not _claims(bad)[1]["doubled_norm"]["ok"]
 
     def test_x_m_that_does_not_extend_its_predecessor(self):
         run = ured_recursion(Fraction(1, 2), EPS3, 3)
-        # x_3 without the coordinate x_1 placed: claim (2) fails at n = 1
-        shorter = replace(run, xs=(*run.xs[:3], SparseSeq.from_dict({3: Fraction(15, 16), 4: Fraction(31, 32)})))
-        # x_1 with an extra coordinate beyond the prefix, below every height
-        longer = replace(run, xs=(run.xs[0], run.xs[1] + SparseSeq.unit(9, Fraction(-1, 3)), *run.xs[2:]))
+        # x_3 holds only the coordinate x_1 placed: claim (2) fails at n = 2 and 3
+        shorter = replace(run, lengths=(0, 1, 2, 1))
+        # x_3 also holds a coordinate appended past the lattice, below every height
+        longer = relattice(run, {**coordinates(run), 9: Fraction(-1, 3)}, (0, 1, 2, 4))
+        # x_1 holds the heights of x_2 and x_3: ||2 x_1 + z|| = 31/16, not 7/4
+        too_long = replace(run, lengths=(0, 3, 2, 3))
         assert not _claims(shorter)[1]["claim2"]
         assert _claims(longer)[1]["ok"]
-        for odd in (shorter, longer):
+        assert _claims(too_long)[1]["claim2"] and not _claims(too_long)[1]["doubled_norm"]["ok"]
+        for odd in (shorter, longer, too_long):
             assert _claims(odd)[1] == oracle_verify(odd)
 
     def test_tampered_reference_runs(self):
         run = ured_recursion(Fraction(1, 2), EPS3, 3)
-        x2 = dict(run.xs[2].coords)
-        x2[3] -= Fraction(1, 1000)  # breaks the norming equality of x_2
-        bad_x = replace(run, xs=(*run.xs[:2], SparseSeq.from_dict(x2), run.xs[3]))
+        coords = coordinates(run)
+        coords[3] -= Fraction(1, 1000)  # breaks the norming equality of x_2 and x_3
+        bad_x = relattice(run, coords)
         bad_star = replace(run, xstars=(2, 4, 4))  # x*_2 reads the wrong coordinate
         # x_1 = 0: ||z/2 + x_1|| = 1/4 < 1 - eps_1 as well
-        bad_half = replace(run, xs=(run.xs[0], SparseSeq.zero(), *run.xs[2:]))
-        # eps_1 = 0: x_1 is normed at height 1, which does not clear 1 - eps_1
-        at_one = [run.xs[0], *(SparseSeq.from_dict({**dict(x.coords), 2: 1}) for x in run.xs[1:])]
-        bad_eps = replace(run, eps=(Fraction(0), *run.eps[1:]), xs=tuple(at_one))
+        bad_half = replace(run, lengths=(0, 0, 2, 3))
+        # eps_1 = 0: every x_m is normed at height 1, which does not clear 1 - eps_1
+        bad_eps = relattice(replace(run, eps=(Fraction(0), *run.eps[1:])), {**coordinates(run), 2: 1})
         for bad in (bad_x, bad_star, bad_half, bad_eps):
             assert not oracle_verify(bad)["claim2"]
             assert _claims(bad)[1] == oracle_verify(bad)
@@ -374,9 +441,9 @@ class TestVerifyClaim:
 
     def test_coordinate_on_the_support_of_z(self):
         run = ured_recursion(Fraction(1, 100), EPS3, 3)
-        # x_3 cancels z, so ||z + x_3|| = 31/32 rather than 1 - delta = 99/100
-        x3 = SparseSeq.from_dict({**dict(run.xs[3].coords), 1: -run.z.coords[0][1]})
-        odd = replace(run, xs=(*run.xs[:3], x3))
+        # every nonempty x_m cancels z, so ||z + x_3|| = 31/32 rather than 1 - delta = 99/100
+        odd = relattice(run, {**coordinates(run), 1: -run.z.get(1)})
+        assert odd.lengths == (0, 2, 3, 4)
         assert _claims(odd)[0][3] == Fraction(31, 32)
         assert verify_claim(odd) == oracle_verify(odd)
 
@@ -458,3 +525,43 @@ class TestOnePass:
         assert cli.main(["ured", "--delta", "1/3", "--eps", "1/2,1/4,1/8", "--out", str(out)]) == 0
         assert len(passes) == 1
         assert json.loads(out.read_text())["verify"] == verify_claim(passes[0])
+
+
+def expanded(run) -> dict:
+    """The report of `run` as plain JSON, with every x_m rendered on its own."""
+    return {**run.to_json(), "xs": [x.to_json() for x in run.xs]}
+
+
+class TestReport:
+    """The report renders each shared coordinate once and each x_m as a
+    prefix of that text; its bytes are those of the expanded report."""
+
+    @pytest.mark.parametrize("steps", [0, 1, 2, 40])
+    def test_rendered_report_is_json_dumps_of_the_expanded_one(self, steps):
+        eps = [Fraction(1_999_964 - 16_381 * k, 999_983) for k in range(steps)]
+        run = ured_recursion(Fraction(331, 997), eps, steps)
+        report, plain = run.to_json(), expanded(run)
+        assert report["xs"].expand() == plain["xs"]
+        assert _json_text(report) == json.dumps(plain, indent=2) + "\n"
+
+    @given(lattice_runs(), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=150)
+    def test_any_lattice_and_lengths_at_any_depth(self, run, depth):
+        report, plain = run.to_json(), expanded(run)
+        for _ in range(depth):
+            report, plain = {"run": [report]}, {"run": [plain]}
+        assert _json_text(report) == json.dumps(plain, indent=2) + "\n"
+
+
+class TestScale:
+    def test_claims_of_a_long_run_match_their_closed_forms(self):
+        eps = [Fraction(1_999_964 - 631 * k, 999_983) for k in range(3000)]
+        delta = Fraction(331, 997)
+        run = ured_recursion(delta, eps, len(eps))
+        heights = [1 - e / 4 for e in eps]
+        claim1 = [1 - delta, *(max(1 - delta, h) for h in accumulate(heights, max))]
+        doubled = [1 - delta, *(2 * h for h in heights)]
+        assert run.checks["claim1"]["values"] == [frac_str(v) for v in claim1]
+        assert run.verified["doubled_norm"]["values"] == [frac_str(v) for v in doubled]
+        assert run.verified["ok"] and verify_claim(run) == run.verified
+
