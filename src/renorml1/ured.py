@@ -271,7 +271,15 @@ def ured_recursion(delta, eps: Sequence, steps: int) -> RecursionRun:
     nums = tuple([hn * (den // hd) for hn, hd in heights])
     coords = tuple(range(2, steps + 2))
     run = RecursionRun(
-        delta, tuple(eps[:steps]), SparseSeq.unit(1, 1 - delta), coords, nums, den, tuple(range(steps + 1)), coords, {}
+        delta=delta,
+        eps=tuple(eps[:steps]),
+        z=SparseSeq.unit(1, 1 - delta),
+        idx=coords,
+        nums=nums,
+        den=den,
+        lengths=tuple(range(steps + 1)),
+        xstars=coords,
+        checks={},
     )
     z_plus, report, claims = _claims(run)
     require("recursion claims", claims)
@@ -307,7 +315,7 @@ def _claims(run: RecursionRun) -> tuple[list[Fraction], dict, dict[str, Check]]:
     dn, dd = run.delta.as_integer_ratio()
     # 4 for the heights, 2 for z/2
     D = 8 * lcm(z.den, dd, run.den, *{d for _, d in eps})
-    X = [*map(mul, run.nums, repeat(D // run.den)), 0]  # X[-1]: a coordinate no x_m holds
+    X = [*map(mul, run.nums, repeat(D // run.den)), 0]  # X[-1]: what an index off the lattice reads
     E = [n * (D // d) for n, d in eps]
     heights = [D - e // 4 for e in E]
     at = dict(zip(run.idx, range(len(run.idx))))
@@ -324,20 +332,22 @@ def _claims(run: RecursionRun) -> tuple[list[Fraction], dict, dict[str, Check]]:
         """||z / z_div + x_mul x_m|| for m = 0..steps, times D."""
         out = [x_mul * r for r in rest]
         for zi, k in on_z:
-            held, missed = abs(zi // z_div + x_mul * X[k]), abs(zi // z_div)
-            out = [max(v, held if length > k else missed) for v, length in zip(out, lengths)]
+            zi //= z_div
+            if_held, if_not = abs(zi + x_mul * X[k]), abs(zi)
+            out = [max(v, if_held if length > k else if_not) for v, length in zip(out, lengths)]
         return out
 
     z_plus, half_z, doubled = norms(1, 1), norms(2, 1), norms(1, 2)
 
-    # x_m (m >= n) reads X[k] at the position k of x*_n if lengths[m] > k, else 0
+    # x*_n reads X[k] on every x_m (m >= n) that holds the position k of its
+    # index, and 0 on the `short` others: count the reads that miss h_n
     shortest = list(accumulate(reversed(lengths[1:]), min))[::-1]
     unnormed = 0
     for n, (i, h, low) in enumerate(zip(run.xstars, heights, shortest), 1):
         k = at.get(i, -1)
-        held, missed = X[k] != h, h != 0
-        short = sum(length <= k for length in lengths[n:]) if held != missed and low <= k else 0
-        unnormed += held * (n_steps - n + 1 - short) + missed * short
+        fails_if_held, fails_if_not = X[k] != h, h != 0
+        short = sum(length <= k for length in lengths[n:]) if fails_if_held != fails_if_not and low <= k else 0
+        unnormed += fails_if_held * (n_steps - n + 1 - short) + fails_if_not * short
     unnormed += sum(h <= D - e for h, e in zip(heights, E))
 
     suffix_min = list(accumulate(reversed(half_z[1:]), min))[::-1]
