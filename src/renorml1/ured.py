@@ -303,12 +303,13 @@ def _claims(run: RecursionRun) -> tuple[list[Fraction], dict, dict[str, Check]]:
     lengths[m], against the few coordinates on it. The norming equality of
     x*_n is one read of the lattice at the position of xstars[n-1]: x_m
     holds that value when lengths[m] exceeds the position, and 0 otherwise,
-    so "for all m >= n" needs only the suffix minimum of the lengths. Only a
-    run whose x_m are too short for some x*_n and would read the stored value
-    correctly counts those x_m one by one. (ii) is a suffix minimum of
-    ||z/2 + x_m||. The checks measure max ||z + x_m||, the number of failed
-    norming conditions, the least slack of (ii) and the largest deviation
-    from (iii).
+    so "for all m >= n" needs only the suffix minimum of the lengths. Only
+    when some later x_m is too short to hold that position, and exactly one
+    of the stored value and 0 equals the height, are the short x_m counted
+    one by one (never on a run `ured_recursion` built). (ii) is a suffix
+    minimum of ||z/2 + x_m||. The checks measure max ||z + x_m||, the number
+    of failed norming conditions, the least slack of (ii) and the largest
+    deviation from (iii).
     """
     n_steps, z, lengths = run.steps, run.z, run.lengths
     eps = [e.as_integer_ratio() for e in run.eps]
