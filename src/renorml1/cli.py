@@ -28,6 +28,7 @@ from itertools import accumulate, repeat
 
 from .dyadic import (
     MAX_LEVEL,
+    _shown,
     as_index,
     decimal_str,
     frac_str,
@@ -313,9 +314,16 @@ def _cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
+#: the most fractional digits a decimal rendering may be asked for
+MAX_FLOAT_DIGITS = 1000
+
+
 def _digit_count(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    # the length first: Python refuses int() of a string of over 4300 digits
+    if len(text.lstrip("0")) > len(str(MAX_FLOAT_DIGITS)) or int(text) > MAX_FLOAT_DIGITS:
+        raise argparse.ArgumentTypeError(f"must be in 0..{MAX_FLOAT_DIGITS}, got {_shown(text)!r}")
     return int(text)
 
 

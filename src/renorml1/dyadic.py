@@ -29,6 +29,7 @@ from fractions import Fraction
 from itertools import chain, islice, repeat
 from math import gcd, isqrt, lcm
 from operator import add, mul, sub
+from sys import get_int_max_str_digits
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 #: Dense storage cap: no step function may live at a level above this.
@@ -42,23 +43,42 @@ class LevelOverflowError(ValueError):
 def to_frac(x) -> Fraction:
     """Coerce int / Fraction / 'p/q' string to Fraction. Floats are rejected,
     and so are strings in exponent notation: `Fraction` would build the power
-    of ten before any range check, 10**300000000 for '1e300000000'."""
+    of ten before any range check, 10**300000000 for '1e300000000'. So are
+    strings with more digits on one side of a '/' or a '.' than Python
+    converts to one int (`sys.get_int_max_str_digits`, 0 for no limit)."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool) or isinstance(x, float):
         raise TypeError(f"exact rational required, got {type(x).__name__}: {x!r}")
-    if isinstance(x, str) and ("e" in x or "E" in x):
-        shown = x if len(x) <= 24 else x[:21] + "..."
-        raise ValueError(f"exponent notation is not a rational 'p/q': {shown!r}")
+    if isinstance(x, str):
+        if "e" in x or "E" in x:
+            raise ValueError(f"exponent notation is not a rational 'p/q': {_shown(x)!r}")
+        limit = get_int_max_str_digits()
+        if limit and len(x) > limit and any(
+            sum(map(str.isdecimal, part)) > limit for part in x.replace(".", "/").split("/")
+        ):
+            raise ValueError(f"more than {limit} digits in one integer of rational {_shown(x)!r}")
     try:
         return Fraction(x)
     except ZeroDivisionError:
         raise ValueError(f"denominator is 0 in rational {x!r}") from None
 
 
+def _shown(text: str) -> str:
+    """`text` cut to 24 characters for an error message."""
+    return text if len(text) <= 24 else text[:21] + "..."
+
+
 def frac_str(x: Fraction) -> str:
     """Canonical 'p/q' rendering (denominator always explicit)."""
     return f"{x.numerator}/{x.denominator}"
+
+
+def ratio_str(n: int, d: int) -> str:
+    """frac_str(Fraction(n, d)) for d > 0, without building the Fraction:
+    the rendering of one int lattice value n over its denominator d."""
+    g = gcd(n, d)
+    return f"{n // g}/{d // g}"
 
 
 def decimal_str(x: Fraction, digits: int = 12) -> str:
@@ -79,12 +99,8 @@ def sqrt_floor_decimal(x: Fraction, digits: int = 12) -> str:
     """
     if x < 0:
         raise ValueError("negative argument")
-    scaled = (x.numerator * 10 ** (2 * digits)) // x.denominator
-    s = isqrt(scaled)
-    if digits == 0:
-        return str(s)
-    ip, fp = divmod(s, 10**digits)
-    return f"{ip}.{fp:0{digits}d}"
+    root = isqrt(x.numerator * 10 ** (2 * digits) // x.denominator)
+    return decimal_str(Fraction(root, 10**digits), digits)
 
 
 class DyadicIndex(NamedTuple):
@@ -398,7 +414,7 @@ def abs_diff_masses(f: DyadicStep, g: DyadicStep) -> tuple[int, int, list[int]]:
 
 def step_to_json(f: DyadicStep) -> dict:
     """The wire form of f; each distinct numerator is rendered once."""
-    text = {n: frac_str(Fraction(n, f.den)) for n in set(f.nums)}
+    text = {n: ratio_str(n, f.den) for n in set(f.nums)}
     return {"level": f.level, "values": list(map(text.__getitem__, f.nums))}
 
 

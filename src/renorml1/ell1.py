@@ -120,16 +120,9 @@ def combo_l1(members: Sequence[Spike], alphas: Sequence) -> Fraction:
     return total
 
 
-def _ceil_log2_inv(eps: Fraction) -> int:
-    """Smallest c >= 0 with 2**c >= 1/eps."""
-    c = 0
-    while (1 << c) * eps.numerator < eps.denominator:
-        c += 1
-    return c
-
-
 def _direction_level(max_member_level: int, eps: Fraction) -> int:
-    return max_member_level + 1 + _ceil_log2_inv(eps)
+    # ceil(log2(1/eps)): the smallest c >= 0 with 2**c >= ceil(1/eps)
+    return max_member_level + 1 + (-(-eps.denominator // eps.numerator) - 1).bit_length()
 
 
 def octahedral_direction(E: Sequence[DyadicStep], eps) -> DyadicStep:

@@ -46,34 +46,23 @@ def seminorm(f: DyadicStep, idx) -> Fraction:
     return integral_over(abs(f), as_index(idx))
 
 
-def _series(f: DyadicStep, T: int) -> tuple[int, int, int]:
-    """(B, S, D) with D = den << K, K = level(f):
-    sum_{k < min(T, K)} 4**-k * sum_j s(f, k, j)**2 = B / (D**2 * 4**K) and
-    sum_j s(f, K, j)**2 = S / D**2, folding the int masses of |f| one level
-    at a time."""
-    K, masses = f.level, list(map(abs, f.nums))
-    B, S = 0, sum(map(mul, masses, masses))
-    for k, ms in zip(range(K - 1, -1, -1), islice(mass_levels(masses), 1, None)):
-        if k < T:
-            B += sum(map(mul, ms, ms)) << 2 * (K - k)
-    return B, S, f.den << K
+def _level_squares(masses: Sequence[int]) -> list[int]:
+    """The sum of squares of each level of the `mass_levels` fold of the int
+    masses `masses`, finest first: with `masses` D times the masses of |f|
+    on its own cells, item i is D**2 * sum_j s(f, level(f) - i, j)**2."""
+    return [sum(map(mul, ms, ms)) for ms in mass_levels(masses)]
 
 
 def tnorm_sq(f: DyadicStep) -> Fraction:
     """Exact squared norm T(f)**2 (closed tail from f's own level up)."""
-    return _tnorm_sq(f.level, f.den << f.level, list(map(abs, f.nums)))
+    return tnorm_sq_from_squares(f.level, f.den << f.level, _level_squares(list(map(abs, f.nums))))
 
 
 def tnorm_sq_diff(f: DyadicStep, g: DyadicStep) -> Fraction:
     """T(f - g)**2, equal to tnorm_sq(f - g), from the lattices of f and g
     without building the step f - g."""
-    return _tnorm_sq(*abs_diff_masses(f, g))
-
-
-def _tnorm_sq(K: int, D: int, masses: list[int]) -> Fraction:
-    """T(f)**2 of a level-K step f from D times the masses of |f| on the
-    level-K cells."""
-    return tnorm_sq_from_squares(K, D, [sum(map(mul, ms, ms)) for ms in mass_levels(masses)])
+    K, D, masses = abs_diff_masses(f, g)
+    return tnorm_sq_from_squares(K, D, _level_squares(masses))
 
 
 def tnorm_sq_from_squares(K: int, D: int, squares: Sequence[int]) -> Fraction:
@@ -90,9 +79,11 @@ def partial_below(f: DyadicStep, T: int) -> Fraction:
     """Truncated series: sum_{k < T} 4**-k * sum_j s(f, k, j)**2."""
     if T < 0:
         raise ValueError(f"truncation level must be >= 0, got {T}")
-    K = f.level
-    B, S, D = _series(f, T)
-    E = max(T, K)
+    K, D = f.level, f.den << f.level
+    squares = _level_squares(list(map(abs, f.nums)))
+    # level K - i < T weighs 4**i against level K, as in tnorm_sq_from_squares
+    B = sum(sq << 2 * i for i, sq in enumerate(squares) if i and K - i < T)
+    S, E = squares[0], max(T, K)
     # at and above f's own grid the level-k seminorms sum to S * 2**(K-k) / D**2;
     # every term goes over the denominator D**2 * 4**K * 8**(E-K)
     above = sum(S << 3 * (E - k) for k in range(K, T))

@@ -41,7 +41,7 @@ from operator import itemgetter, lt, mul, sub
 from typing import Sequence
 
 from .checks import Check, check, require
-from .dyadic import frac_str, to_frac
+from .dyadic import frac_str, ratio_str, to_frac
 
 
 @dataclass(frozen=True, init=False)
@@ -120,7 +120,7 @@ class SparseSeq:
     __rmul__ = __mul__
 
     def to_json(self) -> dict:
-        return dict(zip(map(str, self.idx), map(_ratio_str, self.nums, repeat(self.den))))
+        return dict(zip(map(str, self.idx), map(ratio_str, self.nums, repeat(self.den))))
 
 
 def _set(x: SparseSeq, idx: tuple, nums: tuple, den: int) -> None:
@@ -146,12 +146,6 @@ def _lattice(idx, nums, den: int) -> SparseSeq:
         idx, nums = [i for i, _ in kept], [n for _, n in kept]
     g = gcd(den, *nums)
     return _seq(tuple(idx), tuple([n // g for n in nums]), den // g)
-
-
-def _ratio_str(n: int, d: int) -> str:
-    """frac_str(Fraction(n, d)) for d > 0, without building the Fraction."""
-    g = gcd(n, d)
-    return f"{n // g}/{d // g}"
 
 
 def projection_tail(x: SparseSeq) -> SparseSeq:
@@ -231,7 +225,7 @@ class RecursionRun:
             "z": self.z.to_json(),
             "xs": PrefixMaps(
                 tuple([str(self.idx[k]) for k in shown]),
-                tuple([_ratio_str(self.nums[k], self.den) for k in shown]),
+                tuple([ratio_str(self.nums[k], self.den) for k in shown]),
                 tuple(map(held.__getitem__, self.lengths)),
             ),
             "xstars": list(self.xstars),
@@ -361,7 +355,7 @@ def _claims(run: RecursionRun) -> tuple[list[Fraction], dict, dict[str, Check]]:
         "doubled_norm": check(Fraction(max(map(abs, map(sub, doubled, exact))), D), "==", 0),
     }
     report = {name: c.ok for name, c in checks.items()}
-    report["doubled_norm"] = {"values": [_ratio_str(v, D) for v in doubled], "ok": report["doubled_norm"]}
+    report["doubled_norm"] = {"values": [ratio_str(v, D) for v in doubled], "ok": report["doubled_norm"]}
     report["ok"] = all(c.ok for c in checks.values())
     return [Fraction(v, D) for v in z_plus], report, checks
 

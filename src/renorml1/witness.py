@@ -48,6 +48,7 @@ from .dyadic import (
     mass_levels,
     norms,
     pairing,
+    ratio_str,
     step_to_json,
     to_frac,
 )
@@ -103,8 +104,9 @@ class WeakNbhd:
 class SplitPair:
     """The level-(K+2) mass split of a center f.
 
-    b[j], c[j] are the positive/negative masses of f on the level-K cell j;
-    f1 carries them on quarters 4j-3 / 4j-2 of that cell, f2 on 4j-1 / 4j.
+    b and c are level-K steps: their values on cell j are the positive and
+    negative masses of f on the level-K cell j, which f1 carries on quarters
+    4j-3 / 4j-2 of that cell and f2 on 4j-1 / 4j.
     `checks` holds what the split check measured: the largest deviation from
     each identity (5)-(7) over the cells of level <= K, and max linf(f_i).
     `tnorm_sq` holds T(f1)**2, T(f2)**2 and T(f1 - f2)**2, and `cell_masses` the
@@ -113,8 +115,8 @@ class SplitPair:
     """
 
     K: int
-    b: tuple[Fraction, ...]
-    c: tuple[Fraction, ...]
+    b: DyadicStep
+    c: DyadicStep
     f1: DyadicStep
     f2: DyadicStep
     checks: dict[str, Check]
@@ -122,10 +124,6 @@ class SplitPair:
     #: (D, levels): levels[k] holds D times the masses of f1 and of f2 on the
     #: level-k cells, k = 0..K
     cell_masses: tuple[int, tuple[tuple[list[int], list[int]], ...]] = field(repr=False, compare=False)
-
-    #: (b, c) as the level-K steps `split_pair` built, whose kept numerators
-    #: render each distinct mass once; None for a pair built otherwise
-    _masses = None
 
     def pairings(self, h: DyadicStep) -> tuple[Fraction, Fraction]:
         """(<f1, h>, <f2, h>) for a functional h of level <= K: the masses of
@@ -136,14 +134,10 @@ class SplitPair:
         return tuple(Fraction(sum(map(mul, ms, h.nums)), D * h.den) for ms in levels[h.level])
 
     def to_json(self) -> dict:
-        if self._masses is None:
-            b, c = ([frac_str(x) for x in xs] for xs in (self.b, self.c))
-        else:
-            b, c = (step_to_json(m)["values"] for m in self._masses)
         return {
             "K": self.K,
-            "b": b,
-            "c": c,
+            "b": step_to_json(self.b)["values"],
+            "c": step_to_json(self.c)["values"],
             "f1": step_to_json(self.f1),
             "f2": step_to_json(self.f2),
         }
@@ -251,9 +245,7 @@ def split_pair(f: DyadicStep, K: int) -> SplitPair:
     f1 = _new(K + 2, tuple(chain.from_iterable(zip(up, down, zeros, zeros))), D // g)
     f2 = _new(K + 2, tuple(chain.from_iterable(zip(zeros, zeros, up, down))), D // g)
 
-    sp = SplitPair(K, b.values, c.values, f1, f2, *_verify_split(f, K, fK, f1, f2))
-    object.__setattr__(sp, "_masses", (b, c))
-    return sp
+    return SplitPair(K, b, c, f1, f2, *_verify_split(f, K, fK, f1, f2))
 
 
 def _level_K_masses(f: DyadicStep, K: int) -> tuple[int, list[int], list[int]]:
@@ -320,7 +312,7 @@ def _verify_split(f: DyadicStep, K: int, fK: tuple, f1: DyadicStep, f2: DyadicSt
         dev["id6"] = max(dev["id6"], _max_dev(a1, a), _max_dev(a2, a))
         dev["id7"] = max(dev["id7"], _max_dev(ad, [2 * x for x in a]))
         if any(dev.values()):
-            shown = ", ".join(f"{name}={frac_str(Fraction(d, D))}" for name, d in dev.items())
+            shown = ", ".join(f"{name}={ratio_str(d, D)}" for name, d in dev.items())
             raise RuntimeError(f"internal: split identity failed at level {k} ({shown})")
         kept.append((m1, m2))
     checks = {name: check(Fraction(d, D), "==", Fraction(0)) for name, d in dev.items()}

@@ -318,6 +318,24 @@ class TestInputErrors:
         assert rc == 2 and text == ""
         assert err == f"input error: exponent notation is not a rational 'p/q': {shown}\n"
 
+    # Fraction hands each digit string to int(), which refuses over 4300 digits
+    @pytest.mark.parametrize(
+        "argv, obj, shown",
+        [
+            (["ured", "--delta", "1/2", "--eps", "1/" + "1" * 5000], None, "'1/" + "1" * 19 + "...'"),
+            (["ured", "--delta", "1/2", "--eps", "0." + "0" * 5000 + "1"], None, "'0." + "0" * 19 + "...'"),
+            (["ured", "--delta", "1" * 4301 + "/" + "3" * 4400, "--eps", "1/2"], None, "'" + "1" * 21 + "...'"),
+            (["norm"], {"level": 1, "values": ["1/2", "-" + "7_" * 4301]}, "'-" + "7_" * 10 + "...'"),
+        ],
+    )
+    def test_over_long_integers_are_rejected_naming_the_value(self, tmp_path, capsys, argv, obj, shown):
+        if obj is not None:
+            argv = [*argv, "--input", write_json(tmp_path, "in.json", obj)]
+        rc, text = invoke(tmp_path, *argv)
+        err = capsys.readouterr().err
+        assert rc == 2 and text == ""
+        assert err == f"input error: more than 4300 digits in one integer of rational {shown}\n"
+
     def test_exponent_notation_exits_at_once(self):
         proc = subprocess.run(
             [sys.executable, "-m", "renorml1", "ured", "--delta", "1/2", "--eps", "1e300000000"],
@@ -349,6 +367,25 @@ class TestInputErrors:
         assert exc.value.code == 2
         assert f"argument --float-digits: must be an integer >= 0, got '{digits}'" in err
         assert "Traceback" not in err and not (tmp_path / "report.out").exists()
+
+
+    @pytest.mark.parametrize("digits", ["1001", "5000", "1000000000", "0" * 30 + "1001", "9" * 5000])
+    def test_float_digits_are_capped_at_parsing(self, tmp_path, capsys, monkeypatch, digits):
+        monkeypatch.setattr(cli, "norm_report", lambda *a: pytest.fail("ran past argument parsing"))
+        path = write_json(tmp_path, "in.json", CONST_78)
+        with pytest.raises(SystemExit) as exc:
+            invoke(tmp_path, "norm", "--input", path, "--float-digits", digits)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        shown = digits if len(digits) <= 24 else digits[:21] + "..."
+        assert f"argument --float-digits: must be in 0..{cli.MAX_FLOAT_DIGITS}, got '{shown}'" in err
+        assert "Traceback" not in err and not (tmp_path / "report.out").exists()
+
+    def test_float_digits_at_the_cap(self, tmp_path):
+        path = write_json(tmp_path, "in.json", CONST_78)
+        rc, text = invoke(tmp_path, "norm", "--input", path, "--float-digits", str(cli.MAX_FLOAT_DIGITS))
+        assert rc == 0
+        assert len(json.loads(text)["tnorm_float"].partition(".")[2]) == cli.MAX_FLOAT_DIGITS
 
 
 class TestArgumentSchema:
@@ -514,8 +551,8 @@ class TestEmitter:
     def test_split_masses_render_like_frac_str(self, f, K):
         sp = split_pair(f, K)
         obj = sp.to_json()
-        assert obj["b"] == [frac_str(x) for x in sp.b]
-        assert obj["c"] == [frac_str(x) for x in sp.c]
+        assert obj["b"] == [frac_str(x) for x in sp.b.values]
+        assert obj["c"] == [frac_str(x) for x in sp.c.values]
         # a pair built by hand renders its own b and c
         hand = replace(sp, b=sp.c, c=sp.b).to_json()
         assert (hand["b"], hand["c"]) == (obj["c"], obj["b"])

@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renorml1 import (
@@ -24,6 +24,7 @@ from renorml1 import (
     step_to_json,
     tnorm_sq,
 )
+from renorml1.dyadic import frac_str, ratio_str, sqrt_floor_decimal, to_frac
 from conftest import mk, steps
 
 
@@ -222,6 +223,36 @@ class TestJson:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             DyadicStep(0, (0.5,))
+
+
+class TestRendering:
+    @settings(max_examples=300)
+    @given(st.integers(), st.integers(min_value=1))
+    def test_ratio_str_is_frac_str_of_the_fraction(self, n, d):
+        assert ratio_str(n, d) == frac_str(Fraction(n, d))
+        assert ratio_str(0, d) == "0/1" and ratio_str(-n, d) == frac_str(Fraction(-n, d))
+
+    @settings(max_examples=300)
+    @given(st.fractions(min_value=0), st.integers(min_value=0, max_value=40))
+    def test_sqrt_floor_decimal_truncates_the_root(self, x, digits):
+        s = sqrt_floor_decimal(x, digits)
+        ip, _, fp = s.partition(".")
+        assert len(fp) == digits and ip.isdecimal() and (not fp or fp.isdecimal())
+        root = int(ip + fp)  # floor(sqrt(x) * 10**digits)
+        assert root * root <= x * 100**digits < (root + 1) ** 2
+
+    def test_integers_at_the_digit_limit_parse(self):
+        nines = "9" * 4300
+        assert to_frac(f"1/{nines}") == Fraction(1, 10**4300 - 1)
+        assert to_frac(f"-{nines}") == -(10**4300 - 1)
+        assert to_frac(f"1.{'0' * 4299}1") == 1 + Fraction(1, 10**4300)
+        # the integer and fractional digits of a decimal are two ints
+        assert to_frac(f"{'3' * 3000}.{'3' * 3000}") == int("3" * 3000) + Fraction(int("3" * 3000), 10**3000)
+        # underscores are not digits
+        assert to_frac("1/" + "1_" * 4299 + "1") == Fraction(1, int("1" * 4300))
+        for text in (f"1/9{nines}", f"9{nines}", f"0.{nines}1", f"9{nines}/1", "1/" + "1_" * 4300 + "1"):
+            with pytest.raises(ValueError, match="more than 4300 digits in one integer"):
+                to_frac(text)
 
 
 class TestIndex:

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from renorml1 import (
@@ -21,6 +21,7 @@ from renorml1 import (
     pairing,
     refine,
 )
+from renorml1.ell1 import _direction_level
 from conftest import mk, steps
 
 small = st.fractions(min_value=-4, max_value=4, max_denominator=8)
@@ -81,6 +82,27 @@ class TestOctahedralDirection:
             assert norms(x + alpha * y).l1 >= (1 - eps) * (l1x + abs(alpha))
         # slopes at +-infinity are both eps > 0, so the breakpoints suffice
         assert eps > 0
+
+
+class TestDirectionLevel:
+    @settings(max_examples=500)
+    @given(
+        st.integers(min_value=1, max_value=1 << 600),
+        st.one_of(st.integers(min_value=1, max_value=64), st.integers(min_value=1, max_value=1 << 600)),
+        st.integers(min_value=0, max_value=20),
+    )
+    @example(1, 1 << 300, 0)
+    @example(1, (1 << 300) + 1, 0)
+    @example(1, (1 << 300) - 1, 0)
+    @example(3, 1 << 400, 5)
+    @example(7, 7, 0)
+    @example(9, 2, 0)
+    def test_closed_form_is_the_least_power_of_two(self, d, n, L):
+        # the definition: the smallest c >= 0 with 2**c * n >= d
+        c = 0
+        while (n << c) < d:
+            c += 1
+        assert _direction_level(L, Fraction(n, d)) == L + 1 + c
 
 
 class TestGreedyFamily:

@@ -3,9 +3,11 @@
 Each case runs ``renorml1.cli.main`` in-process and compares the sha256 of
 the report file with a digest recorded before the mass-level kernel was
 consolidated, or, for a later case, before the change its comment names.
-``scripts/ured_demo.py`` is held to the digest of what it prints. Any change
-to a report byte, however small, fails here; if a report format changes on
-purpose, re-record the digest in the same change and say why.
+``scripts/ured_demo.py`` and ``scripts/ell1_demo.py`` are held to the digest
+of what they print, ``scripts/slice_gaps.py`` to the digests of its table and
+its CSV. Any change to a report byte, however small, fails here; if a report
+format changes on purpose, re-record the digest in the same change and say
+why.
 """
 
 import hashlib
@@ -148,10 +150,38 @@ def test_report_bytes_unchanged(tmp_path, name):
     assert report_digest(tmp_path, argv) == digest
 
 
+def run_script(monkeypatch, capsys, name: str, argv) -> str:
+    """What scripts/<name> prints when run as a program with `argv`."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / name
+    monkeypatch.setattr(sys, "argv", [str(script), *argv])
+    runpy.run_path(str(script), run_name="__main__")
+    return capsys.readouterr().out
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(DEMOS))
 def test_ured_demo_output_unchanged(monkeypatch, capsys, name):
     argv, digest = DEMOS[name]
-    script = Path(__file__).resolve().parents[1] / "scripts" / "ured_demo.py"
-    monkeypatch.setattr(sys, "argv", [str(script), *argv])
-    runpy.run_path(str(script), run_name="__main__")
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    assert sha(run_script(monkeypatch, capsys, "ured_demo.py", argv)) == digest
+
+
+# recorded before the one lattice-value renderer and the split record of steps
+
+
+def test_ell1_demo_output_unchanged(monkeypatch, capsys):
+    out = run_script(monkeypatch, capsys, "ell1_demo.py", [])
+    assert sha(out) == "b655ddbe150970fa82fe0225ddbea26bcaafcf09b94646d965ee66c26b206dca"
+
+
+def test_slice_gaps_output_unchanged(monkeypatch, capsys, tmp_path):
+    csv = tmp_path / "slice.csv"
+    out = run_script(monkeypatch, capsys, "slice_gaps.py", ["--out", str(csv)])
+    table, _, written = out.rstrip("\n").rpartition("\n")
+    assert written == f"csv written to {csv}"
+    assert sha(table + "\n") == "8bc29c5b2709532b9a33cf5c53005b560d0293d7d370124d8657bed08542ff10"
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
+        "15558a8dd29b5e04bfdac68685dd3366404f8ab0adb05075979836711d8bfda0"
+    )

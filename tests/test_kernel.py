@@ -50,7 +50,7 @@ from renorml1.dyadic import (
     step_from_json,
     step_to_json,
 )
-from renorml1.renorm import _q_product, _series, partial_below, tail_formula, tnorm_sq
+from renorml1.renorm import _level_squares, _q_product, partial_below, tail_formula, tnorm_sq
 from conftest import mk, small_fractions
 
 # -- oracles: the Fraction kernel ----------------------------------------------
@@ -183,8 +183,9 @@ def test_mass_levels(f, absolute):
 @settings(max_examples=100, deadline=None)
 @given(functions(), st.integers(0, 7))
 def test_series_and_norm(f, T):
-    B, S, D = _series(f, T)
-    assert (Fraction(B, D * D << 2 * f.level), Fraction(S, D * D)) == oracle_series(f, T)
+    D = f.den << f.level
+    squares = _level_squares(list(map(abs, f.nums)))
+    assert [Fraction(sq, D * D) for sq in squares] == list(map(_sumsq, oracle_mass_levels(f, absolute=True)))
     assert tnorm_sq(f) == oracle_tnorm_sq(f)
     assert partial_below(f, T) == oracle_partial_below(f, T)
     T = max(T, f.level)

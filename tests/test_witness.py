@@ -19,7 +19,17 @@ from renorml1 import (
     split_pair,
     tnorm_sq,
 )
-from renorml1.dyadic import DyadicIndex, abs_diff_masses, from_lattice, indicator, integral_over, lattice, refine
+from renorml1.dyadic import (
+    DyadicIndex,
+    abs_diff_masses,
+    decompose,
+    dyadic_project,
+    from_lattice,
+    indicator,
+    integral_over,
+    lattice,
+    refine,
+)
 from renorml1.renorm import tnorm_sq_diff
 from renorml1.witness import _level_K_masses, _verify_split
 from conftest import mk, steps
@@ -63,14 +73,14 @@ class TestSplitPair:
         sp = split_pair(mk(0, 1), 0)
         assert sp.f1 == mk(2, 4, 0, 0, 0)
         assert sp.f2 == mk(2, 0, 0, 4, 0)
-        assert sp.b == (1,) and sp.c == (0,)
+        assert sp.b.values == (1,) and sp.c.values == (0,)
 
     def test_signed(self):
         sp = split_pair(mk(1, 1, -1), 1)
         assert sp.f1 == mk(3, 4, 0, 0, 0, 0, -4, 0, 0)
         assert sp.f2 == mk(3, 0, 0, 4, 0, 0, 0, 0, -4)
-        assert sp.b == (Fraction(1, 2), 0)
-        assert sp.c == (0, Fraction(1, 2))
+        assert sp.b.values == (Fraction(1, 2), 0)
+        assert sp.c.values == (0, Fraction(1, 2))
 
     def test_zero(self):
         sp = split_pair(DyadicStep.zero(1), 2)
@@ -82,6 +92,15 @@ class TestSplitPair:
             assert sp.pairings(h) == (pairing(sp.f1, h), pairing(sp.f2, h))
         with pytest.raises(ValueError, match="functional level 2 exceeds the split's K = 1"):
             sp.pairings(mk(2, 1, 0, 0, 1))
+
+    @given(steps(max_level=4), st.integers(min_value=0, max_value=6))
+    @settings(max_examples=60, deadline=None)
+    def test_b_and_c_are_the_level_K_masses_of_the_parts(self, f, K):
+        sp = split_pair(f, K)
+        _, pos, neg = decompose(f)
+        assert sp.b == Fraction(1, 1 << K) * dyadic_project(pos, K)
+        assert sp.c == Fraction(1, 1 << K) * dyadic_project(neg, K)
+        assert sp.b.level == sp.c.level == K
 
     @given(steps(max_level=3), st.integers(min_value=0, max_value=4))
     @settings(max_examples=50)
