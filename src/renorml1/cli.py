@@ -28,6 +28,7 @@ from itertools import accumulate, repeat
 
 from .dyadic import (
     MAX_LEVEL,
+    StepValues,
     _shown,
     as_index,
     decimal_str,
@@ -155,6 +156,9 @@ def _encode(o, depth: int, chunks: list[str]) -> None:
     levels deep. A non-empty container whose items are all scalars goes to
     the C encoder in one call, with the item separator carrying the newline
     and indent of its items; only the nesting above it is walked here."""
+    if isinstance(o, StepValues):
+        _encode_values(o, depth, chunks)
+        return
     if isinstance(o, PrefixMaps):
         _encode_prefixes(o, depth, chunks)
         return
@@ -185,6 +189,16 @@ def _encode(o, depth: int, chunks: list[str]) -> None:
             _encode(value, depth + 1, chunks)
             sep = "," + inner
     chunks.extend((outer, brackets[1]))
+
+
+def _encode_values(o: StepValues, depth: int, chunks: list[str]) -> None:
+    """Append the text of json.dumps(o.expand(), indent=2) nested `depth`
+    levels deep: one join of the value texts, the quotes around them carried
+    by the separator ('p/q' text never needs escaping). A step has at least
+    one value, so the list is never empty."""
+    inner = "\n" + "  " * (depth + 1)
+    body = ('",' + inner + '"').join(map(o.texts.__getitem__, o.nums))
+    chunks.extend(("[", inner, '"', body, '"', "\n" + "  " * depth, "]"))
 
 
 def _encode_prefixes(o: PrefixMaps, depth: int, chunks: list[str]) -> None:

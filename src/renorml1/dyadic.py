@@ -45,12 +45,16 @@ def to_frac(x) -> Fraction:
     and so are strings in exponent notation: `Fraction` would build the power
     of ten before any range check, 10**300000000 for '1e300000000'. So are
     strings with more digits on one side of a '/' or a '.' than Python
-    converts to one int (`sys.get_int_max_str_digits`, 0 for no limit)."""
+    converts to one int (`sys.get_int_max_str_digits`, 0 for no limit). Every
+    error names a string by at most its first 24 characters."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool) or isinstance(x, float):
         raise TypeError(f"exact rational required, got {type(x).__name__}: {x!r}")
     if isinstance(x, str):
+        plain = _plain_ratio(x)
+        if plain is not None:
+            return plain
         if "e" in x or "E" in x:
             raise ValueError(f"exponent notation is not a rational 'p/q': {_shown(x)!r}")
         limit = get_int_max_str_digits()
@@ -61,7 +65,29 @@ def to_frac(x) -> Fraction:
     try:
         return Fraction(x)
     except ZeroDivisionError:
-        raise ValueError(f"denominator is 0 in rational {x!r}") from None
+        raise ValueError(f"denominator is 0 in rational {_shown(x)!r}") from None
+    except ValueError:
+        if not isinstance(x, str):
+            raise
+        raise ValueError(f"Invalid literal for Fraction: {_shown(x)!r}") from None
+
+
+def _plain_ratio(text: str) -> Optional[Fraction]:
+    """Fraction(text) for a plain 'p' or 'p/q' of ASCII digits, p with an
+    optional '-', q nonzero and within the int digit limit, read with two
+    int() calls instead of Fraction's regex; None for every other string."""
+    limit = get_int_max_str_digits()
+    if limit and len(text) > limit:
+        return None
+    p, slash, q = text.partition("/")
+    digits = p[1:] if p[:1] == "-" else p
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    if not slash:
+        return Fraction(int(p))
+    if not (q.isascii() and q.isdigit()) or not q.strip("0"):
+        return None
+    return Fraction(int(p), int(q))
 
 
 def _shown(text: str) -> str:
@@ -412,10 +438,43 @@ def abs_diff_masses(f: DyadicStep, g: DyadicStep) -> tuple[int, int, list[int]]:
 #   {"level": K, "values": ["p/q", ...]}   with exactly 2**K entries.
 
 
+@dataclass(frozen=True, eq=False)
+class StepValues:
+    """The wire list of a step's values, held as its numerators: entry i is
+    texts[nums[i]], the 'p/q' text of that numerator's value. `expand`
+    builds the list; the CLI emitter writes the same bytes without it."""
+
+    nums: tuple[int, ...]
+    texts: dict[int, str]
+
+    def expand(self) -> list[str]:
+        return list(map(self.texts.__getitem__, self.nums))
+
+
+def _step_values(steps: Sequence[DyadicStep], scale: Fraction) -> list[StepValues]:
+    """The values of scale * f for each f in `steps`, each distinct numerator
+    over each denominator among them rendered once through ratio_str."""
+    sn, sd = scale.as_integer_ratio()
+    distinct: dict[int, set[int]] = {}
+    for f in steps:
+        distinct.setdefault(f.den, set()).update(f.nums)
+    texts = {
+        den: {n: ratio_str(sn * n, sd * den) for n in nums} for den, nums in distinct.items()
+    }
+    return [StepValues(f.nums, texts[f.den]) for f in steps]
+
+
 def step_to_json(f: DyadicStep) -> dict:
-    """The wire form of f; each distinct numerator is rendered once."""
-    text = {n: ratio_str(n, f.den) for n in set(f.nums)}
-    return {"level": f.level, "values": list(map(text.__getitem__, f.nums))}
+    """The wire form of f, its values a plain list of 'p/q' strings."""
+    return {"level": f.level, "values": _step_values((f,), Fraction(1))[0].expand()}
+
+
+def steps_to_json(*steps: DyadicStep, scale=1) -> list[dict]:
+    """The wire forms of scale * f for each f in `steps`, their values held
+    as StepValues that share one rendering of the numerators they have in
+    common: g = (1 - gamma) * f is written from f's numerators."""
+    values = _step_values(steps, to_frac(scale))
+    return [{"level": f.level, "values": v} for f, v in zip(steps, values)]
 
 
 def step_from_json(obj) -> DyadicStep:

@@ -33,6 +33,7 @@ from .dyadic import (
     indicator,
     norms,
     pairing,
+    steps_to_json,
     to_frac,
 )
 
@@ -251,11 +252,10 @@ class DualPair:
     pairings: tuple[tuple[Fraction, Fraction], ...]
 
     def to_json(self) -> dict:
-        from .dyadic import step_to_json
-
+        xstar, ystar = steps_to_json(self.xstar, self.ystar)
         return {
-            "xstar": step_to_json(self.xstar),
-            "ystar": step_to_json(self.ystar),
+            "xstar": xstar,
+            "ystar": ystar,
             "pairings": [[frac_str(a), frac_str(b)] for a, b in self.pairings],
         }
 

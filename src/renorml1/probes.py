@@ -23,9 +23,11 @@ from .dyadic import (
     as_index,
     frac_str,
     integral_over,
+    lin_comb,
     mass_levels,
     norms,
     sqrt_floor_decimal,
+    steps_to_json,
     to_frac,
 )
 from .renorm import tnorm_sq
@@ -54,11 +56,10 @@ class ExtremeFailureWitness:
     report: WitnessReport
 
     def to_json(self) -> dict:
-        from .dyadic import step_to_json
-
+        center, u = steps_to_json(self.center, self.u)
         return {
-            "center": step_to_json(self.center),
-            "u": step_to_json(self.u),
+            "center": center,
+            "u": u,
             "ball_check_sq": [frac_str(x) for x in self.ball_check_sq],
             "l1_of_u": frac_str(self.l1_of_u),
             "l1_floor": frac_str(self.l1_floor),
@@ -66,12 +67,13 @@ class ExtremeFailureWitness:
 
 
 def strong_extreme_failure(nbhd: WeakNbhd, eps) -> ExtremeFailureWitness:
-    """Build (center, u) = ((g1+g2)/2, (g1-g2)/2) from a witness run; center
-    +- u are g1 and g2 exactly, so the witness's ball check is reused."""
+    """Build (center, u) = ((g1+g2)/2, (g1-g2)/2) from a witness run, each
+    one combination of f1 and f2 (g_i = (1 - gamma) * f_i); center +- u are
+    g1 and g2 exactly, so the witness's ball check is reused."""
     rep = d2p_witness(nbhd, eps)
-    half = Fraction(1, 2)
-    center = half * (rep.g1 + rep.g2)
-    u = half * (rep.g1 - rep.g2)
+    half = (1 - rep.gamma) / 2
+    center = lin_comb(half, rep.pair.f1, half, rep.pair.f2)
+    u = lin_comb(half, rep.pair.f1, -half, rep.pair.f2)
     l1_u = norms(u).l1
     floor = (1 - rep.gamma) * norms(nbhd.center).l1
     require("extreme probe", {"l1_floor": check(l1_u, ">=", floor)})

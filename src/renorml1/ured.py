@@ -250,15 +250,16 @@ def ured_recursion(delta, eps: Sequence, steps: int) -> RecursionRun:
         raise ValueError("steps must be >= 0")
     if len(eps) < steps:
         raise ValueError(f"need at least {steps} eps values, got {len(eps)}")
-    for e in eps[:steps]:
-        if not 0 < e < 2:
+    ratios = [e.as_integer_ratio() for e in eps[:steps]]
+    for e, (en, ed) in zip(eps, ratios):
+        if not 0 < en < 2 * ed:
             raise ValueError(f"eps values must lie in (0, 2), got {e}")
-    for a, b in zip(eps, eps[1:steps]):
-        if b > a:
+    for (an, ad), (bn, bd) in zip(ratios, ratios[1:]):
+        if bn * ad > an * bd:
             raise ValueError("eps must be non-increasing")
 
     heights = []  # 1 - e/4 = (4 ed - en) / (4 ed), reduced by gcd(en, 4)
-    for en, ed in map(Fraction.as_integer_ratio, eps[:steps]):
+    for en, ed in ratios:
         g = gcd(en, 4)
         heights.append(((4 * ed - en) // g, 4 * ed // g))
     den = lcm(*[hd for _, hd in heights])

@@ -50,6 +50,7 @@ from .dyadic import (
     pairing,
     ratio_str,
     step_to_json,
+    steps_to_json,
     to_frac,
 )
 from .renorm import tnorm_sq, tnorm_sq_from_squares
@@ -134,22 +135,25 @@ class SplitPair:
         return tuple(Fraction(sum(map(mul, ms, h.nums)), D * h.den) for ms in levels[h.level])
 
     def to_json(self) -> dict:
+        f1, f2 = steps_to_json(self.f1, self.f2)
         return {
             "K": self.K,
             "b": step_to_json(self.b)["values"],
             "c": step_to_json(self.c)["values"],
-            "f1": step_to_json(self.f1),
-            "f2": step_to_json(self.f2),
+            "f1": f1,
+            "f2": f2,
         }
 
 
 @dataclass(frozen=True)
 class WitnessReport:
+    """The witness pair g_i = (1 - gamma) * f_i of `pair`; g1 and g2 are
+    built from f1 and f2 on each read, and the report writes them from the
+    numerators of f1 and f2."""
+
     gamma: Fraction
     K: int
     pair: SplitPair
-    g1: DyadicStep
-    g2: DyadicStep
     ball_sq: tuple[Fraction, Fraction]  # (T(g1)**2, T(g2)**2)
     checks: dict[str, Check]
     guaranteed_gap_sq: Fraction
@@ -157,10 +161,19 @@ class WitnessReport:
     delta: Fraction
 
     @property
+    def g1(self) -> DyadicStep:
+        return (1 - self.gamma) * self.pair.f1
+
+    @property
+    def g2(self) -> DyadicStep:
+        return (1 - self.gamma) * self.pair.f2
+
+    @property
     def gap_sq(self) -> Fraction:
         return self.checks["gap"].lhs
 
     def to_json(self) -> dict:
+        g1, g2 = steps_to_json(self.pair.f1, self.pair.f2, scale=1 - self.gamma)
         out = {
             "gamma": frac_str(self.gamma),
             "K": self.K,
@@ -168,8 +181,8 @@ class WitnessReport:
             "delta": frac_str(self.delta),
             "guaranteed_gap_sq": frac_str(self.guaranteed_gap_sq),
             "split": self.pair.to_json(),
-            "g1": step_to_json(self.g1),
-            "g2": step_to_json(self.g2),
+            "g1": g1,
+            "g2": g2,
             "checks": {name: chk.to_json() for name, chk in self.checks.items()},
         }
         return out
@@ -358,11 +371,9 @@ def d2p_witness(nbhd: WeakNbhd, eps) -> WitnessReport:
 
     sp = split_pair(f, K)
     shrink = 1 - gamma
-    g1 = shrink * sp.f1
-    g2 = shrink * sp.f2
 
     # g_i = (1 - gamma) * f_i exactly, so every bracket scales by 1 - gamma
-    # and every squared norm by its square
+    # and every squared norm by its square; neither g_i is built here
     checks = dict(sp.checks)
     checks["pairing_l"] = check(
         nbhd.deviation_of(lambda h: [shrink * x for x in sp.pairings(h)]), "<", nbhd.delta
@@ -377,8 +388,6 @@ def d2p_witness(nbhd: WeakNbhd, eps) -> WitnessReport:
         gamma=gamma,
         K=K,
         pair=sp,
-        g1=g1,
-        g2=g2,
         ball_sq=ball_sq,
         checks=checks,
         guaranteed_gap_sq=guaranteed,

@@ -177,11 +177,15 @@ class TestForcedFailures:
             perturbation_l1_chain(mk(1, 0, 1), mk(1, 1, 0), [(1, 1)])
 
     def test_probe_extreme(self, monkeypatch):
+        def tampered(*args):  # f2 = f1, so u = (1 - gamma) (f1 - f2) / 2 is 0
+            rep = real(*args)
+            return replace(rep, pair=replace(rep.pair, f2=rep.pair.f1))
+
         real = probes.d2p_witness
-        monkeypatch.setattr(probes, "d2p_witness", lambda *args: replace(real(*args), gamma=Fraction(-1)))
+        monkeypatch.setattr(probes, "d2p_witness", tampered)
         nbhd = unit_nbhd()
-        r = nbhd.center.values[0]  # l1(u) = (1 - 1/64) r, the bent floor (1 + 1) r
-        sides = f"{frac_str(r * 63 / 64)} >= {frac_str(2 * r)}"
+        r = nbhd.center.values[0]  # the floor (1 - 1/64) r stands; l1(u) is 0
+        sides = f"0/1 >= {frac_str(r * 63 / 64)}"
         with raises_internal(f"internal: extreme probe failed: l1_floor ({sides})"):
             strong_extreme_failure(nbhd, Fraction(1, 5))
 

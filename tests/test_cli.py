@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from renorml1 import cli, selftest, split_pair
 from renorml1.cli import _json_text, build_parser, main
-from renorml1.dyadic import MAX_LEVEL, frac_str
+from renorml1.dyadic import MAX_LEVEL, frac_str, steps_to_json
 from conftest import steps
 
 
@@ -336,6 +336,12 @@ class TestInputErrors:
         assert rc == 2 and text == ""
         assert err == f"input error: more than 4300 digits in one integer of rational {shown}\n"
 
+    def test_invalid_rational_is_named_by_its_start(self, tmp_path, capsys):
+        rc, text = invoke(tmp_path, "ured", "--delta", "1/2", "--eps", "x" * 5000)
+        err = capsys.readouterr().err
+        assert rc == 2 and text == ""
+        assert err == f"input error: Invalid literal for Fraction: {'x' * 21 + '...'!r}\n"
+
     def test_exponent_notation_exits_at_once(self):
         proc = subprocess.run(
             [sys.executable, "-m", "renorml1", "ured", "--delta", "1/2", "--eps", "1e300000000"],
@@ -526,6 +532,24 @@ class TestEmitter:
                 json.dumps(obj, indent=2)
             with pytest.raises(TypeError):
                 _json_text(obj)
+
+    @given(
+        st.lists(steps(max_level=4), min_size=1, max_size=3),
+        st.sampled_from([Fraction(1), 1 - Fraction(1, 64), Fraction(-5, 3)]),
+        st.integers(min_value=0, max_value=3),
+    )
+    @settings(max_examples=200)
+    def test_step_values_equal_json_dumps_of_the_expanded_tree(self, fs, scale, depth):
+        wires = steps_to_json(*fs, scale=scale)
+        expanded = [dict(w, values=w["values"].expand()) for w in wires]
+        for f, wire, values in zip(fs, expanded, wires):
+            assert wire["values"] == [frac_str(scale * x) for x in f.values]
+            assert _json_text(values["values"]) == json.dumps(wire["values"], indent=2) + "\n"
+        obj, plain = {"steps": wires}, {"steps": expanded}
+        for k in range(depth):  # a list, then a dict, holding a bare StepValues too
+            obj, plain = [obj, wires[-1]["values"]], [plain, expanded[-1]["values"]]
+            obj, plain = ({"k": obj, "n": k}, {"k": plain, "n": k}) if k % 2 else (obj, plain)
+        assert _json_text(obj) == json.dumps(plain, indent=2) + "\n"
 
     def test_witness_report_is_json_dumps(self, tmp_path):
         path = write_json(tmp_path, "nbhd.json", NBHD)

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from renorml1 import (
     step_to_json,
     tnorm_sq,
 )
-from renorml1.dyadic import frac_str, ratio_str, sqrt_floor_decimal, to_frac
+from renorml1.dyadic import _plain_ratio, frac_str, ratio_str, sqrt_floor_decimal, to_frac
 from conftest import mk, steps
 
 
@@ -240,6 +241,22 @@ class TestRendering:
         assert len(fp) == digits and ip.isdecimal() and (not fp or fp.isdecimal())
         root = int(ip + fp)  # floor(sqrt(x) * 10**digits)
         assert root * root <= x * 100**digits < (root + 1) ** 2
+
+    @settings(max_examples=500)
+    @given(st.from_regex(r"-?[0-9]{1,30}(/[0-9]{1,30})?", fullmatch=True) | st.text(max_size=12))
+    def test_plain_ratio_parse_equals_fraction(self, text):
+        plain = _plain_ratio(text)
+        if re.fullmatch(r"-?[0-9]+(/0*[1-9][0-9]*)?", text):
+            assert plain == Fraction(text) == to_frac(text)
+            assert (plain.numerator, plain.denominator) == Fraction(text).as_integer_ratio()
+        else:
+            assert plain is None
+
+    def test_invalid_literal_is_named_by_its_start(self):
+        for text, shown in (("x" * 5000, "x" * 21 + "..."), ("1/-2", "1/-2"), ("1/" + "0" * 30, "1/" + "0" * 19 + "...")):
+            with pytest.raises(ValueError) as err:
+                to_frac(text)
+            assert repr(shown) in str(err.value) and len(str(err.value)) < 60
 
     def test_integers_at_the_digit_limit_parse(self):
         nines = "9" * 4300

@@ -114,6 +114,12 @@ CASES = {
         ["split", "--input", "@f", "--level", "13"],
         "1d4de9b5ce68ccb625e780b1f78d061d4fd6d81c0adfd5e2f4259465c4112242",
     ),
+    # recorded before the witness wrote g1 and g2 from the numerators of f1
+    # and f2: center and u at split level K + 2 = 15
+    "probe_extreme_deep": (
+        ["probe", "extreme", "--input", "@nbhd_functionals", "--eps", "1/1000"],
+        "eac0896bd9f1f5191e752aba770617b9787fbfc8ec10a5b85fd2ac696968601c",
+    ),
     # recorded before a run stored one shared coordinate lattice: 120 steps
     # on the prime denominators 997 and 999983; the first height is over
     # 999983 and the second over 4 * 999983, so the lattice is rescaled

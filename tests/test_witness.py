@@ -16,6 +16,7 @@ from renorml1 import (
     near_unit_scale,
     norms,
     pairing,
+    slice_diameter_lb,
     split_pair,
     tnorm_sq,
 )
@@ -443,6 +444,24 @@ class TestWitnessFromFolds:
         rep = d2p_witness(nbhd, Fraction(1, 5))
         assert max(lengths) == 1 << rep.K + 2
         assert lengths.count(1 << rep.K + 2) == 5
+
+    def test_no_dense_product_builds_g1_or_g2(self, monkeypatch):
+        # g_i = (1 - gamma) * f_i is read off the split, never multiplied out
+        center = near_unit_scale(mk(2, 1, Fraction(-1, 2), 3, 0), Fraction(1, 10**4))
+        nbhd = WeakNbhd(center, (mk(1, 1, -1), mk(2, 0, 1, 0, -1)), Fraction(1, 10))
+        real, products = DyadicStep.__mul__, []
+
+        def counted(f, c):
+            products.append(f.level)
+            return real(f, c)
+
+        for name in ("__mul__", "__rmul__"):
+            monkeypatch.setattr(DyadicStep, name, counted)
+        d2p_witness(nbhd, Fraction(1, 5))
+        slice_diameter_lb(nbhd.center, nbhd.functionals, nbhd.delta, [Fraction(1, 5), Fraction(1, 10)])
+        assert products == []
+        Fraction(1, 2) * center  # the guard sees a product
+        assert products == [center.level]
 
 
 class TestGapFromLattices:
