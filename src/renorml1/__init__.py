@@ -14,6 +14,7 @@ from .dyadic import (
     DyadicIndex,
     DyadicStep,
     LevelOverflowError,
+    PeriodicStep,
     canonical,
     decompose,
     dyadic_project,

@@ -24,7 +24,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 
 from .dyadic import (
     MAX_LEVEL,
@@ -193,11 +193,14 @@ def _encode(o, depth: int, chunks: list[str]) -> None:
 
 def _encode_values(o: StepValues, depth: int, chunks: list[str]) -> None:
     """Append the text of json.dumps(o.expand(), indent=2) nested `depth`
-    levels deep: one join of the value texts, the quotes around them carried
-    by the separator ('p/q' text never needs escaping). A step has at least
-    one value, so the list is never empty."""
+    levels deep: one join of the value texts of each block, then one join of
+    every block's text repeated in place, the quotes around the values
+    carried by the separator ('p/q' text never needs escaping). A step has
+    at least one value, so the list is never empty."""
     inner = "\n" + "  " * (depth + 1)
-    body = ('",' + inner + '"').join(map(o.texts.__getitem__, o.nums))
+    sep = '",' + inner + '"'
+    blocks = (sep.join(map(o.texts.__getitem__, b)) for b in o.blocks)
+    body = sep.join(chain.from_iterable(repeat(b, o.reps) for b in blocks))
     chunks.extend(("[", inner, '"', body, '"', "\n" + "  " * depth, "]"))
 
 

@@ -25,15 +25,19 @@ caller's denominator (`den << level` for a step's own numerators).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, islice, repeat
 from math import gcd, isqrt, lcm
-from operator import add, mul, sub
-from sys import get_int_max_str_digits
+from operator import add, mul
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 #: Dense storage cap: no step function may live at a level above this.
 MAX_LEVEL = 20
+
+#: The most digits one integer of an input rational may have: Python's
+#: default int-string limit, whatever limit the process sets.
+MAX_INPUT_DIGITS = 4300
 
 
 class LevelOverflowError(ValueError):
@@ -44,9 +48,8 @@ def to_frac(x) -> Fraction:
     """Coerce int / Fraction / 'p/q' string to Fraction. Floats are rejected,
     and so are strings in exponent notation: `Fraction` would build the power
     of ten before any range check, 10**300000000 for '1e300000000'. So are
-    strings with more digits on one side of a '/' or a '.' than Python
-    converts to one int (`sys.get_int_max_str_digits`, 0 for no limit). Every
-    error names a string by at most its first 24 characters."""
+    strings with more than MAX_INPUT_DIGITS digits on one side of a '/' or a
+    '.'. Every error names a string by at most its first 24 characters."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool) or isinstance(x, float):
@@ -57,11 +60,10 @@ def to_frac(x) -> Fraction:
             return plain
         if "e" in x or "E" in x:
             raise ValueError(f"exponent notation is not a rational 'p/q': {_shown(x)!r}")
-        limit = get_int_max_str_digits()
-        if limit and len(x) > limit and any(
-            sum(map(str.isdecimal, part)) > limit for part in x.replace(".", "/").split("/")
+        if len(x) > MAX_INPUT_DIGITS and any(
+            sum(map(str.isdecimal, part)) > MAX_INPUT_DIGITS for part in x.replace(".", "/").split("/")
         ):
-            raise ValueError(f"more than {limit} digits in one integer of rational {_shown(x)!r}")
+            raise ValueError(f"more than {MAX_INPUT_DIGITS} digits in one integer of rational {_shown(x)!r}")
     try:
         return Fraction(x)
     except ZeroDivisionError:
@@ -74,10 +76,10 @@ def to_frac(x) -> Fraction:
 
 def _plain_ratio(text: str) -> Optional[Fraction]:
     """Fraction(text) for a plain 'p' or 'p/q' of ASCII digits, p with an
-    optional '-', q nonzero and within the int digit limit, read with two
-    int() calls instead of Fraction's regex; None for every other string."""
-    limit = get_int_max_str_digits()
-    if limit and len(text) > limit:
+    optional '-', q nonzero and the whole within MAX_INPUT_DIGITS characters,
+    read with two int() calls instead of Fraction's regex; None for every
+    other string."""
+    if len(text) > MAX_INPUT_DIGITS:
         return None
     p, slash, q = text.partition("/")
     digits = p[1:] if p[:1] == "-" else p
@@ -95,16 +97,30 @@ def _shown(text: str) -> str:
     return text if len(text) <= 24 else text[:21] + "..."
 
 
+def _int_str(n: int) -> str:
+    """str(n), also past Python's int-string digit limit (Decimal has none)."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 def frac_str(x: Fraction) -> str:
     """Canonical 'p/q' rendering (denominator always explicit)."""
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:  # past the int-string digit limit
+        return ratio_str(x.numerator, x.denominator)
 
 
 def ratio_str(n: int, d: int) -> str:
     """frac_str(Fraction(n, d)) for d > 0, without building the Fraction:
     the rendering of one int lattice value n over its denominator d."""
     g = gcd(n, d)
-    return f"{n // g}/{d // g}"
+    try:
+        return f"{n // g}/{d // g}"
+    except ValueError:  # past the int-string digit limit
+        return f"{Decimal(n // g)}/{Decimal(d // g)}"
 
 
 def decimal_str(x: Fraction, digits: int = 12) -> str:
@@ -113,9 +129,9 @@ def decimal_str(x: Fraction, digits: int = 12) -> str:
         raise ValueError("negative argument")
     scaled = (x.numerator * 10**digits) // x.denominator
     if digits == 0:
-        return str(scaled)
+        return _int_str(scaled)
     ip, fp = divmod(scaled, 10**digits)
-    return f"{ip}.{fp:0{digits}d}"
+    return f"{_int_str(ip)}.{_int_str(fp).zfill(digits)}"
 
 
 def sqrt_floor_decimal(x: Fraction, digits: int = 12) -> str:
@@ -342,13 +358,20 @@ def from_lattice(level: int, nums, den: int) -> DyadicStep:
     return _new(level, nums, den // g)
 
 
-def lin_comb(a, f: DyadicStep, b, g: DyadicStep) -> DyadicStep:
-    """Pointwise a*f + b*g at the common refined level."""
+def lin_comb(
+    a, f: DyadicStep | PeriodicStep, b, g: DyadicStep | PeriodicStep
+) -> DyadicStep | PeriodicStep:
+    """Pointwise a*f + b*g at the common refined level; of two periodic
+    steps of one shape, motif by motif."""
     (an, ad), (bn, bd) = to_frac(a).as_integer_ratio(), to_frac(b).as_integer_ratio()
+    den = lcm(ad * f.den, bd * g.den)
+    p, q = an * (den // (ad * f.den)), bn * (den // (bd * g.den))
+    if PeriodicStep in (type(f), type(g)):
+        if type(f) is not type(g) or (f.level, f.coarse, f.reps) != (g.level, g.coarse, g.reps):
+            raise ValueError("a periodic step combines only with one of the same shape")
+        return PeriodicStep(f.coarse, [p * x + q * y for x, y in zip(f.motifs, g.motifs)], f.reps, den)
     L = max(f.level, g.level)
-    (nf, df), (ng, dg) = lattice(f, L), lattice(g, L)
-    den = lcm(ad * df, bd * dg)
-    p, q = an * (den // (ad * df)), bn * (den // (bd * dg))
+    nf, ng = lattice(f, L)[0], lattice(g, L)[0]
     return from_lattice(L, [p * x + q * y for x, y in zip(nf, ng)], den)
 
 
@@ -371,15 +394,22 @@ def integral_over(f: DyadicStep, idx) -> Fraction:
     return Fraction(sum(f.nums[lo : lo + span]), f.den << f.level)
 
 
-def norms(f: DyadicStep) -> Norms:
-    """(l1, linf) of f, exactly."""
-    nums, den = lattice(f)
+def norms(f: DyadicStep | PeriodicStep) -> Norms:
+    """(l1, linf) of f, exactly; of a periodic step, from its motifs."""
+    nums, reps = (f.motifs, f.reps) if isinstance(f, PeriodicStep) else (f.nums, 1)
     absolute = list(map(abs, nums))
-    return Norms(Fraction(sum(absolute), den << f.level), Fraction(max(absolute), den))
+    return Norms(Fraction(reps * sum(absolute), f.den << f.level), Fraction(max(absolute), f.den))
 
 
-def pairing(f: DyadicStep, h: DyadicStep) -> Fraction:
-    """Exact duality bracket <f, h> = integral of f*h over [0, 1)."""
+def pairing(f: DyadicStep | PeriodicStep, h: DyadicStep) -> Fraction:
+    """Exact duality bracket <f, h> = integral of f*h over [0, 1); of a
+    periodic f and an h of level <= its period level, f's masses at
+    level(h) dotted with h's numerators summed over each coarse cell."""
+    if isinstance(f, PeriodicStep):
+        if h.level > f.period_level:
+            raise ValueError(f"functional level {h.level} exceeds the period level {f.period_level}")
+        hs = next(islice(mass_levels(h.nums), max(h.level - f.coarse, 0), None))
+        return Fraction(sum(map(mul, f.masses(h.level), hs)), h.den * f.den << f.level)
     L = max(f.level, h.level)
     (nf, df), (nh, dh) = lattice(f, L), lattice(h, L)
     return Fraction(sum(map(mul, nf, nh)), df * dh << L)
@@ -422,15 +452,78 @@ def mass_levels(masses: Sequence[int]) -> Iterator[Sequence[int]]:
         yield masses
 
 
-def abs_diff_masses(f: DyadicStep, g: DyadicStep) -> tuple[int, int, list[int]]:
-    """(L, D, masses): D times the masses of |f - g| on the level-L cells,
-    L the finer of the two levels, from the lattices of f and g over the lcm
-    of their denominators, without building the step f - g."""
-    L = max(f.level, g.level)
-    (nf, df), (ng, dg) = lattice(f, L), lattice(g, L)
-    d = lcm(df, dg)
-    nf, ng = (ns if d == dn else [x * (d // dn) for x in ns] for ns, dn in ((nf, df), (ng, dg)))
-    return L, d << L, list(map(abs, map(sub, nf, ng)))
+# -- periodic steps -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PeriodicStep:
+    """A step function that repeats one motif on each cell of the coarse
+    level: `motifs` holds the motifs of the 2**coarse cells one after the
+    other, each the numerators over `den` of 2**w cells, and a coarse cell
+    holds its motif `reps` = 2**r times, so level = coarse + r + w. Reduced
+    to the least common denominator on construction. A split at level K and
+    its linear combinations are periodic with period level K: they cost
+    2**coarse motifs, not 2**level cells. `lin_comb`, `norms`, `pairing`,
+    `steps_to_json` and `renorm.tnorm_sq` take periodic steps."""
+
+    coarse: int
+    motifs: tuple[int, ...]
+    reps: int
+    den: int
+
+    def __post_init__(self):
+        _check_level(self.level)
+        g = gcd(self.den, *set(self.motifs))
+        object.__setattr__(self, "motifs", tuple([n // g for n in self.motifs]))
+        object.__setattr__(self, "den", self.den // g)
+
+    @property
+    def level(self) -> int:
+        return (len(self.motifs) * self.reps).bit_length() - 1
+
+    @property
+    def period_level(self) -> int:
+        return self.coarse + self.reps.bit_length() - 1
+
+    def blocks(self) -> list[tuple[int, ...]]:
+        """The motifs, one tuple per coarse cell."""
+        w = len(self.motifs) >> self.coarse
+        return [self.motifs[i : i + w] for i in range(0, len(self.motifs), w)]
+
+    def dense(self) -> DyadicStep:
+        return _new(self.level, tuple(chain.from_iterable(b * self.reps for b in self.blocks())), self.den)
+
+    def __mul__(self, c) -> "PeriodicStep":
+        cn, cd = to_frac(c).as_integer_ratio()
+        return PeriodicStep(self.coarse, [cn * n for n in self.motifs], self.reps, cd * self.den)
+
+    __rmul__ = __mul__
+
+    def __abs__(self) -> "PeriodicStep":
+        return PeriodicStep(self.coarse, list(map(abs, self.motifs)), self.reps, self.den)
+
+    def masses(self, k: int) -> list[int]:
+        """The masses on the level-k cells, k <= the period level P, over
+        den << level. From the coarse level L up, a level-k cell of coarse
+        cell j holds 2**(P - k) periods of motif j: listed once per coarse
+        cell. Below L, once per cell."""
+        P, L = self.period_level, self.coarse
+        sums = next(islice(mass_levels(self.motifs), self.level - P, None))
+        if k >= L:
+            return [s << P - k for s in sums]
+        return next(islice(mass_levels([s << P - L for s in sums]), L - k, None))
+
+    def level_squares(self) -> list[int]:
+        """The sum of the squared masses of each level, finest first, over
+        (den << level)**2, as `mass_levels` of the dense numerators gives:
+        above the period level P the motifs' folds, `reps` times; from P down
+        to the coarse level L, the `masses`, 2**(k - L) times; below L their
+        folds."""
+        w, r = self.level - self.period_level, self.period_level - self.coarse
+        squares = [sum(map(mul, ms, ms)) for ms in mass_levels(self.motifs)]
+        top, s2, below = squares[:w], squares[w], squares[w + 1 :]
+        middle = [s2 << r + t for t in range(r + 1)]
+        return [sq * self.reps for sq in top] + middle + [sq << 2 * r for sq in below]
 
 
 # -- JSON wire format ---------------------------------------------------------
@@ -440,41 +533,39 @@ def abs_diff_masses(f: DyadicStep, g: DyadicStep) -> tuple[int, int, list[int]]:
 
 @dataclass(frozen=True, eq=False)
 class StepValues:
-    """The wire list of a step's values, held as its numerators: entry i is
-    texts[nums[i]], the 'p/q' text of that numerator's value. `expand`
-    builds the list; the CLI emitter writes the same bytes without it."""
+    """The wire list of a step's values, held as its numerators: `blocks`
+    (all of a dense step's numerators, or one motif per coarse cell), each
+    repeated `reps` times in place, numerator n written as texts[n], the
+    'p/q' text of its value. `expand` builds the list; the CLI emitter
+    writes the same bytes without it."""
 
-    nums: tuple[int, ...]
+    blocks: list[tuple[int, ...]]
     texts: dict[int, str]
+    reps: int
 
     def expand(self) -> list[str]:
-        return list(map(self.texts.__getitem__, self.nums))
+        return list(map(self.texts.__getitem__, chain.from_iterable(b * self.reps for b in self.blocks)))
 
 
-def _step_values(steps: Sequence[DyadicStep], scale: Fraction) -> list[StepValues]:
-    """The values of scale * f for each f in `steps`, each distinct numerator
-    over each denominator among them rendered once through ratio_str."""
-    sn, sd = scale.as_integer_ratio()
-    distinct: dict[int, set[int]] = {}
-    for f in steps:
-        distinct.setdefault(f.den, set()).update(f.nums)
-    texts = {
-        den: {n: ratio_str(sn * n, sd * den) for n in nums} for den, nums in distinct.items()
-    }
-    return [StepValues(f.nums, texts[f.den]) for f in steps]
-
-
-def step_to_json(f: DyadicStep) -> dict:
+def step_to_json(f: DyadicStep | PeriodicStep) -> dict:
     """The wire form of f, its values a plain list of 'p/q' strings."""
-    return {"level": f.level, "values": _step_values((f,), Fraction(1))[0].expand()}
+    wire = steps_to_json(f)[0]
+    return dict(wire, values=wire["values"].expand())
 
 
-def steps_to_json(*steps: DyadicStep, scale=1) -> list[dict]:
-    """The wire forms of scale * f for each f in `steps`, their values held
-    as StepValues that share one rendering of the numerators they have in
-    common: g = (1 - gamma) * f is written from f's numerators."""
-    values = _step_values(steps, to_frac(scale))
-    return [{"level": f.level, "values": v} for f, v in zip(steps, values)]
+def steps_to_json(*steps: DyadicStep | PeriodicStep) -> list[dict]:
+    """The wire forms of dense or periodic steps, their values held as
+    StepValues that render each distinct numerator over each denominator
+    among them once, through ratio_str."""
+    runs = [((f.nums,), 1) if isinstance(f, DyadicStep) else (f.blocks(), f.reps) for f in steps]
+    distinct: dict[int, set[int]] = {}
+    for f, (blocks, _) in zip(steps, runs):
+        distinct.setdefault(f.den, set()).update(*blocks)
+    texts = {den: {n: ratio_str(n, den) for n in nums} for den, nums in distinct.items()}
+    return [
+        {"level": f.level, "values": StepValues(blocks, texts[f.den], reps)}
+        for f, (blocks, reps) in zip(steps, runs)
+    ]
 
 
 def step_from_json(obj) -> DyadicStep:

@@ -25,14 +25,15 @@ from typing import Optional, Sequence
 from .checks import Check, check, require
 from .dyadic import (
     DyadicStep,
+    PeriodicStep,
     _repeat,
-    abs_diff_masses,
     as_index,
     dyadic_project,
     frac_str,
     from_lattice,
     integral_over,
     lattice,
+    lin_comb,
     mass_levels,
     norms,
     pairing,
@@ -53,16 +54,17 @@ def _level_squares(masses: Sequence[int]) -> list[int]:
     return [sum(map(mul, ms, ms)) for ms in mass_levels(masses)]
 
 
-def tnorm_sq(f: DyadicStep) -> Fraction:
-    """Exact squared norm T(f)**2 (closed tail from f's own level up)."""
-    return tnorm_sq_from_squares(f.level, f.den << f.level, _level_squares(list(map(abs, f.nums))))
+def tnorm_sq(f: DyadicStep | PeriodicStep) -> Fraction:
+    """Exact squared norm T(f)**2 (closed tail from f's own level up); of a
+    periodic step, from its motifs."""
+    periodic = isinstance(f, PeriodicStep)
+    squares = abs(f).level_squares() if periodic else _level_squares(list(map(abs, f.nums)))
+    return tnorm_sq_from_squares(f.level, f.den << f.level, squares)
 
 
 def tnorm_sq_diff(f: DyadicStep, g: DyadicStep) -> Fraction:
-    """T(f - g)**2, equal to tnorm_sq(f - g), from the lattices of f and g
-    without building the step f - g."""
-    K, D, masses = abs_diff_masses(f, g)
-    return tnorm_sq_from_squares(K, D, _level_squares(masses))
+    """T(f - g)**2."""
+    return tnorm_sq(lin_comb(1, f, -1, g))
 
 
 def tnorm_sq_from_squares(K: int, D: int, squares: Sequence[int]) -> Fraction:

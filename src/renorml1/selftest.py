@@ -129,11 +129,12 @@ def _split_identities(seed: int, trials: int) -> None:
         f = gen.random_step(rng, max_level=3, max_num=8, max_den=8)
         K = rng.randint(0, 4)
         sp = split_pair(f, K)  # raises on any identity failure
-        _require(norms(sp.f1).l1 == norms(f).l1, "split-l1", t)
+        f1, f2 = sp.f1.dense(), sp.f2.dense()
+        _require(norms(f1).l1 == norms(f).l1, "split-l1", t)
         for j in range(1, (1 << K) + 1):
             cell = DyadicIndex(K, j)
             _require(
-                integral_over(sp.f1 - f, cell) == 0 and integral_over(sp.f2 - f, cell) == 0,
+                integral_over(f1 - f, cell) == 0 and integral_over(f2 - f, cell) == 0,
                 "split-cell-integrals",
                 t,
             )
@@ -141,9 +142,10 @@ def _split_identities(seed: int, trials: int) -> None:
         l1 = norms(f).l1
         fb = f * Fraction(1, math.ceil(l1)) if l1 > 1 else f
         spb = split_pair(fb, K)
-        _require(tnorm_sq(spb.f1) <= tnorm_sq(fb) + Fraction(1, 1 << K), "split-norm-upper", t)
+        f1, f2 = spb.f1.dense(), spb.f2.dense()
+        _require(tnorm_sq(f1) <= tnorm_sq(fb) + Fraction(1, 1 << K), "split-norm-upper", t)
         _require(
-            tnorm_sq(spb.f1 - spb.f2) >= 4 * (tnorm_sq(fb) - Fraction(1, 1 << K)),
+            tnorm_sq(f1 - f2) >= 4 * (tnorm_sq(fb) - Fraction(1, 1 << K)),
             "split-gap-lower",
             t,
         )
@@ -156,9 +158,10 @@ def _witness_runs(seed: int, trials: int) -> None:
         eps = Fraction(1, 10)
         rep = d2p_witness(nbhd, eps)
         _require(all(ch.ok for ch in rep.checks.values()), "witness-checks", t)
-        _require(tnorm_sq(rep.g1) < 1 and tnorm_sq(rep.g2) < 1, "witness-in-open-ball", t)
-        _require(tnorm_sq(rep.g1 - rep.g2) > (2 - eps) ** 2, "witness-gap", t)
-        _require(nbhd.contains(rep.g1) and nbhd.contains(rep.g2), "witness-in-neighborhood", t)
+        g1, g2 = rep.g1.dense(), rep.g2.dense()
+        _require(tnorm_sq(g1) < 1 and tnorm_sq(g2) < 1, "witness-in-open-ball", t)
+        _require(tnorm_sq(g1 - g2) > (2 - eps) ** 2, "witness-gap", t)
+        _require(nbhd.contains(g1) and nbhd.contains(g2), "witness-in-neighborhood", t)
 
 
 def _chain_and_smallness(seed: int, trials: int) -> None:

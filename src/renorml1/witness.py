@@ -14,46 +14,40 @@ exactly far apart:
 
     T(g1 - g2)**2 >= 4 (1-gamma)**2 (T(f)**2 - 2**-K) > (2 - eps)**2.
 
-Everything here is verified exactly on every run; the named checks are part
-of the report. The split check folds each level-(K+2) mass stream (f1, f2,
-|f1|, |f2| and |f1 - f2|) once, down to level 0, and the witness reads every
-other check off those folds: since g_i is exactly (1 - gamma) * f_i,
-T(g_i)**2 and T(g1 - g2)**2 are (1 - gamma)**2 times the squared norms the
-folds sum, and <g_i, h_l> is (1 - gamma) times f_i's masses at level(h_l)
-dotted with h_l's numerators. Each is an exact value measured on the
-reported f1 and f2. A failed *input* condition raises GapConditionError; a
-failed *theorem* would be a library bug and raises RuntimeError
-(`checks.require`).
+f has one mass on all the level-K cells inside one cell of level
+min(level(f), K), so f1 and f2 repeat one 4-value motif there: they are
+`dyadic.PeriodicStep`s, and every check reads their motifs at a cost that
+does not grow with K. Everything
+here is verified exactly on every run; the named checks are part of the
+report. Since g_i is exactly (1 - gamma) * f_i, T(g_i)**2 and
+T(g1 - g2)**2 are read off f1 and f2. A failed
+*input* condition raises GapConditionError; a failed *theorem* would be a
+library bug and raises RuntimeError (`checks.require`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, repeat
-from math import gcd, lcm
-from operator import mul
-from typing import Callable, Iterable, NamedTuple, Optional
+from math import lcm
+from typing import Optional, Sequence
 
 from .checks import Check, check, require
 from .dyadic import (
     MAX_LEVEL,
     DyadicStep,
-    _new,
-    abs_diff_masses,
     LevelOverflowError,
+    PeriodicStep,
     frac_str,
-    from_lattice,
-    lattice,
+    lin_comb,
     mass_levels,
     norms,
     pairing,
-    ratio_str,
-    step_to_json,
     steps_to_json,
     to_frac,
 )
-from .renorm import tnorm_sq, tnorm_sq_from_squares
+from .renorm import tnorm_sq
 
 
 class GapConditionError(ValueError):
@@ -85,19 +79,13 @@ class WeakNbhd:
     def contains(self, g: DyadicStep) -> bool:
         return self.deviation(g) < self.delta
 
-    def deviation(self, *gs: DyadicStep) -> Fraction:
+    def deviation(self, *gs: DyadicStep | PeriodicStep) -> Fraction:
         """max over l and the given g of |<g, h_l> - <f, h_l>|, pairing f
         with each functional once; 0 without functionals."""
-        return self.deviation_of(lambda h: [pairing(g, h) for g in gs])
-
-    def deviation_of(self, brackets: Callable[[DyadicStep], Iterable[Fraction]]) -> Fraction:
-        """max over l of |x - <f, h_l>| for every x in brackets(h_l), the
-        brackets <g, h_l> of some functions g already known; 0 without
-        functionals."""
         worst = Fraction(0)
         for h in self.functionals:
             fh = pairing(self.center, h)
-            worst = max([worst, *(abs(x - fh) for x in brackets(h))])
+            worst = max([worst, *(abs(pairing(g, h) - fh) for g in gs)])
         return worst
 
 
@@ -107,49 +95,30 @@ class SplitPair:
 
     b and c are level-K steps: their values on cell j are the positive and
     negative masses of f on the level-K cell j, which f1 carries on quarters
-    4j-3 / 4j-2 of that cell and f2 on 4j-1 / 4j.
+    4j-3 / 4j-2 of that cell and f2 on 4j-1 / 4j. All four are periodic
+    steps with period level K.
     `checks` holds what the split check measured: the largest deviation from
     each identity (5)-(7) over the cells of level <= K, and max linf(f_i).
-    `tnorm_sq` holds T(f1)**2, T(f2)**2 and T(f1 - f2)**2, and `cell_masses` the
-    masses of f1 and f2 on the cells of every level <= K, both read off the
-    split check's one fold of each mass stream of f1 and f2.
+    `tnorm_sq` holds T(f1)**2, T(f2)**2 and T(f1 - f2)**2.
     """
 
     K: int
-    b: DyadicStep
-    c: DyadicStep
-    f1: DyadicStep
-    f2: DyadicStep
+    b: PeriodicStep
+    c: PeriodicStep
+    f1: PeriodicStep
+    f2: PeriodicStep
     checks: dict[str, Check]
     tnorm_sq: tuple[Fraction, Fraction, Fraction]
-    #: (D, levels): levels[k] holds D times the masses of f1 and of f2 on the
-    #: level-k cells, k = 0..K
-    cell_masses: tuple[int, tuple[tuple[list[int], list[int]], ...]] = field(repr=False, compare=False)
-
-    def pairings(self, h: DyadicStep) -> tuple[Fraction, Fraction]:
-        """(<f1, h>, <f2, h>) for a functional h of level <= K: the masses of
-        f1 and f2 at level(h) dotted with h's numerators."""
-        if h.level > self.K:
-            raise ValueError(f"functional level {h.level} exceeds the split's K = {self.K}")
-        D, levels = self.cell_masses
-        return tuple(Fraction(sum(map(mul, ms, h.nums)), D * h.den) for ms in levels[h.level])
 
     def to_json(self) -> dict:
-        f1, f2 = steps_to_json(self.f1, self.f2)
-        return {
-            "K": self.K,
-            "b": step_to_json(self.b)["values"],
-            "c": step_to_json(self.c)["values"],
-            "f1": f1,
-            "f2": f2,
-        }
+        b, c, f1, f2 = steps_to_json(self.b, self.c, self.f1, self.f2)
+        return {"K": self.K, "b": b["values"], "c": c["values"], "f1": f1, "f2": f2}
 
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """The witness pair g_i = (1 - gamma) * f_i of `pair`; g1 and g2 are
-    built from f1 and f2 on each read, and the report writes them from the
-    numerators of f1 and f2."""
+    """The witness pair g_i = (1 - gamma) * f_i of `pair`, built from the
+    motifs of f1 and f2 on each read."""
 
     gamma: Fraction
     K: int
@@ -161,11 +130,11 @@ class WitnessReport:
     delta: Fraction
 
     @property
-    def g1(self) -> DyadicStep:
+    def g1(self) -> PeriodicStep:
         return (1 - self.gamma) * self.pair.f1
 
     @property
-    def g2(self) -> DyadicStep:
+    def g2(self) -> PeriodicStep:
         return (1 - self.gamma) * self.pair.f2
 
     @property
@@ -173,8 +142,8 @@ class WitnessReport:
         return self.checks["gap"].lhs
 
     def to_json(self) -> dict:
-        g1, g2 = steps_to_json(self.pair.f1, self.pair.f2, scale=1 - self.gamma)
-        out = {
+        g1, g2 = steps_to_json(self.g1, self.g2)
+        return {
             "gamma": frac_str(self.gamma),
             "K": self.K,
             "eps": frac_str(self.eps),
@@ -185,7 +154,6 @@ class WitnessReport:
             "g2": g2,
             "checks": {name: chk.to_json() for name, chk in self.checks.items()},
         }
-        return out
 
 
 def choose_gamma(f_inf, delta, eps) -> Fraction:
@@ -233,7 +201,8 @@ def choose_K(gamma, functional_levels) -> int:
 def split_pair(f: DyadicStep, K: int) -> SplitPair:
     """Build (b, c, f1, f2) at level K+2 and verify the split identities.
 
-    Verified exactly for every cell (k, j) with k <= K:
+    All four are periodic with coarse level L = min(level(f), K) and period
+    level K. Verified exactly for every cell (k, j) with k <= K:
       int f1 = int f2 = int f,  int |f1| = int |f2| = int |f|,
       int |f1 - f2| = 2 int |f|;   plus linf(f_i) <= 4 linf(f).
     """
@@ -241,98 +210,60 @@ def split_pair(f: DyadicStep, K: int) -> SplitPair:
         raise ValueError(f"K must be >= 0, got {K}")
     if K + 2 > MAX_LEVEL:
         raise LevelOverflowError(f"split level {K}+2 exceeds cap {MAX_LEVEL}")
-    # pos[j] / D and neg[j] / D are the masses of |f| + f and |f| - f (twice
-    # f's positive and negative parts) on the level-K cell j
-    fK = _level_K_masses(f, K)
-    D, m, a = fK
+    L = min(f.level, K)
+    # pos[j] and neg[j] are the masses of |f| + f and |f| - f (twice f's
+    # positive and negative parts) on the level-L cell j, over D
+    m, a = _coarse_masses(f, L)
+    D = f.den << f.level
     pos = [x + y for x, y in zip(a, m)]
     neg = [x - y for x, y in zip(a, m)]
-    b, c = (from_lattice(K, ms, 2 * D) for ms in (pos, neg))
-
-    # heights 2**(K+2) * b[j] and -2**(K+2) * c[j] over D, reduced once on
-    # the level-K lists and then laid out on the quarters of cell j
-    g = gcd(D, gcd(*pos, *neg) << K + 1)
-    up = [(p << K + 1) // g for p in pos]
-    down = [-((q << K + 1) // g) for q in neg]
+    reps = 1 << K - L
+    b, c = (PeriodicStep(L, ms, reps, 2 * D << K - L) for ms in (pos, neg))
+    # heights 2**(K+2) * b_j and -2**(K+2) * c_j on quarters 1 and 2 (f1) or
+    # 3 and 4 (f2) of each level-K cell
+    up = [p << L + 1 for p in pos]
+    down = [-(q << L + 1) for q in neg]
     zeros = repeat(0)
-    f1 = _new(K + 2, tuple(chain.from_iterable(zip(up, down, zeros, zeros))), D // g)
-    f2 = _new(K + 2, tuple(chain.from_iterable(zip(zeros, zeros, up, down))), D // g)
-
-    return SplitPair(K, b, c, f1, f2, *_verify_split(f, K, fK, f1, f2))
-
-
-def _level_K_masses(f: DyadicStep, K: int) -> tuple[int, list[int], list[int]]:
-    """(D, m, a): D times the masses of f and |f| on the level-K cells, from
-    one read of f's numerators at level max(K, level(f)); lists, like every
-    folded level they are compared with."""
-    L = max(f.level, K)
-    nums, den = lattice(f, L)
-    m, a = (list(next(islice(mass_levels(ms), L - K, None))) for ms in (nums, list(map(abs, nums))))
-    return den << L, m, a
+    f1 = PeriodicStep(L, tuple(chain.from_iterable(zip(up, down, zeros, zeros))), reps, D)
+    f2 = PeriodicStep(L, tuple(chain.from_iterable(zip(zeros, zeros, up, down))), reps, D)
+    return SplitPair(K, b, c, f1, f2, *_verify_split(f, f1, f2))
 
 
-def _max_dev(ms: list[int], ref: list[int]) -> int:
-    """Largest |ms[i] - ref[i]|; equal lists deviate by exactly 0."""
-    return 0 if ms == ref else max(abs(m - r) for m, r in zip(ms, ref))
+def _coarse_masses(f: DyadicStep, L: int) -> tuple[Sequence[int], ...]:
+    """The masses of f and of |f| on the level-L cells, L <= level(f), over
+    den << level(f)."""
+    return tuple(next(islice(mass_levels(ms), f.level - L, None)) for ms in (f.nums, list(map(abs, f.nums))))
 
 
-class _Verified(NamedTuple):
-    """What `_verify_split` measured: the split checks, and the norms and
-    masses read off the same folds (the last two fields of a SplitPair)."""
+def _verify_split(f: DyadicStep, f1: PeriodicStep, f2: PeriodicStep) -> tuple:
+    """(checks, norms): (5)-(7) measured on every cell of level <= K for
+    f1, f2 periodic with period level K and coarse level L = min(level(f), K),
+    and T(f1)**2, T(f2)**2, T(f1 - f2)**2.
 
-    checks: dict[str, Check]
-    tnorm_sq: tuple[Fraction, Fraction, Fraction]
-    cell_masses: tuple[int, tuple[tuple[list[int], list[int]], ...]]
+    From L up to K, a level-k cell holds 2**(K - k) times the mass of f, f1,
+    f2 or their absolute values on a level-K cell of its coarse cell, so a
+    deviation is largest at L; below L the coarse deviations fold. The
+    largest over those folds is exact, over the lcm D of the denominators."""
+    L, Df = f1.coarse, f.den << f.level
+    m, a = _coarse_masses(f, L)
+    diff = lin_comb(1, f1, -1, f2)
+    D = lcm(Df, *(p.den << p.level for p in (f1, f2, diff)))
 
+    def deviation(*pairs) -> Check:
+        worst = 0
+        for p, ref in pairs:
+            s, t = D // (p.den << p.level), D // Df
+            devs = [x * s - y * t for x, y in zip(p.masses(L), ref)]
+            worst = max(worst, *(max(map(abs, ms)) for ms in mass_levels(devs)))
+        return check(Fraction(worst, D), "==", Fraction(0))
 
-def _verify_split(f: DyadicStep, K: int, fK: tuple, f1: DyadicStep, f2: DyadicStep) -> _Verified:
-    """Measure (5)-(7) on every cell of level <= K for f1, f2 of level >= K+2,
-    given f's level-K masses fK = `_level_K_masses(f, K)`.
-
-    The mass streams of f1, f2, |f1|, |f2| and |f1 - f2| are each folded
-    once, from their common level L down to level 0. On the levels <= K they
-    are compared with f's as int numerators over the lcm D of all
-    denominators; the deviations are reported as exact Fractions. The same
-    folds give T(f1)**2, T(f2)**2 and T(f1 - f2)**2 from the level sums of
-    squares of the three absolute streams, and the masses of f1 and f2 on
-    every level <= K. The masses of f1 - f2 come from the lattices of f1 and
-    f2 (`abs_diff_masses`), not from a built step."""
-    Df, mf, af = fK
-    L = max(f1.level, f2.level)
-    (n1, d1), (n2, d2) = lattice(f1, L), lattice(f2, L)
-    streams = [
-        (d1 << L, n1), (d2 << L, n2), (d1 << L, list(map(abs, n1))),
-        (d2 << L, list(map(abs, n2))), abs_diff_masses(f1, f2)[1:],
-    ]
-    D = lcm(Df, *(d for d, _ in streams))
-
-    def to_D(d: int, ms):
-        s = D // d
-        return ms if s == 1 else [x * s for x in ms]
-
-    squares = ([], [], [])
-    kept = []
-    below_K = zip(mass_levels(mf), mass_levels(af))
-    dev = dict.fromkeys(("id5", "id6", "id7"), 0)
-    for k, levels in zip(range(L, -1, -1), zip(*(mass_levels(ms) for _, ms in streams))):
-        for sq, ms in zip(squares, levels[2:]):
-            sq.append(sum(map(mul, ms, ms)))
-        if k > K:
-            continue
-        m1, m2, a1, a2, ad = (to_D(d, ms) for (d, _), ms in zip(streams, levels))
-        m, a = (to_D(Df, ms) for ms in next(below_K))
-        dev["id5"] = max(dev["id5"], _max_dev(m1, m), _max_dev(m2, m))
-        dev["id6"] = max(dev["id6"], _max_dev(a1, a), _max_dev(a2, a))
-        dev["id7"] = max(dev["id7"], _max_dev(ad, [2 * x for x in a]))
-        if any(dev.values()):
-            shown = ", ".join(f"{name}={ratio_str(d, D)}" for name, d in dev.items())
-            raise RuntimeError(f"internal: split identity failed at level {k} ({shown})")
-        kept.append((m1, m2))
-    checks = {name: check(Fraction(d, D), "==", Fraction(0)) for name, d in dev.items()}
-    linf = max(Fraction(max(ms), d >> L) for d, ms in streams[2:4])  # |f1|, |f2|
-    checks["linf4x"] = check(linf, "<=", 4 * norms(f).linf)
-    norms_sq = tuple(tnorm_sq_from_squares(L, d, sq) for (d, _), sq in zip(streams[2:], squares))
-    return _Verified(require("split check", checks), norms_sq, (D, tuple(reversed(kept))))
+    checks = {
+        "id5": deviation((f1, m), (f2, m)),
+        "id6": deviation((abs(f1), a), (abs(f2), a)),
+        "id7": deviation((abs(diff), [2 * x for x in a])),
+        "linf4x": check(max(norms(f1).linf, norms(f2).linf), "<=", 4 * norms(f).linf),
+    }
+    return require("split check", checks), tuple(map(tnorm_sq, (f1, f2, diff)))
 
 
 def d2p_witness(nbhd: WeakNbhd, eps) -> WitnessReport:
@@ -351,8 +282,7 @@ def d2p_witness(nbhd: WeakNbhd, eps) -> WitnessReport:
     if q > 1:
         raise ValueError(f"center has tnorm_sq = {q} > 1; not in the unit ball")
 
-    f_inf = norms(f).linf
-    gamma = choose_gamma(f_inf, nbhd.delta, eps)
+    gamma = choose_gamma(norms(f).linf, nbhd.delta, eps)
     K = choose_K(gamma, [h.level for h in nbhd.functionals])
 
     margin = q - Fraction(1, 1 << K)
@@ -372,12 +302,10 @@ def d2p_witness(nbhd: WeakNbhd, eps) -> WitnessReport:
     sp = split_pair(f, K)
     shrink = 1 - gamma
 
-    # g_i = (1 - gamma) * f_i exactly, so every bracket scales by 1 - gamma
-    # and every squared norm by its square; neither g_i is built here
+    # g_i = (1 - gamma) * f_i exactly, so every squared norm scales by
+    # (1 - gamma)**2
     checks = dict(sp.checks)
-    checks["pairing_l"] = check(
-        nbhd.deviation_of(lambda h: [shrink * x for x in sp.pairings(h)]), "<", nbhd.delta
-    )
+    checks["pairing_l"] = check(nbhd.deviation(shrink * sp.f1, shrink * sp.f2), "<", nbhd.delta)
     t1, t2, t12 = (shrink * shrink * t for t in sp.tnorm_sq)
     ball_sq, gap = (t1, t2), t12
     checks["ball"] = check(max(ball_sq), "<", Fraction(1))

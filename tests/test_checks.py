@@ -19,7 +19,6 @@ from renorml1 import (
     dual_norm_estimate,
     dual_segment,
     ell1,
-    indicator,
     near_unit_scale,
     nonsmooth_pairings,
     perturbation_l1_chain,
@@ -34,7 +33,7 @@ from renorml1 import (
     witness,
 )
 from renorml1.checks import Check, check, require
-from renorml1.dyadic import frac_str
+from renorml1.dyadic import PeriodicStep, frac_str
 from conftest import mk
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "renorml1"
@@ -78,13 +77,12 @@ class TestCheck:
 
 class TestOneRaiseSite:
     """A lint-style guard: a failed verification raises only through
-    `checks.require` (plus the per-level split message of `_verify_split`),
-    and the check record is defined once."""
+    `checks.require`, and the check record is defined once."""
 
     def modules(self):
         return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
-    def test_runtime_error_is_raised_in_two_functions_only(self):
+    def test_runtime_error_is_raised_in_require_only(self):
         sites = set()
         for name, tree in self.modules().items():
             for fn in ast.walk(tree):
@@ -96,7 +94,7 @@ class TestOneRaiseSite:
                         exc = exc.func
                     if isinstance(exc, ast.Name) and exc.id == "RuntimeError":
                         sites.add((name, fn.name))
-        assert sites == {("checks.py", "require"), ("witness.py", "_verify_split")}
+        assert sites == {("checks.py", "require")}
 
     def test_no_rounding_in_the_package(self):
         """Every value is exact: no `float(...)` and no `limit_denominator`
@@ -151,11 +149,12 @@ class TestForcedFailures:
 
     def test_witness_split_linf4x(self):
         # f has mass 5/16 and linf 1; f1 and f2 put that mass as a height of
-        # 20 on one level-6 cell each, which keeps (5)-(7) at K = 0
+        # 20 on one level-6 cell each, one motif of 64 cells over [0, 1), which
+        # keeps (5)-(7) at K = 0
         f = mk(2, 1, Fraction(1, 4), 0, 0)
-        f1, f2 = (indicator((6, j), 20) for j in (1, 2))
+        f1, f2 = (PeriodicStep(0, [20 if i == j else 0 for i in range(64)], 1, 1) for j in (0, 1))
         with raises_internal("internal: split check failed: linf4x (20/1 <= 4/1)"):
-            witness._verify_split(f, 0, witness._level_K_masses(f, 0), f1, f2)
+            witness._verify_split(f, f1, f2)
 
     def test_dual_norm(self, monkeypatch):
         real = renorm._support_solve

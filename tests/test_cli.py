@@ -1,10 +1,12 @@
 import io
 import json
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from renorml1 import cli, selftest, split_pair
 from renorml1.cli import _json_text, build_parser, main
-from renorml1.dyadic import MAX_LEVEL, frac_str, steps_to_json
+from renorml1.dyadic import MAX_LEVEL, PeriodicStep, frac_str, step_to_json, steps_to_json
 from conftest import steps
 
 
@@ -336,6 +338,40 @@ class TestInputErrors:
         assert rc == 2 and text == ""
         assert err == f"input error: more than 4300 digits in one integer of rational {shown}\n"
 
+    # a valid input whose report holds integers past Python's 4300-digit
+    # int-string limit is a report, not an input error
+    def test_norm_report_past_the_digit_limit(self, tmp_path, capsys):
+        sevens = "7" * 3000
+        path = write_json(tmp_path, "f.json", {"level": 0, "values": [f"1/{sevens}"]})
+        rc, text = invoke(tmp_path, "norm", "--input", path)
+        assert rc == 0 and capsys.readouterr().err == ""
+        report = json.loads(text)
+        assert (report["l1"], report["linf"]) == (f"1/{sevens}", f"1/{sevens}")
+        # T(c)**2 = (8/7) c**2 for a constant c; int() refuses the 6001-digit
+        # denominator at once, so it is read back in chunks
+        p, q = report["tnorm_sq"].split("/")
+        assert p == "8" and len(q) > 4300 and q.isdecimal()
+        chunks = [q[i : i + 1000] for i in range(0, len(q), 1000)]
+        assert reduce(lambda n, chunk: n * 10 ** len(chunk) + int(chunk), chunks, 0) == 7 * int(sevens) ** 2
+
+    def test_ured_report_past_the_digit_limit(self, tmp_path, capsys):
+        nines = "9" * 4300
+        rc, text = invoke(tmp_path, "ured", "--delta", "1/3", "--eps", f"1/{nines}")
+        assert rc == 0 and capsys.readouterr().err == ""
+        assert json.loads(text)["eps"] == [f"1/{nines}"]
+        assert max(map(len, re.findall(r"[0-9]+", text))) > 4300
+
+    @pytest.mark.parametrize("argv, obj", [
+        (["norm"], {"level": 0, "values": ["1/" + "7" * 4301]}),
+        (["ured", "--delta", "1/3", "--eps", "1/" + "9" * 4301], None),
+    ])
+    def test_one_digit_more_is_still_an_input_error(self, tmp_path, capsys, argv, obj):
+        if obj is not None:
+            argv = [*argv, "--input", write_json(tmp_path, "in.json", obj)]
+        rc, text = invoke(tmp_path, *argv)
+        assert rc == 2 and text == ""
+        assert capsys.readouterr().err.startswith("input error: more than 4300 digits in one integer")
+
     def test_invalid_rational_is_named_by_its_start(self, tmp_path, capsys):
         rc, text = invoke(tmp_path, "ured", "--delta", "1/2", "--eps", "x" * 5000)
         err = capsys.readouterr().err
@@ -540,7 +576,7 @@ class TestEmitter:
     )
     @settings(max_examples=200)
     def test_step_values_equal_json_dumps_of_the_expanded_tree(self, fs, scale, depth):
-        wires = steps_to_json(*fs, scale=scale)
+        wires = steps_to_json(*(scale * f for f in fs))
         expanded = [dict(w, values=w["values"].expand()) for w in wires]
         for f, wire, values in zip(fs, expanded, wires):
             assert wire["values"] == [frac_str(scale * x) for x in f.values]
@@ -550,6 +586,21 @@ class TestEmitter:
             obj, plain = [obj, wires[-1]["values"]], [plain, expanded[-1]["values"]]
             obj, plain = ({"k": obj, "n": k}, {"k": plain, "n": k}) if k % 2 else (obj, plain)
         assert _json_text(obj) == json.dumps(plain, indent=2) + "\n"
+
+    @given(
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=3),
+        st.data(),
+    )
+    @settings(max_examples=100)
+    def test_periodic_step_values_equal_json_dumps_of_the_dense_values(self, coarse, w, r, data):
+        motifs = data.draw(st.lists(st.integers(-9, 9), min_size=1 << coarse + w, max_size=1 << coarse + w))
+        p = PeriodicStep(coarse, motifs, 1 << r, data.draw(st.integers(1, 12)))
+        wire = steps_to_json(p)[0]
+        assert wire["level"] == coarse + w + r
+        assert wire["values"].expand() == [frac_str(x) for x in p.dense().values]
+        assert _json_text(wire) == json.dumps(step_to_json(p.dense()), indent=2) + "\n"
 
     def test_witness_report_is_json_dumps(self, tmp_path):
         path = write_json(tmp_path, "nbhd.json", NBHD)
@@ -575,11 +626,11 @@ class TestEmitter:
     def test_split_masses_render_like_frac_str(self, f, K):
         sp = split_pair(f, K)
         obj = sp.to_json()
-        assert obj["b"] == [frac_str(x) for x in sp.b.values]
-        assert obj["c"] == [frac_str(x) for x in sp.c.values]
+        assert obj["b"].expand() == [frac_str(x) for x in sp.b.dense().values]
+        assert obj["c"].expand() == [frac_str(x) for x in sp.c.dense().values]
         # a pair built by hand renders its own b and c
         hand = replace(sp, b=sp.c, c=sp.b).to_json()
-        assert (hand["b"], hand["c"]) == (obj["c"], obj["b"])
+        assert (hand["b"].expand(), hand["c"].expand()) == (obj["c"].expand(), obj["b"].expand())
 
 
 class TestInternalErrors:

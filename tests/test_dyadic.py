@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from renorml1 import (
     step_to_json,
     tnorm_sq,
 )
-from renorml1.dyadic import _plain_ratio, frac_str, ratio_str, sqrt_floor_decimal, to_frac
+from renorml1.dyadic import _plain_ratio, decimal_str, frac_str, ratio_str, sqrt_floor_decimal, to_frac
 from conftest import mk, steps
 
 
@@ -270,6 +271,43 @@ class TestRendering:
         for text in (f"1/9{nines}", f"9{nines}", f"0.{nines}1", f"9{nines}/1", "1/" + "1_" * 4300 + "1"):
             with pytest.raises(ValueError, match="more than 4300 digits in one integer"):
                 to_frac(text)
+
+    def test_the_input_cap_does_not_follow_the_process_limit(self):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # no limit
+        try:
+            with pytest.raises(ValueError, match="more than 4300 digits in one integer"):
+                to_frac("1/" + "1" * 4301)
+        finally:
+            sys.set_int_max_str_digits(old)
+
+
+class TestRenderingPastTheDigitLimit:
+    """frac_str, ratio_str and decimal_str write ints of any size, exactly
+    as str() does with Python's int-string limit lifted."""
+
+    BIG = [10**4300, -(7 * 10**9999 + 12345), 7 * (10**4301 - 1) // 9, 3**20000, 10**600 * (10**600 + 1)]
+
+    def unlimited(self, text_of):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return text_of()
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    @pytest.mark.parametrize("n", BIG, ids=range(len(BIG)))
+    def test_frac_and_ratio_str(self, n):
+        x = Fraction(n, 3**9001)
+        want = self.unlimited(lambda: f"{x.numerator}/{x.denominator}")
+        assert frac_str(x) == ratio_str(n * 5, 5 * 3**9001) == want
+
+    @pytest.mark.parametrize("n", BIG[:1] + BIG[2:], ids=range(len(BIG) - 1))
+    def test_decimal_str(self, n):
+        x = Fraction(n, 7)
+        want = self.unlimited(lambda: f"{n // 7}.{(n * 10**20 // 7) % 10**20:020d}")
+        assert decimal_str(x, 20) == want
+        assert decimal_str(x, 0) == self.unlimited(lambda: str(n // 7))
 
 
 class TestIndex:

@@ -114,6 +114,12 @@ CASES = {
         ["split", "--input", "@f", "--level", "13"],
         "1d4de9b5ce68ccb625e780b1f78d061d4fd6d81c0adfd5e2f4259465c4112242",
     ),
+    # recorded before the split lattices became periodic: K = 1 below the
+    # center's level 2, so each level-K cell is a coarse cell repeated once
+    "split_coarse": (
+        ["split", "--input", "@f", "--level", "1"],
+        "a2484d46d67ff4a1d0a589774d718b88f8a121482ca5c7b74601c814156fc59c",
+    ),
     # recorded before the witness wrote g1 and g2 from the numerators of f1
     # and f2: center and u at split level K + 2 = 15
     "probe_extreme_deep": (

@@ -335,7 +335,7 @@ def test_kernels_leave_the_kept_numerators_unchanged():
     nbhd = WeakNbhd(center, (mk(0, 1), mk(2, Fraction(1, 2), -1, 0, Fraction(3, 4))), Fraction(1, 2))
     before = lattice(center)
     rep = d2p_witness(nbhd, Fraction(1, 5))
-    steps = (center, rep.pair.f1, rep.pair.f2, rep.g1, rep.g2)
+    steps = (center, *(p.dense() for p in (rep.pair.f1, rep.pair.f2, rep.g1, rep.g2)))
     kept = [lattice(f) for f in steps]
     assert kept[0] == before and all(type(nums) is tuple for nums, _ in kept)
     snapshot = [(list(nums), den) for nums, den in kept]

@@ -54,8 +54,9 @@ class TestStrongExtremeFailure:
         nbhd = WeakNbhd(center, (mk(0, 1),), Fraction(1, 10))
         wit = strong_extreme_failure(nbhd, Fraction(1, 5))
         assert wit.ball_check_sq[0] < 1 and wit.ball_check_sq[1] < 1
-        assert tnorm_sq(wit.center + wit.u) == wit.ball_check_sq[0]
-        assert tnorm_sq(wit.center - wit.u) == wit.ball_check_sq[1]
+        c, u = wit.center.dense(), wit.u.dense()
+        assert tnorm_sq(c + u) == wit.ball_check_sq[0]
+        assert tnorm_sq(c - u) == wit.ball_check_sq[1]
         # l1(u) = (1 - gamma) l1(f): the perturbation is not small
         assert wit.l1_of_u == wit.l1_floor
         assert wit.l1_of_u == Fraction(63, 64) * norms(center).l1
@@ -71,8 +72,10 @@ class TestStrongExtremeFailure:
         monkeypatch.setattr("renorml1.probes.tnorm_sq", no_own_tnorm)
         wit = strong_extreme_failure(nbhd, Fraction(1, 5))
         rep = wit.report
-        assert wit.ball_check_sq == (tnorm_sq(rep.g1), tnorm_sq(rep.g2))
-        assert (wit.center + wit.u, wit.center - wit.u) == (rep.g1, rep.g2)
+        g1, g2 = rep.g1.dense(), rep.g2.dense()
+        assert wit.ball_check_sq == (tnorm_sq(g1), tnorm_sq(g2))
+        center, u = wit.center.dense(), wit.u.dense()
+        assert (center + u, center - u) == (g1, g2)
 
     def test_zero_center_propagates(self):
         from renorml1 import GapConditionError

@@ -1,5 +1,8 @@
+import json
 import math
+import re
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,20 +23,24 @@ from renorml1 import (
     split_pair,
     tnorm_sq,
 )
+from renorml1 import witness
+from renorml1.cli import _json_text
 from renorml1.dyadic import (
     DyadicIndex,
-    abs_diff_masses,
+    PeriodicStep,
     decompose,
     dyadic_project,
     from_lattice,
     indicator,
     integral_over,
     lattice,
-    refine,
+    lin_comb,
 )
+from renorml1.probes import strong_extreme_failure
 from renorml1.renorm import tnorm_sq_diff
-from renorml1.witness import _level_K_masses, _verify_split
+from renorml1.witness import _verify_split
 from conftest import mk, steps
+from dense_split import dense_extreme_json, dense_split, dense_verify, dense_witness_json
 
 
 class TestChooseGamma:
@@ -72,53 +79,54 @@ class TestChooseK:
 class TestSplitPair:
     def test_constant(self):
         sp = split_pair(mk(0, 1), 0)
-        assert sp.f1 == mk(2, 4, 0, 0, 0)
-        assert sp.f2 == mk(2, 0, 0, 4, 0)
-        assert sp.b.values == (1,) and sp.c.values == (0,)
+        assert sp.f1.dense() == mk(2, 4, 0, 0, 0)
+        assert sp.f2.dense() == mk(2, 0, 0, 4, 0)
+        assert sp.b.dense().values == (1,) and sp.c.dense().values == (0,)
 
     def test_signed(self):
         sp = split_pair(mk(1, 1, -1), 1)
-        assert sp.f1 == mk(3, 4, 0, 0, 0, 0, -4, 0, 0)
-        assert sp.f2 == mk(3, 0, 0, 4, 0, 0, 0, 0, -4)
-        assert sp.b.values == (Fraction(1, 2), 0)
-        assert sp.c.values == (0, Fraction(1, 2))
+        assert sp.f1.dense() == mk(3, 4, 0, 0, 0, 0, -4, 0, 0)
+        assert sp.f2.dense() == mk(3, 0, 0, 4, 0, 0, 0, 0, -4)
+        assert sp.b.dense().values == (Fraction(1, 2), 0)
+        assert sp.c.dense().values == (0, Fraction(1, 2))
 
     def test_zero(self):
         sp = split_pair(DyadicStep.zero(1), 2)
-        assert sp.f1.is_zero() and sp.f2.is_zero()
+        assert sp.f1.dense().is_zero() and sp.f2.dense().is_zero()
 
     def test_pairings_read_the_split_masses(self):
         sp = split_pair(mk(1, 1, -1), 1)
         for h in (mk(0, 1), mk(1, 1, Fraction(1, 2))):
-            assert sp.pairings(h) == (pairing(sp.f1, h), pairing(sp.f2, h))
-        with pytest.raises(ValueError, match="functional level 2 exceeds the split's K = 1"):
-            sp.pairings(mk(2, 1, 0, 0, 1))
+            for fi in (sp.f1, sp.f2):
+                assert pairing(fi, h) == pairing(fi.dense(), h)
+        with pytest.raises(ValueError, match="functional level 2 exceeds the period level 1"):
+            pairing(sp.f1, mk(2, 1, 0, 0, 1))
 
     @given(steps(max_level=4), st.integers(min_value=0, max_value=6))
     @settings(max_examples=60, deadline=None)
     def test_b_and_c_are_the_level_K_masses_of_the_parts(self, f, K):
         sp = split_pair(f, K)
         _, pos, neg = decompose(f)
-        assert sp.b == Fraction(1, 1 << K) * dyadic_project(pos, K)
-        assert sp.c == Fraction(1, 1 << K) * dyadic_project(neg, K)
+        assert sp.b.dense() == Fraction(1, 1 << K) * dyadic_project(pos, K)
+        assert sp.c.dense() == Fraction(1, 1 << K) * dyadic_project(neg, K)
         assert sp.b.level == sp.c.level == K
 
     @given(steps(max_level=3), st.integers(min_value=0, max_value=4))
     @settings(max_examples=50)
     def test_identities_every_cell(self, f, K):
         sp = split_pair(f, K)  # internal verification re-runs (5)-(7)
-        af = abs(f)
+        f1, f2, af = sp.f1.dense(), sp.f2.dense(), abs(f)
         for k in range(K + 1):
             for j in range(1, (1 << k) + 1):
                 cell = (k, j)
-                assert integral_over(sp.f1, cell) == integral_over(f, cell)
-                assert integral_over(sp.f2, cell) == integral_over(f, cell)
-                assert integral_over(abs(sp.f1), cell) == integral_over(af, cell)
-                assert integral_over(abs(sp.f2), cell) == integral_over(af, cell)
-                assert integral_over(abs(sp.f1 - sp.f2), cell) == 2 * integral_over(af, cell)
-        assert norms(sp.f1).linf <= 4 * norms(f).linf
-        assert norms(sp.f2).linf <= 4 * norms(f).linf
-        assert norms(sp.f1).l1 == norms(f).l1 == norms(sp.f2).l1
+                assert integral_over(f1, cell) == integral_over(f, cell)
+                assert integral_over(f2, cell) == integral_over(f, cell)
+                assert integral_over(abs(f1), cell) == integral_over(af, cell)
+                assert integral_over(abs(f2), cell) == integral_over(af, cell)
+                assert integral_over(abs(f1 - f2), cell) == 2 * integral_over(af, cell)
+        assert norms(f1).linf <= 4 * norms(f).linf
+        assert norms(f2).linf <= 4 * norms(f).linf
+        assert norms(f1).l1 == norms(f).l1 == norms(f2).l1
 
     @given(steps(max_level=2), st.integers(min_value=0, max_value=3))
     @settings(max_examples=40)
@@ -126,8 +134,8 @@ class TestSplitPair:
         sp = split_pair(f, K)
         for j in range(1, (1 << K) + 1):
             ind = indicator(DyadicIndex(K, j))
-            assert pairing(sp.f1 - f, ind) == 0
-            assert pairing(sp.f2 - f, ind) == 0
+            assert pairing(sp.f1.dense() - f, ind) == 0
+            assert pairing(sp.f2.dense() - f, ind) == 0
 
     @given(steps(max_level=2), st.integers(min_value=0, max_value=3))
     @settings(max_examples=40)
@@ -136,15 +144,27 @@ class TestSplitPair:
         if l1 > 1:
             f = f * Fraction(1, math.ceil(l1))
         sp = split_pair(f, K)
-        two_K = Fraction(1, 1 << K)
-        assert tnorm_sq(sp.f1) <= tnorm_sq(f) + two_K
-        assert tnorm_sq(sp.f2) <= tnorm_sq(f) + two_K
-        assert tnorm_sq(sp.f1 - sp.f2) >= 4 * (tnorm_sq(f) - two_K)
+        f1, f2, two_K = sp.f1.dense(), sp.f2.dense(), Fraction(1, 1 << K)
+        assert tnorm_sq(f1) <= tnorm_sq(f) + two_K
+        assert tnorm_sq(f2) <= tnorm_sq(f) + two_K
+        assert tnorm_sq(f1 - f2) >= 4 * (tnorm_sq(f) - two_K)
 
 
-def verify_split(f, K, f1, f2):
-    """The split check of f1, f2 against the center f at level K."""
-    return _verify_split(f, K, _level_K_masses(f, K), f1, f2)
+def measured(f, f1, f2):
+    """Every split check of f1, f2 against f, the failed ones too."""
+    with patch.object(witness, "require", lambda what, checks: checks):
+        return _verify_split(f, f1, f2)[0]
+
+
+def bump(p, j, value):
+    """p with `value` added to entry j of its motifs, in every repeat."""
+    motifs = [0] * len(p.motifs)
+    motifs[j] = 1
+    return lin_comb(1, p, value, PeriodicStep(p.coarse, motifs, p.reps, 1))
+
+
+def deviations(checks):
+    return [checks[name].lhs for name in ("id5", "id6", "id7")]
 
 
 class TestSplitCheck:
@@ -152,38 +172,48 @@ class TestSplitCheck:
 
     def test_correct_split_measures_zero_deviations(self):
         sp = split_pair(self.F, 3)
-        assert [sp.checks[name].lhs for name in ("id5", "id6", "id7")] == [0, 0, 0]
+        assert deviations(sp.checks) == [0, 0, 0]
         assert sp.checks["linf4x"].lhs == max(norms(sp.f1).linf, norms(sp.f2).linf)
         assert all(chk.ok for chk in sp.checks.values())
-        assert verify_split(self.F, 3, sp.f1, sp.f2).checks == sp.checks
+        assert _verify_split(self.F, sp.f1, sp.f2)[0] == sp.checks
 
     def test_wrong_f2_raises(self):
         sp = split_pair(self.F, 3)
-        # extra mass 1/224 on a cell where f2 vanishes and f1 = 4
-        wrong = sp.f2 + indicator((5, 1), Fraction(1, 7))
-        with pytest.raises(RuntimeError, match="id5=1/224, id6=1/224, id7=1/224"):
-            verify_split(self.F, 3, sp.f1, wrong)
+        # extra mass 1/224 on the first cell of each of the two periods of
+        # the first coarse cell, where f2 vanishes and f1 = 4: 1/112 in all
+        wrong = bump(sp.f2, 0, Fraction(1, 7))
+        with pytest.raises(RuntimeError, match=re.escape("split check failed: id5 (1/112 == 0/1)")):
+            _verify_split(self.F, sp.f1, wrong)
+        checks = measured(self.F, sp.f1, wrong)
+        assert deviations(checks) == [Fraction(1, 112)] * 3
+        assert checks == dense_verify(self.F, 3, sp.f1.dense(), wrong.dense())[0]
 
     def test_wrong_f2_over_other_denominators(self):
         # values over 3 and 5: the center's lattice denominator is 15, that of
         # f1/f2 is 30, and the wrong f2 below needs 210
         center = mk(4, *[Fraction(x) for x in "1/3 1/3 1/5 0 0 0 0 -1/5 -2/3 0 0 0 1/5 0 0 1/3".split()])
         sp = split_pair(center, 1)
-        assert (lattice(center)[1], lattice(sp.f1)[1], lattice(sp.f2)[1]) == (15, 30, 30)
-        assert [sp.checks[name].lhs for name in ("id5", "id6", "id7")] == [0, 0, 0]
-        # f2 = 13/30 on cell (3, 3) becomes -89/210: its mass moves by 6/7 / 8,
-        # its absolute mass by (91 - 89)/210 / 8
-        wrong = sp.f2 + indicator((3, 3), Fraction(-6, 7))
-        assert lattice(wrong)[1] == 210
-        with pytest.raises(RuntimeError, match=r"level 1 \(id5=3/28, id6=1/840, id7=1/840\)"):
-            verify_split(center, 1, sp.f1, wrong)
+        assert (lattice(center)[1], sp.f1.den, sp.f2.den) == (15, 30, 30)
+        assert deviations(sp.checks) == [0, 0, 0]
+        # f2 = 13/30 on cell (3, 3), the third entry of the first motif,
+        # becomes -89/210: its mass moves by 6/7 / 8, its absolute mass by
+        # (91 - 89)/210 / 8
+        wrong = bump(sp.f2, 2, Fraction(-6, 7))
+        assert wrong.den == 210
+        with pytest.raises(RuntimeError, match=re.escape("split check failed: id5 (3/28 == 0/1)")):
+            _verify_split(center, sp.f1, wrong)
+        checks = measured(center, sp.f1, wrong)
+        assert deviations(checks) == [Fraction(3, 28), Fraction(1, 840), Fraction(1, 840)]
+        assert checks == dense_verify(center, 1, sp.f1.dense(), wrong.dense())[0]
 
     def test_f2_equal_to_f1_fails_only_id7(self):
         # f1 - f1 = 0 has none of the doubled mass 2 |f| that id7 asks for,
-        # while f1 alone matches f on (5) and (6)
+        # while f1 alone matches f on (5) and (6): the deviation is largest
+        # on [0, 1), 2 * l1(f) = 9/4
         sp = split_pair(self.F, 3)
-        with pytest.raises(RuntimeError, match=r"level 3 \(id5=0/1, id6=0/1, id7=3/4\)"):
-            verify_split(self.F, 3, sp.f1, sp.f1)
+        with pytest.raises(RuntimeError, match=re.escape("split check failed: id7 (9/4 == 0/1)")):
+            _verify_split(self.F, sp.f1, sp.f1)
+        assert deviations(measured(self.F, sp.f1, sp.f1)) == [0, 0, Fraction(9, 4)]
 
     def test_witness_reports_the_measured_checks(self):
         center = near_unit_scale(self.F, Fraction(1, 10**4))
@@ -260,7 +290,7 @@ def old_contains(nbhd, g):
 def old_pairing_l(nbhd, rep):
     """The former pairing_l lhs: max |<g - f, h>| over g1, g2 and every h."""
     return max(
-        (abs(pairing(g - nbhd.center, h)) for h in nbhd.functionals for g in (rep.g1, rep.g2)),
+        (abs(pairing(g.dense() - nbhd.center, h)) for h in nbhd.functionals for g in (rep.g1, rep.g2)),
         default=Fraction(0),
     )
 
@@ -285,7 +315,7 @@ class TestPairingCheck:
             assume(False)
         assert all(h.level <= rep.K for h in functionals)
         assert rep.checks["pairing_l"].lhs == old_pairing_l(nbhd, rep)
-        assert nbhd.contains(rep.g1) and nbhd.contains(rep.g2)
+        assert nbhd.contains(rep.g1.dense()) and nbhd.contains(rep.g2.dense())
 
     def test_deviation_pairs_the_center_once_per_functional(self, monkeypatch):
         from renorml1 import witness
@@ -301,14 +331,17 @@ class TestPairingCheck:
         assert nbhd.deviation() == 0 and WeakNbhd(center, (), 1).deviation(g1) == 0
 
     def test_witness_pairs_the_center_once_per_functional(self, monkeypatch):
-        # <g_i, h> comes from the split check's masses of f_i; only <f, h> is paired
+        # <g_i, h> is read off the motifs of the periodic g_i; the only dense
+        # step paired is the center, once per functional
         from renorml1 import witness
 
         nbhd = WeakNbhd(near_unit_scale(mk(0, 1), Fraction(1, 10**4)), (mk(0, 1), mk(1, 1, 0)), Fraction(1, 10))
         calls = []
         monkeypatch.setattr(witness, "pairing", lambda f, h: calls.append((f, h)) or pairing(f, h))
         rep = d2p_witness(nbhd, Fraction(1, 5))
-        assert [(f is nbhd.center, h) for f, h in calls] == [(True, h) for h in nbhd.functionals]
+        dense = [(f is nbhd.center, h) for f, h in calls if not isinstance(f, PeriodicStep)]
+        assert dense == [(True, h) for h in nbhd.functionals]
+        assert [h for _, h in calls] == [h for h in nbhd.functionals for _ in range(3)]
         assert rep.checks["pairing_l"].lhs == old_pairing_l(nbhd, rep)
 
     def test_contains_is_strict_at_the_boundary(self):
@@ -349,7 +382,7 @@ class TestWitness:
         assert rep.gap_sq >= rep.guaranteed_gap_sq
         assert all(ch.ok for ch in rep.checks.values())
         assert tnorm_sq(rep.g1) < 1 and tnorm_sq(rep.g2) < 1
-        assert nbhd.contains(rep.g1) and nbhd.contains(rep.g2)
+        assert nbhd.contains(rep.g1.dense()) and nbhd.contains(rep.g2.dense())
         assert rep.guaranteed_gap_sq == 4 * (1 - rep.gamma) ** 2 * (
             tnorm_sq(center) - Fraction(1, 1 << rep.K)
         )
@@ -387,7 +420,7 @@ def assert_scaled_split(rep):
     """g_i is (1 - gamma) * f_i, down to the lattice `from_lattice` reduces
     from every numerator of the product."""
     p, q = (1 - rep.gamma).as_integer_ratio()
-    for g, fi in ((rep.g1, rep.pair.f1), (rep.g2, rep.pair.f2)):
+    for g, fi in ((rep.g1.dense(), rep.pair.f1.dense()), (rep.g2.dense(), rep.pair.f2.dense())):
         want = from_lattice(fi.level, [p * n for n in fi.nums], q * fi.den)
         assert (g.level, g.nums, g.den) == (want.level, want.nums, want.den)
 
@@ -413,7 +446,7 @@ class TestWitnessFromFolds:
             rep = d2p_witness(nbhd, eps)
         except GapConditionError:
             assume(False)
-        g1, g2 = rep.g1, rep.g2
+        g1, g2 = rep.g1.dense(), rep.g2.dense()
         assert rep.ball_sq == (tnorm_sq(g1), tnorm_sq(g2))
         assert rep.gap_sq == tnorm_sq_diff(g1, g2) == tnorm_sq(g1 - g2)
         assert rep.checks["pairing_l"].lhs == nbhd.deviation(g1, g2)
@@ -432,18 +465,35 @@ class TestWitnessFromFolds:
     def test_g_is_the_scaled_split(self, center, delta):
         assert_scaled_split(d2p_witness(WeakNbhd(center, (), delta), 2))
 
-    def test_each_level_K_plus_2_stream_is_folded_once(self, monkeypatch):
-        # f1, f2, |f1|, |f2| and |f1 - f2|: a second fold of g1 or g2 fails here
-        from renorml1 import dyadic, renorm, witness
+    def test_folds_do_not_grow_with_K(self, monkeypatch):
+        # no fold of a level-(K+2) stream: the longest list folded is the
+        # split's motifs, 4 per cell of the level-2 center, at K = 9 and 13
+        from renorml1 import dyadic, renorm
 
         center = near_unit_scale(mk(2, 1, Fraction(-1, 2), 3, 0), Fraction(1, 10**4))
         nbhd = WeakNbhd(center, (mk(1, 1, -1), mk(2, 0, 1, 0, -1)), Fraction(1, 10))
         real, lengths = dyadic.mass_levels, []
-        for module in (dyadic, renorm, witness):
-            monkeypatch.setattr(module, "mass_levels", lambda ms: lengths.append(len(ms)) or real(ms))
-        rep = d2p_witness(nbhd, Fraction(1, 5))
-        assert max(lengths) == 1 << rep.K + 2
-        assert lengths.count(1 << rep.K + 2) == 5
+        for eps, K in ((Fraction(1, 5), 9), (Fraction(1, 1000), 13)):
+            folded = []
+            for module in (dyadic, renorm, witness):
+                monkeypatch.setattr(module, "mass_levels", lambda ms: folded.append(len(ms)) or real(ms))
+            assert d2p_witness(nbhd, eps).K == K
+            lengths.append(folded)
+        assert lengths[0] == lengths[1]
+        assert max(lengths[0]) == 4 << center.level
+
+    def test_no_dense_expansion(self, monkeypatch):
+        # the witness, both probes and their reports read the motifs only
+        def dense(p):
+            raise AssertionError("a periodic step was expanded")
+
+        monkeypatch.setattr(PeriodicStep, "dense", dense)
+        center = near_unit_scale(mk(2, 1, Fraction(-1, 2), 3, 0), Fraction(1, 10**4))
+        nbhd = WeakNbhd(center, (mk(1, 1, -1), mk(2, 0, 1, 0, -1)), Fraction(1, 10))
+        wit = strong_extreme_failure(nbhd, Fraction(1, 100))
+        _json_text(wit.report.to_json())
+        _json_text(wit.to_json())
+        slice_diameter_lb(nbhd.center, nbhd.functionals, nbhd.delta, [Fraction(1, 5), Fraction(1, 10)])
 
     def test_no_dense_product_builds_g1_or_g2(self, monkeypatch):
         # g_i = (1 - gamma) * f_i is read off the split, never multiplied out
@@ -486,13 +536,64 @@ class TestGapFromLattices:
         except GapConditionError:
             assume(False)
         assert rep.K <= 8
-        assert rep.gap_sq == tnorm_sq(rep.g1 - rep.g2)
+        assert rep.gap_sq == tnorm_sq(rep.g1.dense() - rep.g2.dense())
 
     @given(steps(max_level=5), steps(max_level=5))
     @settings(max_examples=100, deadline=None)
     def test_tnorm_sq_diff_equals_tnorm_sq_of_the_difference(self, f, g):
         assert tnorm_sq_diff(f, g) == tnorm_sq(f - g)
         assert tnorm_sq_diff(f, f) == 0
-        L, D, masses = abs_diff_masses(f, g)
-        assert L == max(f.level, g.level)
-        assert [Fraction(m, D) for m in masses] == [abs(v) / (1 << L) for v in refine(f - g, L).values]
+
+
+def functional(k: int) -> DyadicStep:
+    """A fixed functional of level k with linf <= 1."""
+    return from_lattice(k, [(7 * j) % 5 - 2 for j in range(1 << k)], 2)
+
+
+class TestPeriodicAgainstTheDenseSplit:
+    """The periodic split against the dense one it replaced (`dense_split`),
+    for centers of level <= 5 and K <= 10: every measured value, every
+    lattice and every report byte."""
+
+    @given(steps(max_level=5), st.integers(min_value=0, max_value=10))
+    @settings(max_examples=60, deadline=None)
+    def test_split_equals_the_dense_oracle(self, f, K):
+        sp, dense = split_pair(f, K), dense_split(f, K)
+        assert sp.checks == dense.checks  # lhs, rhs and outcome of each
+        assert sp.tnorm_sq == dense.tnorm_sq
+        for part in ("b", "c", "f1", "f2"):
+            mine, want = getattr(sp, part).dense(), getattr(dense, part)
+            assert (mine.level, mine.nums, mine.den) == (want.level, want.nums, want.den)
+        for k in range(K + 1):
+            h = functional(k)
+            assert (pairing(sp.f1, h), pairing(sp.f2, h)) == dense.pairings(h)
+
+    @given(steps(max_level=4), st.integers(min_value=0, max_value=6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_tampered_motifs_measure_like_the_dense_oracle(self, f, K, data):
+        sp = split_pair(f, K)
+        j = data.draw(st.integers(min_value=0, max_value=len(sp.f2.motifs) - 1))
+        value = data.draw(st.fractions(min_value=-2, max_value=2, max_denominator=7))
+        wrong = bump(sp.f2, j, value)
+        dense_checks, dense_norms, _ = dense_verify(f, K, sp.f1.dense(), wrong.dense())
+        assert measured(f, sp.f1, wrong) == dense_checks
+        with patch.object(witness, "require", lambda what, checks: checks):
+            assert _verify_split(f, sp.f1, wrong)[1] == dense_norms
+
+    @given(
+        steps(max_level=5),
+        st.lists(steps(max_level=3, fractions=unit_values), max_size=2),
+        st.sampled_from([Fraction(1, 5), Fraction(1, 10), Fraction(1, 50)]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_reports_render_as_json_dumps_of_the_dense_form(self, f, functionals, eps):
+        assume(norms(f).l1 > 0)
+        nbhd = WeakNbhd(near_unit_scale(f, Fraction(1, 10**4)), functionals, Fraction(1, 2))
+        try:
+            gamma = choose_gamma(norms(nbhd.center).linf, nbhd.delta, eps)
+            assume(choose_K(gamma, [h.level for h in functionals]) <= 10)
+            wit = strong_extreme_failure(nbhd, eps)
+        except GapConditionError:
+            assume(False)
+        assert _json_text(wit.report.to_json()) == json.dumps(dense_witness_json(nbhd, eps), indent=2) + "\n"
+        assert _json_text(wit.to_json()) == json.dumps(dense_extreme_json(nbhd, eps), indent=2) + "\n"
