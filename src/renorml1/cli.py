@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
 
@@ -128,24 +129,26 @@ def _nbhd_from_json(obj) -> WeakNbhd:
     return WeakNbhd(center, functionals, delta)
 
 
-def _emit(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(chunks: list[str], out_path) -> None:
+    """Write the text chunks one after the other, unjoined."""
+    with open(out_path, "w", encoding="utf-8", newline="\n") if out_path else nullcontext(sys.stdout) as fh:
+        fh.writelines(chunks)
 
 
 def _emit_json(obj, out_path) -> None:
-    _emit(_json_text(obj), out_path)
+    _emit(_json_chunks(obj), out_path)
 
 
-def _json_text(obj) -> str:
-    """Exactly json.dumps(obj, indent=2) + "\n", at C-encoder speed."""
+def _json_chunks(obj) -> list[str]:
+    """The chunks of exactly json.dumps(obj, indent=2) + "\n", at C-encoder speed."""
     chunks: list[str] = []
     _encode(obj, 0, chunks)
     chunks.append("\n")
-    return "".join(chunks)
+    return chunks
+
+
+def _json_text(obj) -> str:
+    return "".join(_json_chunks(obj))
 
 
 _SCALARS = (str, int, float, type(None))  # bool is an int
@@ -285,7 +288,7 @@ def _cmd_probe(args) -> int:
         nbhd = _nbhd_from_json(_load_json(args.input))
         eps = _eps_schedule(args, "probe slice")
         entries = slice_diameter_lb(nbhd.center, nbhd.functionals, nbhd.delta, eps)
-        _emit(slice_csv(entries, args.float_digits), args.out)
+        _emit([slice_csv(entries, args.float_digits)], args.out)
         failed = [e for e in entries if not e.ok]
         if failed:
             sys.stderr.write(f"slice entries failed: {failed[0].error}\n")
@@ -327,7 +330,7 @@ def _cmd_ured(args) -> int:
 
 def _cmd_selftest(args) -> int:
     ok, lines = run_selftest(args.seed, args.trials)
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return 0 if ok else 1
 
 

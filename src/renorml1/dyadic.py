@@ -15,11 +15,10 @@ Two step functions are equal iff their refinements to a common level have
 identical values, so the representation level is not part of the identity
 of a function.
 
-`mass_levels(masses)` is the one fold: every computation of cell integrals
-across levels (norm series, the dual norm's Q product, witness split
-checks, projections, weak smallness) hands it an int mass list of one
-level and reads the coarser levels from it, one at a time, over the
-caller's denominator (`den << level` for a step's own numerators).
+A `PeriodicStep` repeats one motif per coarse cell. The kernels read both
+kinds through one lattice view (`coarse`, `motifs`, `reps`, `period_level`,
+`masses(k)`, `level_squares()`, `blocks()`): a dense step is one motif of one
+value per cell. `mass_levels` is the one fold of int masses to coarser levels.
 """
 
 from __future__ import annotations
@@ -245,6 +244,20 @@ class DyadicStep:
     def is_zero(self) -> bool:
         return not any(self.nums)
 
+    # -- the lattice view of PeriodicStep: one motif of one value per cell ---
+    coarse = period_level = property(lambda self: self.level)
+    motifs = property(lambda self: self.nums)
+    reps = 1
+
+    def masses(self, k: int) -> Sequence[int]:
+        return next(islice(mass_levels(self.nums), self.level - k, None))
+
+    def level_squares(self) -> list[int]:
+        return [sum(map(mul, ms, ms)) for ms in mass_levels(self.nums)]
+
+    def blocks(self) -> list[tuple[int, ...]]:
+        return [self.nums]  # one block: the motifs joined
+
     # -- vector-space sugar (exact) -----------------------------------------
 
     def __add__(self, other: "DyadicStep") -> "DyadicStep":
@@ -321,14 +334,15 @@ class Norms(NamedTuple):
 
 
 def refine(f: DyadicStep, new_level: int) -> DyadicStep:
-    """Re-express f on the level-`new_level` grid (same function)."""
+    """Re-express f, a step with one value per cell, on the level-`new_level`
+    grid (same function)."""
     if new_level < f.level:
         raise ValueError(f"cannot refine level {f.level} down to {new_level}")
     if new_level > MAX_LEVEL:
         raise LevelOverflowError(f"level {new_level} exceeds cap {MAX_LEVEL}")
     if new_level == f.level:
         return f
-    return _new(new_level, _repeat(f.nums, 1 << (new_level - f.level)), f.den)
+    return _new(new_level, _repeat(f.motifs, 1 << (new_level - f.level)), f.den)
 
 
 def canonical(f: DyadicStep) -> DyadicStep:
@@ -358,21 +372,22 @@ def from_lattice(level: int, nums, den: int) -> DyadicStep:
     return _new(level, nums, den // g)
 
 
-def lin_comb(
-    a, f: DyadicStep | PeriodicStep, b, g: DyadicStep | PeriodicStep
-) -> DyadicStep | PeriodicStep:
-    """Pointwise a*f + b*g at the common refined level; of two periodic
-    steps of one shape, motif by motif."""
+def lin_comb(a, f: Step, b, g: Step) -> Step:
+    """Pointwise a*f + b*g, motif by motif: two steps of one shape as they
+    are, two steps of one value per cell at their common refined level. A
+    step of one value per cell is dense."""
     (an, ad), (bn, bd) = to_frac(a).as_integer_ratio(), to_frac(b).as_integer_ratio()
     den = lcm(ad * f.den, bd * g.den)
     p, q = an * (den // (ad * f.den)), bn * (den // (bd * g.den))
-    if PeriodicStep in (type(f), type(g)):
-        if type(f) is not type(g) or (f.level, f.coarse, f.reps) != (g.level, g.coarse, g.reps):
+    if (f.level, f.coarse, f.reps) != (g.level, g.coarse, g.reps):
+        if f.coarse < f.level or g.coarse < g.level:
             raise ValueError("a periodic step combines only with one of the same shape")
-        return PeriodicStep(f.coarse, [p * x + q * y for x, y in zip(f.motifs, g.motifs)], f.reps, den)
-    L = max(f.level, g.level)
-    nf, ng = lattice(f, L)[0], lattice(g, L)[0]
-    return from_lattice(L, [p * x + q * y for x, y in zip(nf, ng)], den)
+        L = max(f.level, g.level)
+        f, g = refine(f, L), refine(g, L)
+    motifs = [p * x + q * y for x, y in zip(f.motifs, g.motifs)]
+    if f.coarse < f.level:
+        return PeriodicStep(f.coarse, motifs, f.reps, den)
+    return from_lattice(f.level, motifs, den)
 
 
 def decompose(f: DyadicStep) -> tuple[DyadicStep, DyadicStep, DyadicStep]:
@@ -390,29 +405,26 @@ def integral_over(f: DyadicStep, idx) -> Fraction:
     if k >= f.level:
         return Fraction(f.nums[(j - 1) >> (k - f.level)], f.den << k)
     span = 1 << (f.level - k)
-    lo = (j - 1) * span
-    return Fraction(sum(f.nums[lo : lo + span]), f.den << f.level)
+    return Fraction(sum(f.nums[(j - 1) * span : j * span]), f.den << f.level)
 
 
-def norms(f: DyadicStep | PeriodicStep) -> Norms:
-    """(l1, linf) of f, exactly; of a periodic step, from its motifs."""
-    nums, reps = (f.motifs, f.reps) if isinstance(f, PeriodicStep) else (f.nums, 1)
-    absolute = list(map(abs, nums))
-    return Norms(Fraction(reps * sum(absolute), f.den << f.level), Fraction(max(absolute), f.den))
+def norms(f: Step) -> Norms:
+    """(l1, linf) of f, exactly, from its motifs."""
+    absolute = list(map(abs, f.motifs))
+    return Norms(Fraction(f.reps * sum(absolute), f.den << f.level), Fraction(max(absolute), f.den))
 
 
-def pairing(f: DyadicStep | PeriodicStep, h: DyadicStep) -> Fraction:
-    """Exact duality bracket <f, h> = integral of f*h over [0, 1); of a
-    periodic f and an h of level <= its period level, f's masses at
-    level(h) dotted with h's numerators summed over each coarse cell."""
-    if isinstance(f, PeriodicStep):
-        if h.level > f.period_level:
+def pairing(f: Step, h: DyadicStep) -> Fraction:
+    """Exact duality bracket <f, h> = integral of f*h over [0, 1): f's
+    masses at level(h) dotted with h's numerators summed over each of f's
+    coarse cells, for h of level <= f's period level. A finer h pairs with a
+    step of one value per cell the other way round."""
+    if h.level > f.period_level:
+        if f.coarse < f.level:
             raise ValueError(f"functional level {h.level} exceeds the period level {f.period_level}")
-        hs = next(islice(mass_levels(h.nums), max(h.level - f.coarse, 0), None))
-        return Fraction(sum(map(mul, f.masses(h.level), hs)), h.den * f.den << f.level)
-    L = max(f.level, h.level)
-    (nf, df), (nh, dh) = lattice(f, L), lattice(h, L)
-    return Fraction(sum(map(mul, nf, nh)), df * dh << L)
+        return pairing(h, f)
+    hs = h.masses(min(h.level, f.coarse))
+    return Fraction(sum(map(mul, f.masses(h.level), hs)), h.den * f.den << f.level)
 
 
 def dyadic_project(f: DyadicStep, K: int) -> DyadicStep:
@@ -426,8 +438,7 @@ def dyadic_project(f: DyadicStep, K: int) -> DyadicStep:
     if K >= f.level:
         return refine(f, K)
     # a level-K cell average is 2**K times its mass, which is over den << f.level
-    masses = next(islice(mass_levels(f.nums), f.level - K, None))
-    return from_lattice(K, masses, f.den << f.level - K)
+    return from_lattice(K, f.masses(K), f.den << f.level - K)
 
 
 def reflect(f: DyadicStep) -> DyadicStep:
@@ -463,8 +474,7 @@ class PeriodicStep:
     holds its motif `reps` = 2**r times, so level = coarse + r + w. Reduced
     to the least common denominator on construction. A split at level K and
     its linear combinations are periodic with period level K: they cost
-    2**coarse motifs, not 2**level cells. `lin_comb`, `norms`, `pairing`,
-    `steps_to_json` and `renorm.tnorm_sq` take periodic steps."""
+    2**coarse motifs, not 2**level cells."""
 
     coarse: int
     motifs: tuple[int, ...]
@@ -526,6 +536,9 @@ class PeriodicStep:
         return [sq * self.reps for sq in top] + middle + [sq << 2 * r for sq in below]
 
 
+Step = DyadicStep | PeriodicStep
+
+
 # -- JSON wire format ---------------------------------------------------------
 #
 #   {"level": K, "values": ["p/q", ...]}   with exactly 2**K entries.
@@ -547,25 +560,21 @@ class StepValues:
         return list(map(self.texts.__getitem__, chain.from_iterable(b * self.reps for b in self.blocks)))
 
 
-def step_to_json(f: DyadicStep | PeriodicStep) -> dict:
+def step_to_json(f: Step) -> dict:
     """The wire form of f, its values a plain list of 'p/q' strings."""
     wire = steps_to_json(f)[0]
     return dict(wire, values=wire["values"].expand())
 
 
-def steps_to_json(*steps: DyadicStep | PeriodicStep) -> list[dict]:
+def steps_to_json(*steps: Step) -> list[dict]:
     """The wire forms of dense or periodic steps, their values held as
     StepValues that render each distinct numerator over each denominator
     among them once, through ratio_str."""
-    runs = [((f.nums,), 1) if isinstance(f, DyadicStep) else (f.blocks(), f.reps) for f in steps]
     distinct: dict[int, set[int]] = {}
-    for f, (blocks, _) in zip(steps, runs):
-        distinct.setdefault(f.den, set()).update(*blocks)
+    for f in steps:
+        distinct.setdefault(f.den, set()).update(f.motifs)
     texts = {den: {n: ratio_str(n, den) for n in nums} for den, nums in distinct.items()}
-    return [
-        {"level": f.level, "values": StepValues(blocks, texts[f.den], reps)}
-        for f, (blocks, reps) in zip(steps, runs)
-    ]
+    return [{"level": f.level, "values": StepValues(f.blocks(), texts[f.den], f.reps)} for f in steps]
 
 
 def step_from_json(obj) -> DyadicStep:

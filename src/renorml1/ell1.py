@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .checks import check, require
@@ -29,6 +30,7 @@ from .dyadic import (
     DyadicIndex,
     DyadicStep,
     LevelOverflowError,
+    _shown,
     frac_str,
     indicator,
     norms,
@@ -152,12 +154,9 @@ def check_product_condition(eps: Sequence, deltas: Sequence, m: int) -> None:
     Raises ScheduleInfeasibleError naming the first failing k. Products over
     shorter suffixes are larger, so checking the full suffix per k suffices.
     """
-    eps = [to_frac(e) for e in eps]
     deltas = [to_frac(d) for d in deltas]
-    for k in range(1, m + 1):
-        prod = Fraction(1)
-        for i in range(k, m + 1):
-            prod *= 1 - eps[i - 1]
+    suffixes = list(accumulate((1 - to_frac(eps[i - 1]) for i in range(m, 0, -1)), Fraction.__mul__))[::-1]
+    for k, prod in enumerate(suffixes, start=1):
         if prod <= 1 - deltas[k - 1]:
             raise ScheduleInfeasibleError(
                 f"k = {k}: prod_(i={k}..{m}) (1-eps_i) = {frac_str(prod)} "
@@ -174,7 +173,7 @@ def _checked_deltas(deltas: Sequence, m: int) -> list[Fraction]:
         raise ValueError(f"need at least m = {m} deltas, got {len(deltas)}")
     for d in deltas[:m]:
         if not 0 < d < 1:
-            raise ValueError(f"deltas must lie in (0, 1), got {d}")
+            raise ValueError(f"deltas must lie in (0, 1), got {_shown(str(d))}")
     return deltas
 
 
@@ -191,7 +190,8 @@ def greedy_asymptotic_ell1(deltas: Sequence, m: int) -> SpikeFamily:
         if b > a:
             raise ValueError("deltas must be non-increasing")
 
-    eps = [min(deltas[:i]) * Fraction(1, 1 << (i + 1)) for i in range(1, m + 1)]
+    # min(deltas[:i]) is deltas[i - 1]: they do not increase
+    eps = [deltas[i - 1] * Fraction(1, 1 << (i + 1)) for i in range(1, m + 1)]
     check_product_condition(eps, deltas, m)
 
     spikes = [Spike(0, 1, Fraction(1))]

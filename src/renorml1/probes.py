@@ -12,7 +12,6 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Optional, Sequence
 
 from .checks import check, require
@@ -145,7 +144,7 @@ def weak_smallness(u: DyadicStep, depth: int) -> Fraction:
         raise ValueError(f"depth must be >= 0, got {depth}")
     # levels min(depth, u.level) down to 0: a cell finer than u's grid holds
     # half its parent's integral, so deeper levels never score higher
-    levels = islice(mass_levels(u.nums), max(u.level - depth, 0), None)
+    levels = mass_levels(u.masses(min(depth, u.level)))
     return Fraction(max(max(map(abs, masses)) for masses in levels), u.den << u.level)
 
 

@@ -47,19 +47,9 @@ def seminorm(f: DyadicStep, idx) -> Fraction:
     return integral_over(abs(f), as_index(idx))
 
 
-def _level_squares(masses: Sequence[int]) -> list[int]:
-    """The sum of squares of each level of the `mass_levels` fold of the int
-    masses `masses`, finest first: with `masses` D times the masses of |f|
-    on its own cells, item i is D**2 * sum_j s(f, level(f) - i, j)**2."""
-    return [sum(map(mul, ms, ms)) for ms in mass_levels(masses)]
-
-
 def tnorm_sq(f: DyadicStep | PeriodicStep) -> Fraction:
-    """Exact squared norm T(f)**2 (closed tail from f's own level up); of a
-    periodic step, from its motifs."""
-    periodic = isinstance(f, PeriodicStep)
-    squares = abs(f).level_squares() if periodic else _level_squares(list(map(abs, f.nums)))
-    return tnorm_sq_from_squares(f.level, f.den << f.level, squares)
+    """Exact squared norm T(f)**2 (closed tail from f's own level up)."""
+    return tnorm_sq_from_squares(f.level, f.den << f.level, abs(f).level_squares())
 
 
 def tnorm_sq_diff(f: DyadicStep, g: DyadicStep) -> Fraction:
@@ -70,19 +60,19 @@ def tnorm_sq_diff(f: DyadicStep, g: DyadicStep) -> Fraction:
 def tnorm_sq_from_squares(K: int, D: int, squares: Sequence[int]) -> Fraction:
     """T(f)**2 of a level-K step f from squares[i] = D**2 * sum_j s(f, K - i, j)**2,
     i = 0..K: the sums of squares of the int masses of |f| over D, level by
-    level in `mass_levels` order."""
+    level, finest first (`level_squares`)."""
     # level K - i weighs 4**i against level K; the tail closes at level K
     B = sum(sq << 2 * i for i, sq in enumerate(squares) if i)
     # below + (8/7) * top / 4**K over the denominator 7 * D**2 * 4**K
     return Fraction(7 * B + 8 * squares[0], 7 * D * D << 2 * K)
 
 
-def partial_below(f: DyadicStep, T: int) -> Fraction:
+def partial_below(f: DyadicStep | PeriodicStep, T: int) -> Fraction:
     """Truncated series: sum_{k < T} 4**-k * sum_j s(f, k, j)**2."""
     if T < 0:
         raise ValueError(f"truncation level must be >= 0, got {T}")
     K, D = f.level, f.den << f.level
-    squares = _level_squares(list(map(abs, f.nums)))
+    squares = abs(f).level_squares()
     # level K - i < T weighs 4**i against level K, as in tnorm_sq_from_squares
     B = sum(sq << 2 * i for i, sq in enumerate(squares) if i and K - i < T)
     S, E = squares[0], max(T, K)

@@ -41,7 +41,7 @@ from operator import itemgetter, lt, mul, sub
 from typing import Sequence
 
 from .checks import Check, check, require
-from .dyadic import frac_str, ratio_str, to_frac
+from .dyadic import _shown, frac_str, ratio_str, to_frac
 
 
 @dataclass(frozen=True, init=False)
@@ -244,7 +244,7 @@ def ured_recursion(delta, eps: Sequence, steps: int) -> RecursionRun:
     """
     delta = to_frac(delta)
     if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+        raise ValueError(f"delta must be in (0, 1), got {_shown(str(delta))}")
     eps = [to_frac(e) for e in eps]
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -253,7 +253,7 @@ def ured_recursion(delta, eps: Sequence, steps: int) -> RecursionRun:
     ratios = [e.as_integer_ratio() for e in eps[:steps]]
     for e, (en, ed) in zip(eps, ratios):
         if not 0 < en < 2 * ed:
-            raise ValueError(f"eps values must lie in (0, 2), got {e}")
+            raise ValueError(f"eps values must lie in (0, 2), got {_shown(str(e))}")
     for (an, ad), (bn, bd) in zip(ratios, ratios[1:]):
         if bn * ad > an * bd:
             raise ValueError("eps must be non-increasing")

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from math import lcm
 from typing import Optional, Sequence
 
@@ -39,6 +39,7 @@ from .dyadic import (
     DyadicStep,
     LevelOverflowError,
     PeriodicStep,
+    _shown,
     frac_str,
     lin_comb,
     mass_levels,
@@ -71,7 +72,7 @@ class WeakNbhd:
         object.__setattr__(self, "functionals", tuple(self.functionals))
         object.__setattr__(self, "delta", to_frac(self.delta))
         if self.delta <= 0:
-            raise ValueError(f"delta must be > 0, got {self.delta}")
+            raise ValueError(f"delta must be > 0, got {_shown(str(self.delta))}")
         for i, h in enumerate(self.functionals):
             if norms(h).linf > 1:
                 raise ValueError(f"functional {i} has linf > 1")
@@ -213,7 +214,7 @@ def split_pair(f: DyadicStep, K: int) -> SplitPair:
     L = min(f.level, K)
     # pos[j] and neg[j] are the masses of |f| + f and |f| - f (twice f's
     # positive and negative parts) on the level-L cell j, over D
-    m, a = _coarse_masses(f, L)
+    m, a = f.masses(L), abs(f).masses(L)
     D = f.den << f.level
     pos = [x + y for x, y in zip(a, m)]
     neg = [x - y for x, y in zip(a, m)]
@@ -226,26 +227,19 @@ def split_pair(f: DyadicStep, K: int) -> SplitPair:
     zeros = repeat(0)
     f1 = PeriodicStep(L, tuple(chain.from_iterable(zip(up, down, zeros, zeros))), reps, D)
     f2 = PeriodicStep(L, tuple(chain.from_iterable(zip(zeros, zeros, up, down))), reps, D)
-    return SplitPair(K, b, c, f1, f2, *_verify_split(f, f1, f2))
+    return SplitPair(K, b, c, f1, f2, *_verify_split(f, f1, f2, m, a))
 
 
-def _coarse_masses(f: DyadicStep, L: int) -> tuple[Sequence[int], ...]:
-    """The masses of f and of |f| on the level-L cells, L <= level(f), over
-    den << level(f)."""
-    return tuple(next(islice(mass_levels(ms), f.level - L, None)) for ms in (f.nums, list(map(abs, f.nums))))
-
-
-def _verify_split(f: DyadicStep, f1: PeriodicStep, f2: PeriodicStep) -> tuple:
-    """(checks, norms): (5)-(7) measured on every cell of level <= K for
-    f1, f2 periodic with period level K and coarse level L = min(level(f), K),
-    and T(f1)**2, T(f2)**2, T(f1 - f2)**2.
+def _verify_split(f: DyadicStep, f1: PeriodicStep, f2: PeriodicStep, m: Sequence[int], a: Sequence[int]):
+    """(checks, norms): (5)-(7) measured on every cell of level <= K for f1,
+    f2 periodic with period level K and coarse level L = min(level(f), K), m
+    and a the level-L masses of f and |f|; and T(f1)**2, T(f2)**2, T(f1 - f2)**2.
 
     From L up to K, a level-k cell holds 2**(K - k) times the mass of f, f1,
     f2 or their absolute values on a level-K cell of its coarse cell, so a
     deviation is largest at L; below L the coarse deviations fold. The
     largest over those folds is exact, over the lcm D of the denominators."""
     L, Df = f1.coarse, f.den << f.level
-    m, a = _coarse_masses(f, L)
     diff = lin_comb(1, f1, -1, f2)
     D = lcm(Df, *(p.den << p.level for p in (f1, f2, diff)))
 

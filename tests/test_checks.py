@@ -96,6 +96,50 @@ class TestOneRaiseSite:
                         sites.add((name, fn.name))
         assert sites == {("checks.py", "require")}
 
+    #: the code that must know a step's type: equality of dense steps
+    STEP_TYPE_ALLOWED = {("dyadic.py", "DyadicStep.__eq__")}
+
+    def test_kernels_do_not_switch_on_step_type(self):
+        """`dyadic`, `renorm`, `witness` and `probes` read dense and periodic
+        steps through one lattice view: outside the allow-list, nothing there
+        tests a value against `DyadicStep` or `PeriodicStep` (`isinstance`,
+        `type(...) is`, `type(...) in`, `__class__`, a class pattern)."""
+        step_types = {"DyadicStep", "PeriodicStep"}
+
+        def names(node):
+            return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+        def switches(node):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                return node.func.id in ("isinstance", "issubclass") and bool(names(node) & step_types)
+            if isinstance(node, ast.Compare):
+                typed = any(
+                    (isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "type")
+                    or (isinstance(n, ast.Attribute) and n.attr == "__class__")
+                    for n in ast.walk(node)
+                )
+                return typed and bool(names(node) & step_types)
+            return isinstance(node, ast.MatchClass) and bool(names(node.cls) & step_types)
+
+        def scopes(body, prefix=""):
+            """(qualified name, node) of each function and of every other
+            statement, by the class or module it sits in."""
+            for stmt in body:
+                if isinstance(stmt, ast.ClassDef):
+                    yield from scopes(stmt.body, prefix + stmt.name + ".")
+                elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield prefix + stmt.name, stmt
+                else:
+                    yield prefix.rstrip(".") or "<module>", stmt
+
+        found = {
+            (name, qual)
+            for name in ("dyadic.py", "renorm.py", "witness.py", "probes.py")
+            for qual, scope in scopes(ast.parse((SRC / name).read_text()).body)
+            if any(map(switches, ast.walk(scope)))
+        }
+        assert found <= self.STEP_TYPE_ALLOWED
+
     def test_no_rounding_in_the_package(self):
         """Every value is exact: no `float(...)` and no `limit_denominator`
         call anywhere in the package."""
@@ -154,7 +198,7 @@ class TestForcedFailures:
         f = mk(2, 1, Fraction(1, 4), 0, 0)
         f1, f2 = (PeriodicStep(0, [20 if i == j else 0 for i in range(64)], 1, 1) for j in (0, 1))
         with raises_internal("internal: split check failed: linf4x (20/1 <= 4/1)"):
-            witness._verify_split(f, f1, f2)
+            witness._verify_split(f, f1, f2, f.masses(0), abs(f).masses(0))
 
     def test_dual_norm(self, monkeypatch):
         real = renorm._support_solve

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from renorml1 import cli, selftest, split_pair
+from renorml1.checks import check, require
 from renorml1.cli import _json_text, build_parser, main
 from renorml1.dyadic import MAX_LEVEL, PeriodicStep, frac_str, step_to_json, steps_to_json
 from conftest import steps
@@ -256,6 +257,20 @@ class TestSelftest:
             "selftest: FAIL (seed=7, trials=3)",
         ]
 
+    def test_failing_library_check_is_a_battery_line(self, tmp_path, monkeypatch):
+        # a `checks.require` failure inside a trial fails that battery only
+        def failing_split(f, K):
+            require("split check", {"id5": check(Fraction(1), "==", Fraction(0))})
+
+        monkeypatch.setattr(selftest, "split_pair", failing_split)
+        rc, text = invoke(tmp_path, "selftest", "--seed", "7", "--trials", "2")
+        lines = text.splitlines()
+        assert rc == 1 and len(lines) == len(selftest.BATTERIES) + 1
+        assert [line for line in lines if "FAIL" in line] == [
+            "split-identities: FAIL (split check failed: id5 (1/1 == 0/1), trial 1, seed 7)",
+            "selftest: FAIL (seed=7, trials=2)",
+        ]
+
 
 class TestInputErrors:
     CHAIN = {"f": CONST_78, "g": CONST_78}
@@ -371,6 +386,23 @@ class TestInputErrors:
         rc, text = invoke(tmp_path, *argv)
         assert rc == 2 and text == ""
         assert capsys.readouterr().err.startswith("input error: more than 4300 digits in one integer")
+
+    # a value within the digit limit but out of range is named by its start too
+    @pytest.mark.parametrize(
+        "argv, obj, message",
+        [
+            (["ured", "--delta", "1/3", "--eps", "9" * 4300], None, "eps values must lie in (0, 2), got " + "9" * 21),
+            (["ured", "--delta", "-" + "9" * 4300, "--eps", "1/2"], None, "delta must be in (0, 1), got -" + "9" * 20),
+            (["ell1", "greedy"], {"deltas": ["9" * 4300, "1/4"]}, "deltas must lie in (0, 1), got " + "9" * 21),
+            (["witness", "--eps", "1/5"], dict(NBHD, delta="-" + "9" * 4300), "delta must be > 0, got -" + "9" * 20),
+        ],
+    )
+    def test_range_errors_name_the_value_by_its_start(self, tmp_path, capsys, argv, obj, message):
+        if obj is not None:
+            argv = [*argv, "--input", write_json(tmp_path, "in.json", obj)]
+        rc, text = invoke(tmp_path, *argv)
+        assert rc == 2 and text == ""
+        assert capsys.readouterr().err == f"input error: {message}...\n"
 
     def test_invalid_rational_is_named_by_its_start(self, tmp_path, capsys):
         rc, text = invoke(tmp_path, "ured", "--delta", "1/2", "--eps", "x" * 5000)

@@ -40,17 +40,20 @@ from renorml1 import (
     refine,
     split_pair,
 )
+from renorml1.cli import _json_text
 from renorml1.dyadic import (
     MAX_LEVEL,
     LevelOverflowError,
+    PeriodicStep,
     frac_str,
     from_lattice,
     lattice,
     mass_levels,
     step_from_json,
     step_to_json,
+    steps_to_json,
 )
-from renorml1.renorm import _level_squares, _q_product, partial_below, tail_formula, tnorm_sq
+from renorml1.renorm import _q_product, partial_below, tail_formula, tnorm_sq
 from conftest import mk, small_fractions
 
 # -- oracles: the Fraction kernel ----------------------------------------------
@@ -184,7 +187,7 @@ def test_mass_levels(f, absolute):
 @given(functions(), st.integers(0, 7))
 def test_series_and_norm(f, T):
     D = f.den << f.level
-    squares = _level_squares(list(map(abs, f.nums)))
+    squares = abs(f).level_squares()
     assert [Fraction(sq, D * D) for sq in squares] == list(map(_sumsq, oracle_mass_levels(f, absolute=True)))
     assert tnorm_sq(f) == oracle_tnorm_sq(f)
     assert partial_below(f, T) == oracle_partial_below(f, T)
@@ -211,6 +214,29 @@ def test_norms_projection_and_gradient(f, K):
     # T(u)**2 = u^T Q u / (7 * 16**L): its gradient is 2 Q u / (7 * 16**L)
     u, L = abs(f), f.level
     assert [Fraction(2 * x, 7 * u.den << 4 * L) for x in _q_product(L, u.nums)] == oracle_tnorm_grad(u)
+
+
+# -- one lattice view of dense and periodic steps --------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(functions(), st.data())
+def test_dense_and_periodic_views_agree(f, data):
+    # one motif of one value per cell is the dense step itself: every kernel
+    # reads the two through the same view and must measure them alike
+    p = PeriodicStep(f.level, f.nums, 1, f.den)
+    assert (p.level, p.coarse, p.reps, p.period_level) == (f.level, f.coarse, f.reps, f.period_level)
+    assert [list(f.masses(k)) for k in range(f.level + 1)] == [p.masses(k) for k in range(f.level + 1)]
+    assert f.level_squares() == p.level_squares() and abs(f).level_squares() == abs(p).level_squares()
+    assert norms(f) == norms(p) and tnorm_sq(f) == tnorm_sq(p)
+    assert [partial_below(f, T) for T in range(6)] == [partial_below(p, T) for T in range(6)]
+    for k in range(f.level + 1):
+        h = data.draw(functions(max_level=k).filter(lambda h: h.level == k))
+        assert pairing(f, h) == pairing(p, h) == oracle_pairing(f, h)
+    h = data.draw(functions(max_level=5))
+    assert pairing(f, h) == pairing(p, h) == oracle_pairing(f, h)
+    assert _json_text(steps_to_json(f)[0]) == _json_text(steps_to_json(p)[0]) == _json_text(step_to_json(f))
+    assert lin_comb(2, p, -1, f).values == oracle_lin_comb(2, f, -1, f).values
 
 
 # -- steps built by the kernel keep their numerators ---------------------------

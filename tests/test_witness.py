@@ -150,10 +150,15 @@ class TestSplitPair:
         assert tnorm_sq(f1 - f2) >= 4 * (tnorm_sq(f) - two_K)
 
 
+def verify_split(f, f1, f2):
+    """`_verify_split` against the masses of f and |f| on f1's coarse cells."""
+    return _verify_split(f, f1, f2, f.masses(f1.coarse), abs(f).masses(f1.coarse))
+
+
 def measured(f, f1, f2):
     """Every split check of f1, f2 against f, the failed ones too."""
     with patch.object(witness, "require", lambda what, checks: checks):
-        return _verify_split(f, f1, f2)[0]
+        return verify_split(f, f1, f2)[0]
 
 
 def bump(p, j, value):
@@ -175,7 +180,7 @@ class TestSplitCheck:
         assert deviations(sp.checks) == [0, 0, 0]
         assert sp.checks["linf4x"].lhs == max(norms(sp.f1).linf, norms(sp.f2).linf)
         assert all(chk.ok for chk in sp.checks.values())
-        assert _verify_split(self.F, sp.f1, sp.f2)[0] == sp.checks
+        assert verify_split(self.F, sp.f1, sp.f2)[0] == sp.checks
 
     def test_wrong_f2_raises(self):
         sp = split_pair(self.F, 3)
@@ -183,7 +188,7 @@ class TestSplitCheck:
         # the first coarse cell, where f2 vanishes and f1 = 4: 1/112 in all
         wrong = bump(sp.f2, 0, Fraction(1, 7))
         with pytest.raises(RuntimeError, match=re.escape("split check failed: id5 (1/112 == 0/1)")):
-            _verify_split(self.F, sp.f1, wrong)
+            verify_split(self.F, sp.f1, wrong)
         checks = measured(self.F, sp.f1, wrong)
         assert deviations(checks) == [Fraction(1, 112)] * 3
         assert checks == dense_verify(self.F, 3, sp.f1.dense(), wrong.dense())[0]
@@ -201,7 +206,7 @@ class TestSplitCheck:
         wrong = bump(sp.f2, 2, Fraction(-6, 7))
         assert wrong.den == 210
         with pytest.raises(RuntimeError, match=re.escape("split check failed: id5 (3/28 == 0/1)")):
-            _verify_split(center, sp.f1, wrong)
+            verify_split(center, sp.f1, wrong)
         checks = measured(center, sp.f1, wrong)
         assert deviations(checks) == [Fraction(3, 28), Fraction(1, 840), Fraction(1, 840)]
         assert checks == dense_verify(center, 1, sp.f1.dense(), wrong.dense())[0]
@@ -212,7 +217,7 @@ class TestSplitCheck:
         # on [0, 1), 2 * l1(f) = 9/4
         sp = split_pair(self.F, 3)
         with pytest.raises(RuntimeError, match=re.escape("split check failed: id7 (9/4 == 0/1)")):
-            _verify_split(self.F, sp.f1, sp.f1)
+            verify_split(self.F, sp.f1, sp.f1)
         assert deviations(measured(self.F, sp.f1, sp.f1)) == [0, 0, Fraction(9, 4)]
 
     def test_witness_reports_the_measured_checks(self):
@@ -578,7 +583,7 @@ class TestPeriodicAgainstTheDenseSplit:
         dense_checks, dense_norms, _ = dense_verify(f, K, sp.f1.dense(), wrong.dense())
         assert measured(f, sp.f1, wrong) == dense_checks
         with patch.object(witness, "require", lambda what, checks: checks):
-            assert _verify_split(f, sp.f1, wrong)[1] == dense_norms
+            assert verify_split(f, sp.f1, wrong)[1] == dense_norms
 
     @given(
         steps(max_level=5),
