@@ -14,7 +14,6 @@ from .dyadic import (
     DyadicIndex,
     DyadicStep,
     LevelOverflowError,
-    PeriodicStep,
     canonical,
     decompose,
     dyadic_project,

@@ -1,24 +1,28 @@
 """Exact calculus of dyadic step functions on [0, 1).
 
-A step function is stored densely at a fixed level K, one entry per cell
-I(K, j) = [(j-1)/2**K, j/2**K), j = 1..2**K. Public values and every
-returned scalar are ``fractions.Fraction`` (always reduced, positive
-denominator); no float ever enters a computation. Floats appear only in
-clearly labelled rendering helpers.
+A step function of level N is constant on each cell
+I(N, j) = [(j-1)/2**N, j/2**N), j = 1..2**N. It is stored as a periodic
+lattice: on each cell of its coarse level L it repeats one motif of 2**w int
+numerators `reps` = 2**r times, so N = L + r + w, and all numerators are over
+their least common denominator `den`. A dense step is the case L = N and
+reps = 1, one motif of one value per cell. The split of a center at level K
+and its linear combinations have period level L + r = K: they cost 2**L
+motifs, not 2**N cells. Public values and every returned scalar are
+``fractions.Fraction`` (always reduced, positive denominator); no float ever
+enters a computation. Floats appear only in clearly labelled rendering
+helpers.
 
-Every step holds only its reduced int lattice, `nums` over their least
-common denominator `den`: constructors reduce to it once, the kernels add
-and multiply the numerators, and `values` or one `Fraction` per returned
-scalar converts back at the boundary.
+Constructors reduce to the lattice once, the kernels add and multiply the
+numerators, and `values` or one `Fraction` per returned scalar converts back
+at the boundary.
 
 Two step functions are equal iff their refinements to a common level have
-identical values, so the representation level is not part of the identity
-of a function.
-
-A `PeriodicStep` repeats one motif per coarse cell. The kernels read both
-kinds through one lattice view (`coarse`, `motifs`, `reps`, `period_level`,
-`masses(k)`, `level_squares()`, `blocks()`): a dense step is one motif of one
-value per cell. `mass_levels` is the one fold of int masses to coarser levels.
+identical values, so neither the level nor the period is part of the
+identity of a function. Every public function returns for a periodic step
+what it returns for its dense expansion `dense()`, or raises a ValueError
+naming the period level. The kernels read the lattice through `masses(k)`,
+`level_squares()` and `blocks()`; `mass_levels` is the one fold of int
+masses to coarser levels.
 """
 
 from __future__ import annotations
@@ -191,25 +195,36 @@ def as_index(idx) -> DyadicIndex:
 
 @dataclass(frozen=True, eq=False, init=False)
 class DyadicStep:
-    """A rational-valued step function constant on the level-`level` cells:
-    the value on cell i is Fraction(nums[i], den), den the least common
-    denominator of the values."""
+    """A rational-valued step function of level `level`: on each of the
+    2**coarse cells of level `coarse` it repeats one motif of 2**w int
+    numerators `reps` = 2**r times, so level = coarse + r + w. `motifs` holds
+    the motifs one after the other, over `den`, their least common
+    denominator. Every step with reps = 1 is dense: coarse = level, one value
+    per cell, which is what `DyadicStep(level, values)` builds."""
 
     level: int
-    nums: tuple[int, ...]
+    coarse: int
+    motifs: tuple[int, ...]
+    reps: int
     den: int
 
     def __init__(self, level: int, values):
         ratios = [to_frac(v).as_integer_ratio() for v in values]
         _check_shape(level, len(ratios))
         den = lcm(*{d for _, d in ratios})
-        _set(self, level, tuple([n * (den // d) for n, d in ratios]), den)
+        nums = tuple([n * (den // d) for n, d in ratios])
+        self.__dict__.update(level=level, coarse=level, motifs=nums, reps=1, den=den)
 
     @property
     def values(self) -> tuple[Fraction, ...]:
         """The cell values as Fractions; each distinct numerator is reduced once."""
-        frac = {n: Fraction(n, self.den) for n in set(self.nums)}
-        return tuple(map(frac.__getitem__, self.nums))
+        frac = {n: Fraction(n, self.den) for n in set(self.motifs)}
+        return tuple(map(frac.__getitem__, lattice(self)[0]))
+
+    @property
+    def period_level(self) -> int:
+        """The level of one period, coarse + r; the level of a dense step."""
+        return self.coarse + self.reps.bit_length() - 1
 
     # -- constructors -------------------------------------------------------
 
@@ -220,7 +235,20 @@ class DyadicStep:
     @staticmethod
     def zero(level: int = 0) -> "DyadicStep":
         _check_level(level)
-        return _new(level, (0,) * (1 << level), 1)
+        return _new(level, level, (0,) * (1 << level), 1, 1)
+
+    @staticmethod
+    def periodic(coarse: int, motifs, reps: int, den: int) -> "DyadicStep":
+        """The step that holds motif j, entries j*2**w .. (j+1)*2**w - 1 of the
+        2**coarse motifs in `motifs`, `reps` times on the level-`coarse` cell j,
+        over `den`; reduced to the least common denominator, and dense when
+        reps is 1."""
+        n = len(motifs)
+        if coarse < 0 or n & n - 1 or n >> coarse == 0 or reps < 1 or reps & reps - 1:
+            raise ValueError(f"need 2**{coarse} motifs of 2**w values and reps a power of 2, got {n} and {reps}")
+        level = (n * reps).bit_length() - 1
+        _check_level(level)
+        return _reduced(level, coarse if reps > 1 else level, motifs, reps, den)
 
     # -- identity -----------------------------------------------------------
 
@@ -232,7 +260,7 @@ class DyadicStep:
 
     def __hash__(self) -> int:
         c = canonical(self)
-        return hash((c.level, c.nums, c.den))
+        return hash((c.level, c.motifs, c.den))
 
     def __repr__(self) -> str:
         body = ", ".join(
@@ -242,21 +270,53 @@ class DyadicStep:
         return f"step({self.level}; {body})"
 
     def is_zero(self) -> bool:
-        return not any(self.nums)
+        return not any(self.motifs)
 
-    # -- the lattice view of PeriodicStep: one motif of one value per cell ---
-    coarse = period_level = property(lambda self: self.level)
-    motifs = property(lambda self: self.nums)
-    reps = 1
+    # -- the lattice --------------------------------------------------------
+
+    def dense(self) -> "DyadicStep":
+        """f with one value per cell (coarse = level, reps = 1): the one place
+        a periodic step is expanded."""
+        if self.reps == 1:
+            return self
+        nums = tuple(chain.from_iterable(b * self.reps for b in self.blocks()))
+        return _new(self.level, self.level, nums, 1, self.den)
 
     def masses(self, k: int) -> Sequence[int]:
-        return next(islice(mass_levels(self.nums), self.level - k, None))
+        """The masses of the 2**k cells of level k, k <= the period level P,
+        over den << level. A level-k cell of coarse cell j, k >= the coarse
+        level L, holds 2**(P - k) periods of motif j; below L the masses of
+        level L fold."""
+        P, L = self.period_level, self.coarse
+        if k > P:
+            raise ValueError(f"masses at level {k} lie above the period level {P}")
+        # one period of each coarse cell, for a dense step its values
+        sums = next(islice(mass_levels(self.motifs), self.level - P, None))
+        if k >= L:
+            return sums if P == L else _repeat(tuple([s << P - k for s in sums]), 1 << k - L)
+        return next(islice(mass_levels([s << P - L for s in sums] if P > L else sums), L - k, None))
 
     def level_squares(self) -> list[int]:
-        return [sum(map(mul, ms, ms)) for ms in mass_levels(self.nums)]
+        """The sum of the squared masses of each level, finest first, over
+        (den << level)**2, as `mass_levels` of the dense numerators gives:
+        above the period level P the motifs' folds, `reps` times; from P down
+        to the coarse level L, the `masses`, 2**(k - L) times; below L their
+        folds."""
+        w, r = self.level - self.period_level, self.period_level - self.coarse
+        squares = [sum(map(mul, ms, ms)) for ms in mass_levels(self.motifs)]
+        if not r:
+            return squares
+        top, s2, below = squares[:w], squares[w], squares[w + 1 :]
+        middle = [s2 << r + t for t in range(r + 1)]
+        return [sq * self.reps for sq in top] + middle + [sq << 2 * r for sq in below]
 
     def blocks(self) -> list[tuple[int, ...]]:
-        return [self.nums]  # one block: the motifs joined
+        """The motifs, one tuple per coarse cell, for `StepValues` to repeat
+        `reps` times each; the numerators as one tuple when reps is 1."""
+        if self.reps == 1:
+            return [self.motifs]
+        w = len(self.motifs) >> self.coarse
+        return [self.motifs[i : i + w] for i in range(0, len(self.motifs), w)]
 
     # -- vector-space sugar (exact) -----------------------------------------
 
@@ -267,32 +327,39 @@ class DyadicStep:
         return lin_comb(1, self, -1, other)
 
     def __neg__(self) -> "DyadicStep":
-        return _new(self.level, tuple([-n for n in self.nums]), self.den)
+        return _new(self.level, self.coarse, tuple([-n for n in self.motifs]), self.reps, self.den)
 
     def __mul__(self, c) -> "DyadicStep":
-        # nums and den are coprime, so one gcd of two ints reduces the product
+        # motifs and den are coprime, so one gcd of two ints reduces the product
         cn, cd = to_frac(c).as_integer_ratio()
-        g = gcd(cn * gcd(*self.nums), cd * self.den)
-        return _new(self.level, tuple([cn * n // g for n in self.nums]), cd * self.den // g)
+        g = gcd(cn * gcd(*self.motifs), cd * self.den)
+        motifs = tuple([cn * n // g for n in self.motifs])
+        return _new(self.level, self.coarse, motifs, self.reps, cd * self.den // g)
 
     __rmul__ = __mul__
 
     def __abs__(self) -> "DyadicStep":
-        return _new(self.level, tuple(map(abs, self.nums)), self.den)
+        return _new(self.level, self.coarse, tuple(map(abs, self.motifs)), self.reps, self.den)
 
 
-def _set(f: DyadicStep, level: int, nums: tuple, den: int) -> None:
-    object.__setattr__(f, "level", level)
-    object.__setattr__(f, "nums", nums)
-    object.__setattr__(f, "den", den)
-
-
-def _new(level: int, nums: tuple, den: int) -> DyadicStep:
-    """The step with numerators `nums` over `den`, which is already their
-    least common denominator; nothing is checked."""
+def _new(level: int, coarse: int, motifs: tuple, reps: int, den: int) -> DyadicStep:
+    """The step of this shape with numerators `motifs` over `den`, which is
+    already their least common denominator; nothing is checked."""
     f = object.__new__(DyadicStep)
-    _set(f, level, nums, den)
+    f.__dict__.update(level=level, coarse=coarse, motifs=motifs, reps=reps, den=den)
     return f
+
+
+def _reduced(level: int, coarse: int, motifs, reps: int, den: int) -> DyadicStep:
+    """The step of this shape with numerators `motifs` over `den`, reduced to
+    their least common denominator."""
+    if den == 0:
+        raise ZeroDivisionError(f"denominator is 0 in lattice of level {level}")
+    g = gcd(den, *set(motifs))
+    if den < 0:
+        g = -g
+    motifs = tuple(motifs) if g == 1 else tuple([n // g for n in motifs])
+    return _new(level, coarse, motifs, reps, den // g)
 
 
 def _check_level(level: int) -> None:
@@ -334,67 +401,58 @@ class Norms(NamedTuple):
 
 
 def refine(f: DyadicStep, new_level: int) -> DyadicStep:
-    """Re-express f, a step with one value per cell, on the level-`new_level`
-    grid (same function)."""
+    """Re-express f on the level-`new_level` grid (same function): each
+    numerator of its motifs repeated per subcell."""
     if new_level < f.level:
         raise ValueError(f"cannot refine level {f.level} down to {new_level}")
     if new_level > MAX_LEVEL:
         raise LevelOverflowError(f"level {new_level} exceeds cap {MAX_LEVEL}")
     if new_level == f.level:
         return f
-    return _new(new_level, _repeat(f.motifs, 1 << (new_level - f.level)), f.den)
+    coarse = f.coarse if f.reps > 1 else new_level
+    return _new(new_level, coarse, _repeat(f.motifs, 1 << (new_level - f.level)), f.reps, f.den)
 
 
 def canonical(f: DyadicStep) -> DyadicStep:
-    """The coarsest representation of f (merge equal sibling cells)."""
-    level, nums = f.level, f.nums
+    """The coarsest dense representation of f (merge equal sibling cells)."""
+    level, nums = f.level, f.dense().motifs
     while level > 0 and nums[::2] == nums[1::2]:
         nums, level = nums[::2], level - 1
-    return _new(level, nums, f.den)
+    return _new(level, level, nums, 1, f.den)
 
 
 def lattice(f: DyadicStep, level: Optional[int] = None) -> tuple[tuple[int, ...], int]:
-    """(nums, den) of f; with `level`, the numerators are refined to that
-    level (each repeated per subcell)."""
-    return _repeat(f.nums, 1 << ((f.level if level is None else level) - f.level)), f.den
+    """(nums, den) of f, one numerator per cell; with `level`, the numerators
+    are refined to that level (each repeated per subcell)."""
+    return _repeat(f.dense().motifs, 1 << ((f.level if level is None else level) - f.level)), f.den
 
 
 def from_lattice(level: int, nums, den: int) -> DyadicStep:
-    """The step function with values Fraction(nums[i], den), reduced to the
-    least common denominator of its values."""
+    """The dense step function with values Fraction(nums[i], den), reduced to
+    the least common denominator of its values."""
     _check_shape(level, len(nums))
-    if den == 0:
-        raise ZeroDivisionError(f"denominator is 0 in lattice of level {level}")
-    g = gcd(den, *set(nums))
-    if den < 0:
-        g = -g
-    nums = tuple(nums) if g == 1 else tuple([n // g for n in nums])
-    return _new(level, nums, den // g)
+    return _reduced(level, level, nums, 1, den)
 
 
-def lin_comb(a, f: Step, b, g: Step) -> Step:
-    """Pointwise a*f + b*g, motif by motif: two steps of one shape as they
-    are, two steps of one value per cell at their common refined level. A
-    step of one value per cell is dense."""
+def lin_comb(a, f: DyadicStep, b, g: DyadicStep) -> DyadicStep:
+    """Pointwise a*f + b*g, motif by motif: two steps of one shape (level,
+    coarse level and reps) as they are, any other two dense at their common
+    level."""
     (an, ad), (bn, bd) = to_frac(a).as_integer_ratio(), to_frac(b).as_integer_ratio()
     den = lcm(ad * f.den, bd * g.den)
     p, q = an * (den // (ad * f.den)), bn * (den // (bd * g.den))
     if (f.level, f.coarse, f.reps) != (g.level, g.coarse, g.reps):
-        if f.coarse < f.level or g.coarse < g.level:
-            raise ValueError("a periodic step combines only with one of the same shape")
         L = max(f.level, g.level)
-        f, g = refine(f, L), refine(g, L)
+        f, g = refine(f.dense(), L), refine(g.dense(), L)
     motifs = [p * x + q * y for x, y in zip(f.motifs, g.motifs)]
-    if f.coarse < f.level:
-        return PeriodicStep(f.coarse, motifs, f.reps, den)
-    return from_lattice(f.level, motifs, den)
+    return _reduced(f.level, f.coarse, motifs, f.reps, den)
 
 
 def decompose(f: DyadicStep) -> tuple[DyadicStep, DyadicStep, DyadicStep]:
     """(|f|, positive part, negative part); f = pos - neg, |f| = pos + neg."""
-    pos = [n if n > 0 else 0 for n in f.nums]
-    neg = [-n if n < 0 else 0 for n in f.nums]
-    return abs(f), from_lattice(f.level, pos, f.den), from_lattice(f.level, neg, f.den)
+    pos = [n if n > 0 else 0 for n in f.motifs]
+    neg = [-n if n < 0 else 0 for n in f.motifs]
+    return abs(f), *(_reduced(f.level, f.coarse, ms, f.reps, f.den) for ms in (pos, neg))
 
 
 def integral_over(f: DyadicStep, idx) -> Fraction:
@@ -402,29 +460,38 @@ def integral_over(f: DyadicStep, idx) -> Fraction:
     f's level. Past MAX_LEVEL no storage is involved, but the result's
     denominator has k bits."""
     k, j = as_index(idx)
-    if k >= f.level:
-        return Fraction(f.nums[(j - 1) >> (k - f.level)], f.den << k)
-    span = 1 << (f.level - k)
-    return Fraction(sum(f.nums[(j - 1) * span : j * span]), f.den << f.level)
+    N, L, P, ms = f.level, f.coarse, f.period_level, f.motifs
+    if k <= L:  # whole coarse cells, each its motif `reps` times
+        n = len(ms) >> k
+        return Fraction(f.reps * sum(ms[(j - 1) * n : j * n]), f.den << N)
+    width = len(ms) >> L
+    start = ((j - 1) >> k - L) * width  # the motif of the coarse cell
+    if k <= P:  # 2**(P - k) periods of that motif
+        return Fraction(sum(ms[start : start + width]) << P - k, f.den << N)
+    i = (j - 1) & (1 << k - P) - 1  # the cell's place in its period
+    if k >= N:
+        return Fraction(ms[start + (i >> k - N)], f.den << k)
+    span = 1 << N - k
+    return Fraction(sum(ms[start + i * span : start + (i + 1) * span]), f.den << N)
 
 
-def norms(f: Step) -> Norms:
+def norms(f: DyadicStep) -> Norms:
     """(l1, linf) of f, exactly, from its motifs."""
     absolute = list(map(abs, f.motifs))
     return Norms(Fraction(f.reps * sum(absolute), f.den << f.level), Fraction(max(absolute), f.den))
 
 
-def pairing(f: Step, h: DyadicStep) -> Fraction:
+def pairing(f: DyadicStep, h: DyadicStep) -> Fraction:
     """Exact duality bracket <f, h> = integral of f*h over [0, 1): f's
-    masses at level(h) dotted with h's numerators summed over each of f's
-    coarse cells, for h of level <= f's period level. A finer h pairs with a
-    step of one value per cell the other way round."""
+    masses at level(h) dotted with h's numerators, for h of level <= f's
+    period level; otherwise the other way round. ValueError when neither
+    level is within the other's period level."""
     if h.level > f.period_level:
-        if f.coarse < f.level:
-            raise ValueError(f"functional level {h.level} exceeds the period level {f.period_level}")
-        return pairing(h, f)
-    hs = h.masses(min(h.level, f.coarse))
-    return Fraction(sum(map(mul, f.masses(h.level), hs)), h.den * f.den << f.level)
+        if f.level > h.period_level:
+            periods = f"the period level {f.period_level}, and level {f.level} the period level {h.period_level}"
+            raise ValueError(f"functional level {h.level} exceeds {periods}")
+        f, h = h, f
+    return Fraction(sum(map(mul, f.masses(h.level), lattice(h)[0])), h.den * f.den << f.level)
 
 
 def dyadic_project(f: DyadicStep, K: int) -> DyadicStep:
@@ -438,12 +505,16 @@ def dyadic_project(f: DyadicStep, K: int) -> DyadicStep:
     if K >= f.level:
         return refine(f, K)
     # a level-K cell average is 2**K times its mass, which is over den << f.level
-    return from_lattice(K, f.masses(K), f.den << f.level - K)
+    den = f.den << f.level - K
+    if K > f.period_level:  # inside a period: the motifs fold
+        return _reduced(K, f.coarse, next(islice(mass_levels(f.motifs), f.level - K, None)), f.reps, den)
+    return from_lattice(K, f.masses(K), den)
 
 
 def reflect(f: DyadicStep) -> DyadicStep:
-    """The function t -> f(1-t) on the dyadic grid (values reversed)."""
-    return _new(f.level, f.nums[::-1], f.den)
+    """The function t -> f(1-t) on the dyadic grid: the values reversed,
+    which reverses the order of the coarse cells and each motif."""
+    return _new(f.level, f.coarse, f.motifs[::-1], f.reps, f.den)
 
 
 def fold_masses(masses: list) -> list:
@@ -461,82 +532,6 @@ def mass_levels(masses: Sequence[int]) -> Iterator[Sequence[int]]:
     while len(masses) > 1:
         masses = fold_masses(masses)
         yield masses
-
-
-# -- periodic steps -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PeriodicStep:
-    """A step function that repeats one motif on each cell of the coarse
-    level: `motifs` holds the motifs of the 2**coarse cells one after the
-    other, each the numerators over `den` of 2**w cells, and a coarse cell
-    holds its motif `reps` = 2**r times, so level = coarse + r + w. Reduced
-    to the least common denominator on construction. A split at level K and
-    its linear combinations are periodic with period level K: they cost
-    2**coarse motifs, not 2**level cells."""
-
-    coarse: int
-    motifs: tuple[int, ...]
-    reps: int
-    den: int
-
-    def __post_init__(self):
-        _check_level(self.level)
-        g = gcd(self.den, *set(self.motifs))
-        object.__setattr__(self, "motifs", tuple([n // g for n in self.motifs]))
-        object.__setattr__(self, "den", self.den // g)
-
-    @property
-    def level(self) -> int:
-        return (len(self.motifs) * self.reps).bit_length() - 1
-
-    @property
-    def period_level(self) -> int:
-        return self.coarse + self.reps.bit_length() - 1
-
-    def blocks(self) -> list[tuple[int, ...]]:
-        """The motifs, one tuple per coarse cell."""
-        w = len(self.motifs) >> self.coarse
-        return [self.motifs[i : i + w] for i in range(0, len(self.motifs), w)]
-
-    def dense(self) -> DyadicStep:
-        return _new(self.level, tuple(chain.from_iterable(b * self.reps for b in self.blocks())), self.den)
-
-    def __mul__(self, c) -> "PeriodicStep":
-        cn, cd = to_frac(c).as_integer_ratio()
-        return PeriodicStep(self.coarse, [cn * n for n in self.motifs], self.reps, cd * self.den)
-
-    __rmul__ = __mul__
-
-    def __abs__(self) -> "PeriodicStep":
-        return PeriodicStep(self.coarse, list(map(abs, self.motifs)), self.reps, self.den)
-
-    def masses(self, k: int) -> list[int]:
-        """The masses on the level-k cells, k <= the period level P, over
-        den << level. From the coarse level L up, a level-k cell of coarse
-        cell j holds 2**(P - k) periods of motif j: listed once per coarse
-        cell. Below L, once per cell."""
-        P, L = self.period_level, self.coarse
-        sums = next(islice(mass_levels(self.motifs), self.level - P, None))
-        if k >= L:
-            return [s << P - k for s in sums]
-        return next(islice(mass_levels([s << P - L for s in sums]), L - k, None))
-
-    def level_squares(self) -> list[int]:
-        """The sum of the squared masses of each level, finest first, over
-        (den << level)**2, as `mass_levels` of the dense numerators gives:
-        above the period level P the motifs' folds, `reps` times; from P down
-        to the coarse level L, the `masses`, 2**(k - L) times; below L their
-        folds."""
-        w, r = self.level - self.period_level, self.period_level - self.coarse
-        squares = [sum(map(mul, ms, ms)) for ms in mass_levels(self.motifs)]
-        top, s2, below = squares[:w], squares[w], squares[w + 1 :]
-        middle = [s2 << r + t for t in range(r + 1)]
-        return [sq * self.reps for sq in top] + middle + [sq << 2 * r for sq in below]
-
-
-Step = DyadicStep | PeriodicStep
 
 
 # -- JSON wire format ---------------------------------------------------------
@@ -560,13 +555,13 @@ class StepValues:
         return list(map(self.texts.__getitem__, chain.from_iterable(b * self.reps for b in self.blocks)))
 
 
-def step_to_json(f: Step) -> dict:
+def step_to_json(f: DyadicStep) -> dict:
     """The wire form of f, its values a plain list of 'p/q' strings."""
     wire = steps_to_json(f)[0]
     return dict(wire, values=wire["values"].expand())
 
 
-def steps_to_json(*steps: Step) -> list[dict]:
+def steps_to_json(*steps: DyadicStep) -> list[dict]:
     """The wire forms of dense or periodic steps, their values held as
     StepValues that render each distinct numerator over each denominator
     among them once, through ratio_str."""

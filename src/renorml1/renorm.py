@@ -25,7 +25,6 @@ from typing import Optional, Sequence
 from .checks import Check, check, require
 from .dyadic import (
     DyadicStep,
-    PeriodicStep,
     _repeat,
     as_index,
     dyadic_project,
@@ -47,7 +46,7 @@ def seminorm(f: DyadicStep, idx) -> Fraction:
     return integral_over(abs(f), as_index(idx))
 
 
-def tnorm_sq(f: DyadicStep | PeriodicStep) -> Fraction:
+def tnorm_sq(f: DyadicStep) -> Fraction:
     """Exact squared norm T(f)**2 (closed tail from f's own level up)."""
     return tnorm_sq_from_squares(f.level, f.den << f.level, abs(f).level_squares())
 
@@ -67,7 +66,7 @@ def tnorm_sq_from_squares(K: int, D: int, squares: Sequence[int]) -> Fraction:
     return Fraction(7 * B + 8 * squares[0], 7 * D * D << 2 * K)
 
 
-def partial_below(f: DyadicStep | PeriodicStep, T: int) -> Fraction:
+def partial_below(f: DyadicStep, T: int) -> Fraction:
     """Truncated series: sum_{k < T} 4**-k * sum_j s(f, k, j)**2."""
     if T < 0:
         raise ValueError(f"truncation level must be >= 0, got {T}")
@@ -86,8 +85,8 @@ def tail_formula(f: DyadicStep, T: int) -> Fraction:
     """Closed form of sum_{k >= T} 4**-k * sum_j s(f, k, j)**2 for T >= level(f)."""
     if T < f.level:
         raise ValueError(f"tail start {T} is below the function level {f.level}")
-    nums, den = lattice(f)
-    return Fraction(8 * sum(map(mul, nums, nums)), 7 * den * den << f.level + 3 * T)
+    S = f.reps * sum(map(mul, f.motifs, f.motifs))
+    return Fraction(8 * S, 7 * f.den * f.den << f.level + 3 * T)
 
 
 @dataclass(frozen=True)
@@ -285,8 +284,8 @@ def dual_norm_estimate(h: DyadicStep, L: int) -> DualNormEstimate:
     """
     if L < h.level:
         raise ValueError(f"dual-norm level L = {L} is below the level {h.level} of h")
-    hL = dyadic_project(h, L)
-    c = list(map(abs, hL.nums))
+    nums, den = lattice(dyadic_project(h, L))
+    c = list(map(abs, nums))
     S = [x > 0 for x in c]
     U, E = _support_solve(L, c, S)
     solves = 1
@@ -301,8 +300,8 @@ def dual_norm_estimate(h: DyadicStep, L: int) -> DualNormEstimate:
         "stationary": check(max((abs(r) for r, x in zip(slack, U) if x), default=0), "==", 0),
         "dual_feasible": check(min((r for r, x in zip(slack, U) if not x), default=0), ">=", 0),
     })
-    # u = U / E solves the program for hL's numerators c, over hL.den
-    f_star = from_lattice(L, [x if n > 0 else -x for x, n in zip(U, hL.nums)], E * hL.den)
+    # u = U / E solves the program for the projection's numerators c, over den
+    f_star = from_lattice(L, [x if n > 0 else -x for x, n in zip(U, nums)], E * den)
     p = pairing(f_star, h)
-    value = Fraction(7 * sum(map(mul, c, U)) << 2 * L, E * hL.den * hL.den)
+    value = Fraction(7 * sum(map(mul, c, U)) << 2 * L, E * den * den)
     return DualNormEstimate(value, f_star, p * p, tnorm_sq(f_star), solves, checks)

@@ -16,8 +16,8 @@ exactly far apart:
 
 f has one mass on all the level-K cells inside one cell of level
 min(level(f), K), so f1 and f2 repeat one 4-value motif there: they are
-`dyadic.PeriodicStep`s, and every check reads their motifs at a cost that
-does not grow with K. Everything
+periodic `DyadicStep`s with period level K, and every check reads their
+motifs at a cost that does not grow with K. Everything
 here is verified exactly on every run; the named checks are part of the
 report. Since g_i is exactly (1 - gamma) * f_i, T(g_i)**2 and
 T(g1 - g2)**2 are read off f1 and f2. A failed
@@ -38,7 +38,6 @@ from .dyadic import (
     MAX_LEVEL,
     DyadicStep,
     LevelOverflowError,
-    PeriodicStep,
     _shown,
     frac_str,
     lin_comb,
@@ -80,7 +79,7 @@ class WeakNbhd:
     def contains(self, g: DyadicStep) -> bool:
         return self.deviation(g) < self.delta
 
-    def deviation(self, *gs: DyadicStep | PeriodicStep) -> Fraction:
+    def deviation(self, *gs: DyadicStep) -> Fraction:
         """max over l and the given g of |<g, h_l> - <f, h_l>|, pairing f
         with each functional once; 0 without functionals."""
         worst = Fraction(0)
@@ -104,10 +103,10 @@ class SplitPair:
     """
 
     K: int
-    b: PeriodicStep
-    c: PeriodicStep
-    f1: PeriodicStep
-    f2: PeriodicStep
+    b: DyadicStep
+    c: DyadicStep
+    f1: DyadicStep
+    f2: DyadicStep
     checks: dict[str, Check]
     tnorm_sq: tuple[Fraction, Fraction, Fraction]
 
@@ -131,11 +130,11 @@ class WitnessReport:
     delta: Fraction
 
     @property
-    def g1(self) -> PeriodicStep:
+    def g1(self) -> DyadicStep:
         return (1 - self.gamma) * self.pair.f1
 
     @property
-    def g2(self) -> PeriodicStep:
+    def g2(self) -> DyadicStep:
         return (1 - self.gamma) * self.pair.f2
 
     @property
@@ -219,18 +218,18 @@ def split_pair(f: DyadicStep, K: int) -> SplitPair:
     pos = [x + y for x, y in zip(a, m)]
     neg = [x - y for x, y in zip(a, m)]
     reps = 1 << K - L
-    b, c = (PeriodicStep(L, ms, reps, 2 * D << K - L) for ms in (pos, neg))
+    b, c = (DyadicStep.periodic(L, ms, reps, 2 * D << K - L) for ms in (pos, neg))
     # heights 2**(K+2) * b_j and -2**(K+2) * c_j on quarters 1 and 2 (f1) or
     # 3 and 4 (f2) of each level-K cell
     up = [p << L + 1 for p in pos]
     down = [-(q << L + 1) for q in neg]
     zeros = repeat(0)
-    f1 = PeriodicStep(L, tuple(chain.from_iterable(zip(up, down, zeros, zeros))), reps, D)
-    f2 = PeriodicStep(L, tuple(chain.from_iterable(zip(zeros, zeros, up, down))), reps, D)
+    f1 = DyadicStep.periodic(L, tuple(chain.from_iterable(zip(up, down, zeros, zeros))), reps, D)
+    f2 = DyadicStep.periodic(L, tuple(chain.from_iterable(zip(zeros, zeros, up, down))), reps, D)
     return SplitPair(K, b, c, f1, f2, *_verify_split(f, f1, f2, m, a))
 
 
-def _verify_split(f: DyadicStep, f1: PeriodicStep, f2: PeriodicStep, m: Sequence[int], a: Sequence[int]):
+def _verify_split(f: DyadicStep, f1: DyadicStep, f2: DyadicStep, m: Sequence[int], a: Sequence[int]):
     """(checks, norms): (5)-(7) measured on every cell of level <= K for f1,
     f2 periodic with period level K and coarse level L = min(level(f), K), m
     and a the level-L masses of f and |f|; and T(f1)**2, T(f2)**2, T(f1 - f2)**2.
@@ -239,7 +238,7 @@ def _verify_split(f: DyadicStep, f1: PeriodicStep, f2: PeriodicStep, m: Sequence
     f2 or their absolute values on a level-K cell of its coarse cell, so a
     deviation is largest at L; below L the coarse deviations fold. The
     largest over those folds is exact, over the lcm D of the denominators."""
-    L, Df = f1.coarse, f.den << f.level
+    L, Df = len(m).bit_length() - 1, f.den << f.level
     diff = lin_comb(1, f1, -1, f2)
     D = lcm(Df, *(p.den << p.level for p in (f1, f2, diff)))
 

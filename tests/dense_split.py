@@ -47,7 +47,7 @@ class DenseSplit:
 
     def pairings(self, h: DyadicStep) -> tuple[Fraction, Fraction]:
         D, levels = self.cell_masses
-        return tuple(Fraction(sum(map(mul, ms, h.nums)), D * h.den) for ms in levels[h.level])
+        return tuple(Fraction(sum(map(mul, ms, lattice(h)[0])), D * h.den) for ms in levels[h.level])
 
 
 def level_K_masses(f: DyadicStep, K: int) -> tuple[int, list[int], list[int]]:
@@ -68,8 +68,8 @@ def dense_split(f: DyadicStep, K: int) -> DenseSplit:
     up = [(p << K + 1) // g for p in pos]
     down = [-((q << K + 1) // g) for q in neg]
     zeros = repeat(0)
-    f1 = _new(K + 2, tuple(chain.from_iterable(zip(up, down, zeros, zeros))), D // g)
-    f2 = _new(K + 2, tuple(chain.from_iterable(zip(zeros, zeros, up, down))), D // g)
+    f1 = _new(K + 2, K + 2, tuple(chain.from_iterable(zip(up, down, zeros, zeros))), 1, D // g)
+    f2 = _new(K + 2, K + 2, tuple(chain.from_iterable(zip(zeros, zeros, up, down))), 1, D // g)
     return DenseSplit(K, b, c, f1, f2, *dense_verify(f, K, f1, f2))
 
 

@@ -33,7 +33,7 @@ from renorml1 import (
     witness,
 )
 from renorml1.checks import Check, check, require
-from renorml1.dyadic import PeriodicStep, frac_str
+from renorml1.dyadic import DyadicStep, frac_str
 from conftest import mk
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "renorml1"
@@ -96,15 +96,15 @@ class TestOneRaiseSite:
                         sites.add((name, fn.name))
         assert sites == {("checks.py", "require")}
 
-    #: the code that must know a step's type: equality of dense steps
+    #: the code that must know a step's type: equality with other objects
     STEP_TYPE_ALLOWED = {("dyadic.py", "DyadicStep.__eq__")}
 
     def test_kernels_do_not_switch_on_step_type(self):
-        """`dyadic`, `renorm`, `witness` and `probes` read dense and periodic
-        steps through one lattice view: outside the allow-list, nothing there
-        tests a value against `DyadicStep` or `PeriodicStep` (`isinstance`,
-        `type(...) is`, `type(...) in`, `__class__`, a class pattern)."""
-        step_types = {"DyadicStep", "PeriodicStep"}
+        """Every module of the package reads dense and periodic steps through
+        one class and its lattice: outside the allow-list, nothing tests a
+        value against `DyadicStep` (`isinstance`, `type(...) is`,
+        `type(...) in`, `__class__`, a class pattern)."""
+        step_types = {"DyadicStep"}
 
         def names(node):
             return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
@@ -134,8 +134,8 @@ class TestOneRaiseSite:
 
         found = {
             (name, qual)
-            for name in ("dyadic.py", "renorm.py", "witness.py", "probes.py")
-            for qual, scope in scopes(ast.parse((SRC / name).read_text()).body)
+            for name, tree in self.modules().items()
+            for qual, scope in scopes(tree.body)
             if any(map(switches, ast.walk(scope)))
         }
         assert found <= self.STEP_TYPE_ALLOWED
@@ -196,7 +196,7 @@ class TestForcedFailures:
         # 20 on one level-6 cell each, one motif of 64 cells over [0, 1), which
         # keeps (5)-(7) at K = 0
         f = mk(2, 1, Fraction(1, 4), 0, 0)
-        f1, f2 = (PeriodicStep(0, [20 if i == j else 0 for i in range(64)], 1, 1) for j in (0, 1))
+        f1, f2 = (DyadicStep.periodic(0, [20 if i == j else 0 for i in range(64)], 1, 1) for j in (0, 1))
         with raises_internal("internal: split check failed: linf4x (20/1 <= 4/1)"):
             witness._verify_split(f, f1, f2, f.masses(0), abs(f).masses(0))
 

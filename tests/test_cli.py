@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from renorml1 import cli, selftest, split_pair
 from renorml1.checks import check, require
 from renorml1.cli import _json_text, build_parser, main
-from renorml1.dyadic import MAX_LEVEL, PeriodicStep, frac_str, step_to_json, steps_to_json
+from renorml1.dyadic import MAX_LEVEL, DyadicStep, frac_str, step_to_json, steps_to_json
 from conftest import steps
 
 
@@ -628,7 +628,7 @@ class TestEmitter:
     @settings(max_examples=100)
     def test_periodic_step_values_equal_json_dumps_of_the_dense_values(self, coarse, w, r, data):
         motifs = data.draw(st.lists(st.integers(-9, 9), min_size=1 << coarse + w, max_size=1 << coarse + w))
-        p = PeriodicStep(coarse, motifs, 1 << r, data.draw(st.integers(1, 12)))
+        p = DyadicStep.periodic(coarse, motifs, 1 << r, data.draw(st.integers(1, 12)))
         wire = steps_to_json(p)[0]
         assert wire["level"] == coarse + w + r
         assert wire["values"].expand() == [frac_str(x) for x in p.dense().values]

@@ -16,8 +16,10 @@ the least one, `==` and `hash` must agree with comparing refined Fraction
 values, and the numerators must never change after a kernel has read them.
 """
 
+import operator
+import re
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from math import lcm
 
 import pytest
@@ -28,23 +30,34 @@ from renorml1 import (
     DyadicStep,
     WeakNbhd,
     canonical,
+    check_equivalence,
     d2p_witness,
     decompose,
+    dual_norm_estimate,
     dyadic_project,
     indicator,
+    integral_over,
     lin_comb,
+    midpoint_defect,
     near_unit_scale,
+    norm_report,
     norms,
     pairing,
+    perturbation_l1_chain,
     reflect,
     refine,
+    seminorm,
+    slice_diameter_lb,
     split_pair,
+    strong_extreme_failure,
+    tnorm_sq_diff,
+    triangle_equality_case,
+    weak_smallness,
 )
 from renorml1.cli import _json_text
 from renorml1.dyadic import (
     MAX_LEVEL,
     LevelOverflowError,
-    PeriodicStep,
     frac_str,
     from_lattice,
     lattice,
@@ -179,7 +192,7 @@ def test_lattice_writes_the_values(f):
 @settings(max_examples=100, deadline=None)
 @given(functions(), st.booleans())
 def test_mass_levels(f, absolute):
-    nums = list(map(abs, f.nums)) if absolute else f.nums
+    nums = list(map(abs, f.motifs)) if absolute else f.motifs
     assert as_fractions(f.den << f.level, mass_levels(nums)) == list(oracle_mass_levels(f, absolute))
 
 
@@ -213,30 +226,105 @@ def test_norms_projection_and_gradient(f, K):
         assert dyadic_project(f, K).values == tuple(m * (1 << K) for m in masses)
     # T(u)**2 = u^T Q u / (7 * 16**L): its gradient is 2 Q u / (7 * 16**L)
     u, L = abs(f), f.level
-    assert [Fraction(2 * x, 7 * u.den << 4 * L) for x in _q_product(L, u.nums)] == oracle_tnorm_grad(u)
+    assert [Fraction(2 * x, 7 * u.den << 4 * L) for x in _q_product(L, u.motifs)] == oracle_tnorm_grad(u)
 
 
-# -- one lattice view of dense and periodic steps --------------------------------
+# -- one step class: periodic steps against their dense expansions --------------
+
+
+@st.composite
+def periodic_steps(draw):
+    """A step that repeats one motif per coarse cell: coarse level <= 3,
+    reps >= 2, motifs of at most 8 values and level <= 10."""
+    coarse = draw(st.integers(0, 3))
+    r = draw(st.integers(1, 10 - coarse))
+    w = draw(st.integers(0, min(3, 10 - coarse - r)))
+    return DyadicStep.periodic(coarse, draw(motifs(1 << coarse + w)), 1 << r, draw(st.integers(1, 12)))
+
+
+def motifs(n):
+    return st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+
+
+def functional(k):
+    """A fixed dense step of level k with linf <= 1."""
+    return from_lattice(k, [(7 * j) % 5 - 2 for j in range(1 << k)], 2)
+
+
+def agree(fn, *args):
+    """fn on steps that may be periodic and on their dense expansions: equal
+    results, or for the first call a ValueError that names a period level.
+    Any other exception, AttributeError and TypeError among them, fails."""
+    dense = [a.dense() if isinstance(a, DyadicStep) else a for a in args]
+    try:
+        got = fn(*args)
+    except ValueError as exc:
+        if "period level" in str(exc):
+            return
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            fn(*dense)
+        return
+    assert got == fn(*dense)
+
+
+def in_ball(f):
+    return near_unit_scale(f, Fraction(1, 100))
+
+
+def witness_probes(f, eps=Fraction(1, 2)):
+    nbhd = WeakNbhd(f, (functional(1), functional(2)), Fraction(1, 2))
+    return strong_extreme_failure(nbhd, eps), slice_diameter_lb(f, nbhd.functionals, nbhd.delta, [eps])
 
 
 @settings(max_examples=100, deadline=None)
-@given(functions(), st.data())
-def test_dense_and_periodic_views_agree(f, data):
-    # one motif of one value per cell is the dense step itself: every kernel
-    # reads the two through the same view and must measure them alike
-    p = PeriodicStep(f.level, f.nums, 1, f.den)
-    assert (p.level, p.coarse, p.reps, p.period_level) == (f.level, f.coarse, f.reps, f.period_level)
-    assert [list(f.masses(k)) for k in range(f.level + 1)] == [p.masses(k) for k in range(f.level + 1)]
-    assert f.level_squares() == p.level_squares() and abs(f).level_squares() == abs(p).level_squares()
-    assert norms(f) == norms(p) and tnorm_sq(f) == tnorm_sq(p)
-    assert [partial_below(f, T) for T in range(6)] == [partial_below(p, T) for T in range(6)]
-    for k in range(f.level + 1):
-        h = data.draw(functions(max_level=k).filter(lambda h: h.level == k))
-        assert pairing(f, h) == pairing(p, h) == oracle_pairing(f, h)
-    h = data.draw(functions(max_level=5))
-    assert pairing(f, h) == pairing(p, h) == oracle_pairing(f, h)
-    assert _json_text(steps_to_json(f)[0]) == _json_text(steps_to_json(p)[0]) == _json_text(step_to_json(f))
-    assert lin_comb(2, p, -1, f).values == oracle_lin_comb(2, f, -1, f).values
+@given(periodic_steps(), st.data())
+def test_dense_and_periodic_views_agree(p, data):
+    # every public step function of dyadic, renorm and probes returns for a
+    # periodic step what it returns for its dense expansion, or raises the
+    # ValueError that names the period level
+    d, N, P = p.dense(), p.level, p.period_level
+    assert (d.level, d.coarse, d.reps, d.period_level) == (N, N, 1, N) and p.reps >= 2
+    assert p == d and hash(p) == hash(d) and repr(p) == repr(d) and p.values == d.values
+    assert lattice(p) == lattice(d) and lattice(p, N + 1) == lattice(d, N + 1) and p.is_zero() == d.is_zero()
+    # the lattice the kernels read
+    assert [list(p.masses(k)) for k in range(P + 1)] == [list(d.masses(k)) for k in range(P + 1)]
+    with pytest.raises(ValueError, match=f"masses at level {P + 1} lie above the period level {P}$"):
+        p.masses(P + 1)
+    assert p.level_squares() == d.level_squares()
+    assert list(chain.from_iterable(b * p.reps for b in p.blocks())) == list(d.motifs)
+    c = data.draw(small_fractions)
+    for fn in (
+        canonical, decompose, reflect, norms, abs, operator.neg, tnorm_sq, check_equivalence, norm_report,
+        step_to_json, lambda f: _json_text(steps_to_json(f)[0]), lambda f: c * f, lambda f: f * c,
+    ):
+        agree(fn, p)
+    agree(refine, p, N)
+    agree(refine, p, N + 1)
+    for k in range(N + 2):
+        agree(dyadic_project, p, k)
+        agree(weak_smallness, p, k)
+        agree(partial_below, p, k)
+        agree(tail_formula, p, k)
+        cell = (k, data.draw(st.integers(1, 1 << k)))
+        agree(integral_over, p, cell)
+        agree(seminorm, p, cell)
+    for k in range(N + 1):
+        agree(pairing, p, functional(k))
+        agree(pairing, functional(k), p)
+    agree(dual_norm_estimate, p, N)
+    if not p.is_zero():
+        agree(witness_probes, in_ball(p))
+    # with a step of p's shape, a dense step and p itself
+    q = DyadicStep.periodic(p.coarse, data.draw(motifs(len(p.motifs))), p.reps, data.draw(st.integers(1, 12)))
+    k = data.draw(st.integers(1, N + 1))
+    A = [(k, j) for j in data.draw(st.lists(st.integers(1, 1 << k), min_size=1, max_size=3, unique=True))]
+    for g in (q, data.draw(functions(max_level=5)), p):
+        for fn in (
+            operator.add, operator.sub, operator.eq, lambda f, h: lin_comb(c, f, 2, h), pairing,
+            tnorm_sq_diff, triangle_equality_case, midpoint_defect, lambda f, h: perturbation_l1_chain(f, h, A),
+        ):
+            agree(fn, p, g)
+            agree(fn, g, p)
 
 
 # -- steps built by the kernel keep their numerators ---------------------------

@@ -224,7 +224,7 @@ def ascent_lower_sq(h, L, tol=Fraction(1, 10**9), max_iter=400):
         return Fraction(0)
 
     def grad(uf):
-        levels = mass_levels(uf.nums)
+        levels = mass_levels(uf.motifs)
         g = [n << 4 for n in next(levels)]
         for k, masses in zip(range(L - 1, -1, -1), levels):
             w, shift = 14 << 2 * (L - k), L - k

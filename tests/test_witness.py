@@ -27,7 +27,6 @@ from renorml1 import witness
 from renorml1.cli import _json_text
 from renorml1.dyadic import (
     DyadicIndex,
-    PeriodicStep,
     decompose,
     dyadic_project,
     from_lattice,
@@ -35,8 +34,9 @@ from renorml1.dyadic import (
     integral_over,
     lattice,
     lin_comb,
+    refine,
 )
-from renorml1.probes import strong_extreme_failure
+from renorml1.probes import strong_extreme_failure, weak_smallness
 from renorml1.renorm import tnorm_sq_diff
 from renorml1.witness import _verify_split
 from conftest import mk, steps
@@ -99,8 +99,11 @@ class TestSplitPair:
         for h in (mk(0, 1), mk(1, 1, Fraction(1, 2))):
             for fi in (sp.f1, sp.f2):
                 assert pairing(fi, h) == pairing(fi.dense(), h)
-        with pytest.raises(ValueError, match="functional level 2 exceeds the period level 1"):
-            pairing(sp.f1, mk(2, 1, 0, 0, 1))
+        # at K = level(f) every motif is repeated once: the split is dense
+        assert sp.f1.reps == 1 and pairing(sp.f1, mk(2, 1, 0, 0, 1)) == pairing(sp.f1.dense(), mk(2, 1, 0, 0, 1))
+        periodic = split_pair(mk(1, 1, -1), 2).f1
+        with pytest.raises(ValueError, match="functional level 3 exceeds the period level 2"):
+            pairing(periodic, mk(3, 1, 0, 0, 1, 0, 0, 0, 0))
 
     @given(steps(max_level=4), st.integers(min_value=0, max_value=6))
     @settings(max_examples=60, deadline=None)
@@ -150,9 +153,44 @@ class TestSplitPair:
         assert tnorm_sq(f1 - f2) >= 4 * (tnorm_sq(f) - two_K)
 
 
+class TestTheSplitIsOneStepClass:
+    """f1 of the split of (1/2, -1/3) at K = 3 has level 5, coarse level 1
+    and reps 4, so period level 3: every public function reads it as its
+    dense expansion, or names the period level."""
+
+    f1 = split_pair(DyadicStep(1, ["1/2", "-1/3"]), 3).f1
+
+    def test_shape(self):
+        f1 = self.f1
+        assert (f1.level, f1.coarse, f1.reps, f1.period_level, len(f1.motifs)) == (5, 1, 4, 3, 8)
+
+    def test_refine_above_the_level(self):
+        fine = refine(self.f1, 6)
+        assert fine == refine(self.f1.dense(), 6)
+        assert tnorm_sq(fine) == Fraction(205889, 1032192) == tnorm_sq(self.f1)
+
+    def test_equal_and_hash_to_the_dense_step(self):
+        assert self.f1 == self.f1.dense() and self.f1.dense() == self.f1
+        assert hash(self.f1) == hash(self.f1.dense())
+
+    def test_project_between_the_coarse_and_the_period_level(self):
+        assert dyadic_project(self.f1, 2) == dyadic_project(self.f1.dense(), 2)
+
+    def test_masses_above_the_period_level_name_both_levels(self):
+        with pytest.raises(ValueError, match="^masses at level 5 lie above the period level 3$"):
+            self.f1.masses(5)
+        assert [list(self.f1.masses(k)) for k in range(4)] == [list(self.f1.dense().masses(k)) for k in range(4)]
+
+    def test_weak_smallness_above_the_period_level(self):
+        for depth in range(7):
+            assert weak_smallness(self.f1, depth) == weak_smallness(self.f1.dense(), depth)
+
+
 def verify_split(f, f1, f2):
-    """`_verify_split` against the masses of f and |f| on f1's coarse cells."""
-    return _verify_split(f, f1, f2, f.masses(f1.coarse), abs(f).masses(f1.coarse))
+    """`_verify_split` against the masses of f and |f| on the coarse cells of
+    the split at K = level(f1) - 2, of level min(level(f), K)."""
+    L = min(f.level, f1.level - 2)
+    return _verify_split(f, f1, f2, f.masses(L), abs(f).masses(L))
 
 
 def measured(f, f1, f2):
@@ -165,7 +203,7 @@ def bump(p, j, value):
     """p with `value` added to entry j of its motifs, in every repeat."""
     motifs = [0] * len(p.motifs)
     motifs[j] = 1
-    return lin_comb(1, p, value, PeriodicStep(p.coarse, motifs, p.reps, 1))
+    return lin_comb(1, p, value, DyadicStep.periodic(p.coarse, motifs, p.reps, 1))
 
 
 def deviations(checks):
@@ -344,7 +382,7 @@ class TestPairingCheck:
         calls = []
         monkeypatch.setattr(witness, "pairing", lambda f, h: calls.append((f, h)) or pairing(f, h))
         rep = d2p_witness(nbhd, Fraction(1, 5))
-        dense = [(f is nbhd.center, h) for f, h in calls if not isinstance(f, PeriodicStep)]
+        dense = [(f is nbhd.center, h) for f, h in calls if f.reps == 1]
         assert dense == [(True, h) for h in nbhd.functionals]
         assert [h for _, h in calls] == [h for h in nbhd.functionals for _ in range(3)]
         assert rep.checks["pairing_l"].lhs == old_pairing_l(nbhd, rep)
@@ -426,8 +464,8 @@ def assert_scaled_split(rep):
     from every numerator of the product."""
     p, q = (1 - rep.gamma).as_integer_ratio()
     for g, fi in ((rep.g1.dense(), rep.pair.f1.dense()), (rep.g2.dense(), rep.pair.f2.dense())):
-        want = from_lattice(fi.level, [p * n for n in fi.nums], q * fi.den)
-        assert (g.level, g.nums, g.den) == (want.level, want.nums, want.den)
+        want = from_lattice(fi.level, [p * n for n in fi.motifs], q * fi.den)
+        assert (g.level, g.motifs, g.den) == (want.level, want.motifs, want.den)
 
 
 class TestWitnessFromFolds:
@@ -488,11 +526,16 @@ class TestWitnessFromFolds:
         assert max(lengths[0]) == 4 << center.level
 
     def test_no_dense_expansion(self, monkeypatch):
-        # the witness, both probes and their reports read the motifs only
-        def dense(p):
-            raise AssertionError("a periodic step was expanded")
+        # the witness, both probes and their reports read the motifs only:
+        # every expansion of a periodic step goes through `dense`
+        real = DyadicStep.dense
 
-        monkeypatch.setattr(PeriodicStep, "dense", dense)
+        def dense(p):
+            if p.reps > 1:
+                raise AssertionError("a periodic step was expanded")
+            return real(p)
+
+        monkeypatch.setattr(DyadicStep, "dense", dense)
         center = near_unit_scale(mk(2, 1, Fraction(-1, 2), 3, 0), Fraction(1, 10**4))
         nbhd = WeakNbhd(center, (mk(1, 1, -1), mk(2, 0, 1, 0, -1)), Fraction(1, 10))
         wit = strong_extreme_failure(nbhd, Fraction(1, 100))
@@ -502,12 +545,14 @@ class TestWitnessFromFolds:
 
     def test_no_dense_product_builds_g1_or_g2(self, monkeypatch):
         # g_i = (1 - gamma) * f_i is read off the split, never multiplied out
+        # densely: only the products of periodic motifs are allowed
         center = near_unit_scale(mk(2, 1, Fraction(-1, 2), 3, 0), Fraction(1, 10**4))
         nbhd = WeakNbhd(center, (mk(1, 1, -1), mk(2, 0, 1, 0, -1)), Fraction(1, 10))
         real, products = DyadicStep.__mul__, []
 
         def counted(f, c):
-            products.append(f.level)
+            if f.reps == 1:
+                products.append(f.level)
             return real(f, c)
 
         for name in ("__mul__", "__rmul__"):
@@ -568,7 +613,7 @@ class TestPeriodicAgainstTheDenseSplit:
         assert sp.tnorm_sq == dense.tnorm_sq
         for part in ("b", "c", "f1", "f2"):
             mine, want = getattr(sp, part).dense(), getattr(dense, part)
-            assert (mine.level, mine.nums, mine.den) == (want.level, want.nums, want.den)
+            assert (mine.level, mine.motifs, mine.den) == (want.level, want.motifs, want.den)
         for k in range(K + 1):
             h = functional(k)
             assert (pairing(sp.f1, h), pairing(sp.f2, h)) == dense.pairings(h)
