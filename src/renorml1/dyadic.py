@@ -460,19 +460,11 @@ def integral_over(f: DyadicStep, idx) -> Fraction:
     f's level. Past MAX_LEVEL no storage is involved, but the result's
     denominator has k bits."""
     k, j = as_index(idx)
-    N, L, P, ms = f.level, f.coarse, f.period_level, f.motifs
-    if k <= L:  # whole coarse cells, each its motif `reps` times
-        n = len(ms) >> k
-        return Fraction(f.reps * sum(ms[(j - 1) * n : j * n]), f.den << N)
-    width = len(ms) >> L
-    start = ((j - 1) >> k - L) * width  # the motif of the coarse cell
-    if k <= P:  # 2**(P - k) periods of that motif
-        return Fraction(sum(ms[start : start + width]) << P - k, f.den << N)
-    i = (j - 1) & (1 << k - P) - 1  # the cell's place in its period
-    if k >= N:
-        return Fraction(ms[start + (i >> k - N)], f.den << k)
-    span = 1 << N - k
-    return Fraction(sum(ms[start + i * span : start + (i + 1) * span]), f.den << N)
+    nums, den = lattice(f)
+    if k >= f.level:
+        return Fraction(nums[(j - 1) >> (k - f.level)], den << k)
+    span = 1 << (f.level - k)
+    return Fraction(sum(nums[(j - 1) * span : j * span]), den << f.level)
 
 
 def norms(f: DyadicStep) -> Norms:
@@ -505,10 +497,7 @@ def dyadic_project(f: DyadicStep, K: int) -> DyadicStep:
     if K >= f.level:
         return refine(f, K)
     # a level-K cell average is 2**K times its mass, which is over den << f.level
-    den = f.den << f.level - K
-    if K > f.period_level:  # inside a period: the motifs fold
-        return _reduced(K, f.coarse, next(islice(mass_levels(f.motifs), f.level - K, None)), f.reps, den)
-    return from_lattice(K, f.masses(K), den)
+    return from_lattice(K, f.dense().masses(K), f.den << f.level - K)
 
 
 def reflect(f: DyadicStep) -> DyadicStep:

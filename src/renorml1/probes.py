@@ -12,7 +12,6 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
 from typing import Optional, Sequence
 
 from .checks import check, require
@@ -144,10 +143,9 @@ def weak_smallness(u: DyadicStep, depth: int) -> Fraction:
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     # levels min(depth, u.level) down to 0: a cell finer than u's grid holds
-    # half its parent's integral, so deeper levels never score higher. Above
-    # the period level P the masses are the folds of the motifs.
-    top, P = min(depth, u.level), u.period_level
-    levels = chain(islice(mass_levels(u.motifs), u.level - top, u.level - P), mass_levels(u.masses(min(top, P))))
+    # half its parent's integral, so deeper levels never score higher
+    u = u.dense()
+    levels = mass_levels(u.masses(min(depth, u.level)))
     return Fraction(max(max(map(abs, masses)) for masses in levels), u.den << u.level)
 
 

@@ -210,7 +210,7 @@ def split_pair(f: DyadicStep, K: int) -> SplitPair:
         raise ValueError(f"K must be >= 0, got {K}")
     if K + 2 > MAX_LEVEL:
         raise LevelOverflowError(f"split level {K}+2 exceeds cap {MAX_LEVEL}")
-    L = min(f.level, K)
+    f, L = f.dense(), min(f.level, K)
     # pos[j] and neg[j] are the masses of |f| + f and |f| - f (twice f's
     # positive and negative parts) on the level-L cell j, over D
     m, a = f.masses(L), abs(f).masses(L)

@@ -185,6 +185,11 @@ class TestTheSplitIsOneStepClass:
         for depth in range(7):
             assert weak_smallness(self.f1, depth) == weak_smallness(self.f1.dense(), depth)
 
+    def test_split_above_the_period_level(self):
+        # the split of f1 at K = 4 reads its level-4 masses, above its period level
+        got, dense = split_pair(self.f1, 4), split_pair(self.f1.dense(), 4)
+        assert (got.b, got.c, got.f1, got.f2, got.tnorm_sq) == (dense.b, dense.c, dense.f1, dense.f2, dense.tnorm_sq)
+
 
 def verify_split(f, f1, f2):
     """`_verify_split` against the masses of f and |f| on the coarse cells of
