@@ -9,7 +9,7 @@ Usage: python scripts/ured_demo.py [--steps 10] [--delta 1/2]
 import argparse
 from fractions import Fraction
 
-from renorml1 import segment_check, ured_recursion, verify_claim
+from renorml1 import segment_check, ured_recursion
 from renorml1.dyadic import frac_str
 
 
@@ -22,7 +22,6 @@ def main() -> None:
     delta = Fraction(args.delta)
     eps = [Fraction(1, 2**n) for n in range(1, args.steps + 1)]
     run = ured_recursion(delta, eps, args.steps)
-    verify_claim(run)
 
     print(f"z = (1 - {frac_str(delta)}) e_1, eps_n = 2^-n")
     print(f"{'n':>3} {'eps_n':>8} {'||2x_n+z||':>12} {'2 - ||2x_n+z||':>16}")

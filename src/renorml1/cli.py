@@ -10,9 +10,12 @@ Subcommands
     selftest                   seeded invariant batteries
 
 Exit codes: 0 success, 1 verification failure (for example the witness gap
-condition), 2 input error (bad or non-object JSON, bad rationals, overflow,
-an unknown or missing flag), 3 internal error (a verified theorem failed,
-which is a library bug). Rationals are read and written as 'p/q' strings;
+condition), 2 input error (bad or non-object JSON, an unknown top-level key,
+bad rationals, overflow, an unknown or missing flag), 3 internal error (a
+required check failed, or any other library fault; stderr names the check
+and its two sides, or the exception type). Every `ok` a report prints is
+the verdict of a check its command required, so it reads true whenever a
+report is written. Rationals are read and written as 'p/q' strings;
 floats appear only in labelled rendering fields. A JSON report is exactly
 json.dumps(report, indent=2) plus a newline. With a fixed seed every command
 writes byte-identical reports.
@@ -28,7 +31,6 @@ from fractions import Fraction
 from itertools import accumulate, chain, repeat
 
 from .dyadic import (
-    MAX_LEVEL,
     StepValues,
     _shown,
     as_index,
@@ -60,7 +62,14 @@ class InputError(ValueError):
     pass
 
 
-def _load_json(path: str) -> dict:
+#: the top-level keys of each kind of input
+_STEP_KEYS = ("level", "values")
+_NBHD_KEYS = ("center", "functionals", "delta")
+_PAIR_KEYS = ("f", "g")
+
+
+def _load_json(path: str, *keys: str) -> dict:
+    """The JSON object in `path`, whose top-level keys are among `keys`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -74,6 +83,9 @@ def _load_json(path: str) -> dict:
         raise InputError(f"JSON in {path} is nested too deeply") from None
     if not isinstance(obj, dict):
         raise InputError(f"{path} must hold a JSON object, got {type(obj).__name__}")
+    for key in obj:
+        if key not in keys:
+            raise InputError(f"unknown key {_shown(key)!r} in input; expected keys: {', '.join(keys)}")
     return obj
 
 
@@ -239,19 +251,19 @@ def _json_key(key) -> str:
 
 
 def _cmd_norm(args) -> int:
-    f = _step(_load_json(args.input))
+    f = _step(_load_json(args.input, *_STEP_KEYS))
     _emit_json(norm_report(f, args.float_digits).to_json(), args.out)
     return 0
 
 
 def _cmd_split(args) -> int:
-    f = _step(_load_json(args.input))
+    f = _step(_load_json(args.input, *_STEP_KEYS))
     _emit_json(split_pair(f, args.level).to_json(), args.out)
     return 0
 
 
 def _cmd_witness(args) -> int:
-    nbhd = _nbhd_from_json(_load_json(args.input))
+    nbhd = _nbhd_from_json(_load_json(args.input, *_NBHD_KEYS))
     rep = d2p_witness(nbhd, _single_eps(args, "witness"))
     _emit_json(rep.to_json(), args.out)
     return 0
@@ -259,33 +271,30 @@ def _cmd_witness(args) -> int:
 
 def _cmd_probe(args) -> int:
     if args.what == "strict":
-        obj = _load_json(args.input)
+        obj = _load_json(args.input, *_PAIR_KEYS)
         case = triangle_equality_case(_step(_need(obj, "f")), _step(_need(obj, "g")))
         _emit_json(case.to_json(), args.out)
     elif args.what == "midpoint":
-        obj = _load_json(args.input)
+        obj = _load_json(args.input, *_PAIR_KEYS)
         d = midpoint_defect(_step(_need(obj, "f")), _step(_need(obj, "g")))
         _emit_json(
             {"defect": frac_str(d), "defect_float": decimal_str(d, args.float_digits)},
             args.out,
         )
     elif args.what == "extreme":
-        nbhd = _nbhd_from_json(_load_json(args.input))
+        nbhd = _nbhd_from_json(_load_json(args.input, *_NBHD_KEYS))
         wit = strong_extreme_failure(nbhd, _single_eps(args, "probe extreme"))
         _emit_json(wit.to_json(), args.out)
     elif args.what == "chain":
-        obj = _load_json(args.input)
+        obj = _load_json(args.input, *_PAIR_KEYS, "A")
         try:
             A = [as_index(idx) for idx in _as_list(obj.get("A", []), "A")]
-            for k, _ in A:
-                if k > MAX_LEVEL:
-                    raise ValueError(f"cell level {k} exceeds cap {MAX_LEVEL}")
         except (ValueError, TypeError) as exc:
             raise InputError(f"'A' must list [k, j] cells: {exc}") from None
         rep = perturbation_l1_chain(_step(_need(obj, "f")), _step(_need(obj, "g")), A)
         _emit_json(rep.to_json(), args.out)
     else:  # slice
-        nbhd = _nbhd_from_json(_load_json(args.input))
+        nbhd = _nbhd_from_json(_load_json(args.input, *_NBHD_KEYS))
         eps = _eps_schedule(args, "probe slice")
         entries = slice_diameter_lb(nbhd.center, nbhd.functionals, nbhd.delta, eps)
         _emit([slice_csv(entries, args.float_digits)], args.out)
@@ -297,7 +306,7 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_ell1(args) -> int:
-    obj = _load_json(args.input)
+    obj = _load_json(args.input, "deltas", "m")
     deltas = [_parse_rat(d) for d in _as_list(_need(obj, "deltas"), "deltas")]
     m = obj.get("m", len(deltas))
     if not isinstance(m, int) or isinstance(m, bool):
@@ -407,8 +416,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # InputError and LevelOverflowError too
         sys.stderr.write(f"input error: {exc}\n")
         return 2
-    except RuntimeError as exc:  # "internal: ..." from a failed theorem check
-        sys.stderr.write(f"internal error: {str(exc).removeprefix('internal: ')}\n")
+    except Exception as exc:  # a failed check or any other library fault
+        failed_check = type(exc) is RuntimeError  # raised only by `checks.require`
+        what = str(exc).removeprefix("internal: ") if failed_check else f"{type(exc).__name__}: {exc}"
+        sys.stderr.write(f"internal error: {what}\n")
         return 3
 
 

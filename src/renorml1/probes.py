@@ -12,9 +12,10 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Optional, Sequence
 
-from .checks import check, require
+from .checks import Check, check, require
 from .dyadic import (
     MAX_LEVEL,
     DyadicStep,
@@ -81,16 +82,18 @@ def strong_extreme_failure(nbhd: WeakNbhd, eps) -> ExtremeFailureWitness:
 
 @dataclass(frozen=True)
 class ChainReport:
-    """Both sides of the perturbation inequality, with its ingredients."""
+    """The required perturbation inequality, with its ingredients."""
 
-    lhs: Fraction  # (l1(f+g) + l1(f-g)) / 2
-    rhs: Fraction  # l1(f) + int_A |g| - 2 int_A |f|
+    chain: Check  # (l1(f+g) + l1(f-g)) / 2 >= l1(f) + int_A |g| - 2 int_A |f|
     l1_sum: Fraction
     l1_diff: Fraction
     int_a_abs_g: Fraction
     int_a_abs_f: Fraction
     l1_f: Fraction
-    ok: bool
+
+    lhs = property(attrgetter("chain.lhs"))
+    rhs = property(attrgetter("chain.rhs"))
+    ok = property(attrgetter("chain.ok"))
 
     def to_json(self) -> dict:
         return {
@@ -117,7 +120,7 @@ def perturbation_l1_chain(
     cells = [as_index(idx) for idx in A]
     for k, _ in cells:
         if k > MAX_LEVEL:
-            raise LevelOverflowError(f"cell level {k} exceeds cap {MAX_LEVEL}")
+            raise LevelOverflowError(f"cell level {k} exceeds cap {MAX_LEVEL} in 'A'")
     for i in range(len(cells)):
         for j in range(i + 1, len(cells)):
             if cells[i].overlaps(cells[j]):
@@ -128,10 +131,9 @@ def perturbation_l1_chain(
     l1_sum = norms(f + g).l1
     l1_diff = norms(f - g).l1
     l1_f = norms(f).l1
-    lhs = (l1_sum + l1_diff) / 2
-    rhs = l1_f + int_a_g - 2 * int_a_f
-    require("perturbation chain", {"chain": check(lhs, ">=", rhs)})
-    return ChainReport(lhs, rhs, l1_sum, l1_diff, int_a_g, int_a_f, l1_f, True)
+    chain = check((l1_sum + l1_diff) / 2, ">=", l1_f + int_a_g - 2 * int_a_f)
+    require("perturbation chain", {"chain": chain})
+    return ChainReport(chain, l1_sum, l1_diff, int_a_g, int_a_f, l1_f)
 
 
 def weak_smallness(u: DyadicStep, depth: int) -> Fraction:

@@ -95,7 +95,11 @@ class NormSqReport:
     l1: Fraction
     linf: Fraction
     tnorm_float: str
-    equiv_ok: bool
+    equivalence: dict[str, Check]  # the required checks of `check_equivalence`
+
+    @property
+    def equiv_ok(self) -> bool:
+        return all(c.ok for c in self.equivalence.values())
 
     def to_json(self) -> dict:
         return {
@@ -109,37 +113,20 @@ class NormSqReport:
 
 def norm_report(f: DyadicStep, float_digits: int = 12) -> NormSqReport:
     eq = check_equivalence(f)
-    t = eq.tnorm_sq
+    t = eq["upper"].lhs
     l1, linf = norms(f)
-    return NormSqReport(t, l1, linf, sqrt_floor_decimal(t, float_digits), eq.ok)
+    return NormSqReport(t, l1, linf, sqrt_floor_decimal(t, float_digits), eq)
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """l1**2 <= T**2 <= 2*l1**2, plus the sharper computable 4/3 bound."""
-
-    l1_sq: Fraction
-    tnorm_sq: Fraction
-    lower_ok: bool
-    upper_ok: bool
-    sharp_ok: bool  # tnorm_sq <= (4/3) l1_sq
-
-    @property
-    def ok(self) -> bool:
-        return self.lower_ok and self.upper_ok and self.sharp_ok
-
-
-def check_equivalence(f: DyadicStep) -> EquivalenceReport:
-    t = tnorm_sq(f)
-    l1 = norms(f).l1
-    lsq = l1 * l1
-    return EquivalenceReport(
-        l1_sq=lsq,
-        tnorm_sq=t,
-        lower_ok=lsq <= t,
-        upper_ok=t <= 2 * lsq,
-        sharp_ok=t <= Fraction(4, 3) * lsq,
-    )
+def check_equivalence(f: DyadicStep) -> dict[str, Check]:
+    """l1**2 <= T**2 <= 2*l1**2 and the sharper computable T**2 <= (4/3) l1**2,
+    through `checks.require`."""
+    t, lsq = tnorm_sq(f), norms(f).l1 ** 2
+    return require("norm equivalence", {
+        "lower": check(lsq, "<=", t),
+        "upper": check(t, "<=", 2 * lsq),
+        "sharp": check(t, "<=", Fraction(4, 3) * lsq),
+    })
 
 
 # -- strict convexity: triangle equality classifier ---------------------------

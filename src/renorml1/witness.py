@@ -81,10 +81,11 @@ class WeakNbhd:
 
     def deviation(self, *gs: DyadicStep) -> Fraction:
         """max over l and the given g of |<g, h_l> - <f, h_l>|, pairing f
+        (read dense, so a functional finer than its period level pairs too)
         with each functional once; 0 without functionals."""
-        worst = Fraction(0)
+        worst, f = Fraction(0), self.center.dense()
         for h in self.functionals:
-            fh = pairing(self.center, h)
+            fh = pairing(f, h)
             worst = max([worst, *(abs(pairing(g, h) - fh) for g in gs)])
         return worst
 
@@ -297,20 +298,22 @@ def d2p_witness(nbhd: WeakNbhd, eps) -> WitnessReport:
 
     # g_i = (1 - gamma) * f_i exactly, so every squared norm scales by
     # (1 - gamma)**2
-    checks = dict(sp.checks)
-    checks["pairing_l"] = check(nbhd.deviation(shrink * sp.f1, shrink * sp.f2), "<", nbhd.delta)
-    t1, t2, t12 = (shrink * shrink * t for t in sp.tnorm_sq)
-    ball_sq, gap = (t1, t2), t12
-    checks["ball"] = check(max(ball_sq), "<", Fraction(1))
-    checks["gap"] = check(gap, ">" if eps < 2 else ">=", target)
-    # the guaranteed bound is verified but not reported
-    require("witness", {"guaranteed_gap": check(gap, ">=", guaranteed), **checks})
+    t1, t2, gap = (shrink * shrink * t for t in sp.tnorm_sq)
+    ball_sq = (t1, t2)
+    own = {
+        "pairing_l": check(nbhd.deviation(shrink * sp.f1, shrink * sp.f2), "<", nbhd.delta),
+        "ball": check(max(ball_sq), "<", Fraction(1)),
+        "gap": check(gap, ">" if eps < 2 else ">=", target),
+    }
+    # split_pair required the split's checks; the guaranteed bound is
+    # verified but not reported
+    require("witness", {"guaranteed_gap": check(gap, ">=", guaranteed), **own})
     return WitnessReport(
         gamma=gamma,
         K=K,
         pair=sp,
         ball_sq=ball_sq,
-        checks=checks,
+        checks={**sp.checks, **own},
         guaranteed_gap_sq=guaranteed,
         eps=eps,
         delta=nbhd.delta,

@@ -120,9 +120,11 @@ def test_02_equivalence():
     rng = rng_from_seed(102)
     for _ in range(1000):
         f = random_step(rng, max_level=5, max_num=32, max_den=32)
-        rep = check_equivalence(f)
-        assert rep.l1_sq <= rep.tnorm_sq <= 2 * rep.l1_sq
-        assert rep.tnorm_sq <= Fraction(4, 3) * rep.l1_sq
+        eq = check_equivalence(f)
+        lsq, t = eq["lower"].lhs, eq["lower"].rhs
+        assert (lsq, t) == (norms(f).l1 ** 2, tnorm_sq(f)) and all(c.ok for c in eq.values())
+        assert lsq <= t <= 2 * lsq
+        assert t <= Fraction(4, 3) * lsq
     announce(2, "equivalence")
 
 

@@ -75,6 +75,22 @@ class TestCheck:
         assert str(exc.value) == "internal: demo failed: first (3/2 <= 1/1)"
 
 
+def names(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def scopes(body, prefix=""):
+    """(qualified name, node) of each function and of every other statement,
+    by the class or module it sits in."""
+    for stmt in body:
+        if isinstance(stmt, ast.ClassDef):
+            yield from scopes(stmt.body, prefix + stmt.name + ".")
+        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + stmt.name, stmt
+        else:
+            yield prefix.rstrip(".") or "<module>", stmt
+
+
 class TestOneRaiseSite:
     """A lint-style guard: a failed verification raises only through
     `checks.require`, and the check record is defined once."""
@@ -83,17 +99,16 @@ class TestOneRaiseSite:
         return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
     def test_runtime_error_is_raised_in_require_only(self):
-        sites = set()
-        for name, tree in self.modules().items():
-            for fn in ast.walk(tree):
-                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                for node in ast.walk(fn):
-                    exc = node.exc if isinstance(node, ast.Raise) else None
-                    if isinstance(exc, ast.Call):
-                        exc = exc.func
-                    if isinstance(exc, ast.Name) and exc.id == "RuntimeError":
-                        sites.add((name, fn.name))
+        """Every `raise` of a `RuntimeError` in the package, in a function,
+        a class body or at module level, sits in `checks.require`: the CLI
+        reads a plain RuntimeError as a failed check."""
+        sites = {
+            (name, qual)
+            for name, tree in self.modules().items()
+            for qual, scope in scopes(tree.body)
+            for node in ast.walk(scope)
+            if isinstance(node, ast.Raise) and node.exc is not None and "RuntimeError" in names(node.exc)
+        }
         assert sites == {("checks.py", "require")}
 
     #: the code that must know a step's type: equality with other objects
@@ -106,9 +121,6 @@ class TestOneRaiseSite:
         `type(...) in`, `__class__`, a class pattern)."""
         step_types = {"DyadicStep"}
 
-        def names(node):
-            return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-
         def switches(node):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
                 return node.func.id in ("isinstance", "issubclass") and bool(names(node) & step_types)
@@ -120,17 +132,6 @@ class TestOneRaiseSite:
                 )
                 return typed and bool(names(node) & step_types)
             return isinstance(node, ast.MatchClass) and bool(names(node.cls) & step_types)
-
-        def scopes(body, prefix=""):
-            """(qualified name, node) of each function and of every other
-            statement, by the class or module it sits in."""
-            for stmt in body:
-                if isinstance(stmt, ast.ClassDef):
-                    yield from scopes(stmt.body, prefix + stmt.name + ".")
-                elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield prefix + stmt.name, stmt
-                else:
-                    yield prefix.rstrip(".") or "<module>", stmt
 
         found = {
             (name, qual)
@@ -268,6 +269,13 @@ class TestForcedFailures:
         # gap = 0 - (-1/2), required 2 - 1/3 - 1/2
         with raises_internal("internal: nonsmooth pairings failed: gap 1 (1/2 == 7/6)"):
             nonsmooth_pairings(fam, bent)
+
+    def test_norm_equivalence(self, monkeypatch):
+        real = renorm.tnorm_sq
+        monkeypatch.setattr(renorm, "tnorm_sq", lambda f: 10 * real(f))
+        # T(1)**2 = 8/7 read as 80/7, l1(1) = 1: the lower bound still holds
+        with raises_internal("internal: norm equivalence failed: upper (80/7 <= 2/1)"):
+            renorm.norm_report(mk(0, 1))
 
     def test_ured_claim_verification(self):
         run = ured_recursion(Fraction(1, 2), [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)], 3)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from renorml1 import cli, selftest, split_pair
+from renorml1 import cli, renorm, selftest, split_pair
 from renorml1.checks import check, require
 from renorml1.cli import _json_text, build_parser, main
 from renorml1.dyadic import MAX_LEVEL, DyadicStep, frac_str, step_to_json, steps_to_json
@@ -38,6 +38,11 @@ def write_json(tmp_path, name, obj):
     return str(p)
 
 
+def respell(obj, key, spelled):
+    """obj with `key` spelled `spelled`, in its place."""
+    return {spelled if k == key else k: v for k, v in obj.items()}
+
+
 CONST_78 = {"level": 0, "values": ["7/8"]}
 NBHD = {
     "center": CONST_78,
@@ -59,6 +64,14 @@ class TestNorm:
         path = write_json(tmp_path, "f.json", {"level": 0, "values": ["1/1"]})
         rc, text = invoke(tmp_path, "norm", "--input", path, "--float-digits", "4")
         assert json.loads(text)["tnorm_float"] == "1.0690"
+
+    def test_broken_norm_exits_3_naming_both_sides(self, tmp_path, capsys, monkeypatch):
+        real = renorm.tnorm_sq
+        monkeypatch.setattr(renorm, "tnorm_sq", lambda f: 10 * real(f))
+        path = write_json(tmp_path, "f.json", {"level": 0, "values": ["1/1"]})
+        rc, text = invoke(tmp_path, "norm", "--input", path)
+        assert rc == 3 and text == ""
+        assert capsys.readouterr().err == "internal error: norm equivalence failed: upper (80/7 <= 2/1)\n"
 
 
 class TestSplit:
@@ -257,6 +270,17 @@ class TestSelftest:
             "selftest: FAIL (seed=7, trials=3)",
         ]
 
+    def test_failing_equivalence_names_its_sides(self, tmp_path, monkeypatch):
+        real = renorm.tnorm_sq
+        monkeypatch.setattr(renorm, "tnorm_sq", lambda f: 10 * real(f))
+        rc, text = invoke(tmp_path, "selftest", "--seed", "7", "--trials", "2")
+        failed = [line for line in text.splitlines() if "FAIL" in line]
+        assert rc == 1 and failed[-1] == "selftest: FAIL (seed=7, trials=2)" and len(failed) == 2
+        assert re.fullmatch(
+            r"renorm-invariants: FAIL \(norm equivalence failed: upper \(\d+/\d+ <= \d+/\d+\), trial \d, seed 7\)",
+            failed[0],
+        )
+
     def test_failing_library_check_is_a_battery_line(self, tmp_path, monkeypatch):
         # a `checks.require` failure inside a trial fails that battery only
         def failing_split(f, K):
@@ -302,6 +326,31 @@ class TestInputErrors:
         assert rc == 2 and text == ""
         assert err.startswith("input error:") and field in err
         assert "Traceback" not in err
+
+    # a misspelled key would otherwise be dropped: a neighborhood without its
+    # functionals, a family whose m defaults, a chain on no cells
+    @pytest.mark.parametrize(
+        "argv, obj, key",
+        [
+            (["witness", "--eps", "1/100"], respell(NBHD, "functionals", "functionls"), "functionls"),
+            (["probe", "extreme", "--eps", "1/5"], respell(NBHD, "delta", "delt"), "delt"),
+            (["probe", "slice", "--eps", "1/5"], dict(NBHD, eps="1/5"), "eps"),
+            (["ell1", "greedy"], {"deltas": ["1/2", "1/3"], "M": 2}, "M"),
+            (["ell1", "spikes", "--level", "3"], {"deltas": ["1/2", "1/3"], "M": 2}, "M"),
+            (["ell1", "dual", "--level", "3"], {"deltas": ["1/2", "1/3"], "M": 2}, "M"),
+            (["probe", "chain"], dict(CHAIN, a=[[1, 1]]), "a"),
+            (["probe", "strict"], dict(CHAIN, A=[[1, 1]]), "A"),
+            (["probe", "midpoint"], dict(CHAIN, A=[[1, 1]]), "A"),
+            (["norm"], dict(CONST_78, Level=0), "Level"),
+            (["split", "--level", "2"], respell(CONST_78, "values", "vals"), "vals"),
+        ],
+    )
+    def test_unknown_key_exits_2_naming_it(self, tmp_path, capsys, argv, obj, key):
+        path = write_json(tmp_path, "in.json", obj)
+        rc, text = invoke(tmp_path, *argv, "--input", path)
+        err = capsys.readouterr().err
+        assert rc == 2 and text == ""
+        assert err.startswith(f"input error: unknown key {key!r} in input")
 
     # 1 << level takes 1.25 GB at 10**10 and cannot be allocated at all at
     # 2**62 (a MemoryError), so the level must be checked before it is used
@@ -677,6 +726,17 @@ class TestInternalErrors:
         assert rc == 3 and text == ""
         assert err == "internal error: exact gap fell below the guaranteed bound\n"
         assert "Traceback" not in err and not (tmp_path / "report.out").exists()
+
+    def test_any_other_fault_exits_3_naming_its_type(self, tmp_path, capsys, monkeypatch):
+        def broken(f, float_digits):
+            return {}["tnorm_sq"]
+
+        monkeypatch.setattr(cli, "norm_report", broken)
+        path = write_json(tmp_path, "f.json", CONST_78)
+        rc, text = invoke(tmp_path, "norm", "--input", path)
+        err = capsys.readouterr().err
+        assert rc == 3 and text == "" and not (tmp_path / "report.out").exists()
+        assert err == "internal error: KeyError: 'tnorm_sq'\n"
 
     def test_deeply_nested_input_is_an_input_error(self, tmp_path, capsys):
         path = tmp_path / "deep.json"

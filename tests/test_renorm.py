@@ -19,6 +19,7 @@ from renorml1 import (
     tnorm_sq,
     triangle_equality_case,
 )
+from renorml1.checks import Check
 from renorml1.dyadic import dyadic_project, integral_over, mass_levels, norms, pairing, to_frac
 from conftest import mk, steps
 
@@ -101,18 +102,36 @@ class TestTail:
         assert partial_below(f, T) == truncated_series(f, T)
 
 
+def equivalence_checks(f):
+    """The three checks of `check_equivalence`, measured independently."""
+    lsq, t = norms(f).l1 ** 2, tnorm_sq(f)
+    return {
+        "lower": Check(lsq, t, "<=", lsq <= t),
+        "upper": Check(t, 2 * lsq, "<=", t <= 2 * lsq),
+        "sharp": Check(t, Fraction(4, 3) * lsq, "<=", t <= Fraction(4, 3) * lsq),
+    }
+
+
 class TestEquivalence:
     @pytest.mark.parametrize("f", [mk(0, 1), mk(1, 2, 0), DyadicStep.zero(1)])
     def test_examples(self, f):
-        rep = check_equivalence(f)
-        assert rep.ok
-        assert rep.l1_sq <= rep.tnorm_sq <= 2 * rep.l1_sq
+        eq = check_equivalence(f)
+        assert eq == equivalence_checks(f) and all(c.ok for c in eq.values())
+        lsq, t = eq["lower"].lhs, eq["lower"].rhs
+        assert lsq <= t <= 2 * lsq
 
     @given(steps())
     def test_bounds(self, f):
-        rep = check_equivalence(f)
-        assert rep.lower_ok and rep.upper_ok and rep.sharp_ok
-        assert rep.tnorm_sq <= Fraction(4, 3) * rep.l1_sq
+        eq = check_equivalence(f)
+        assert eq == equivalence_checks(f)
+        assert eq["lower"].ok and eq["upper"].ok and eq["sharp"].ok
+        lsq, t = eq["lower"].lhs, eq["lower"].rhs
+        assert t <= Fraction(4, 3) * lsq
+
+    def test_report_reads_the_checks(self):
+        rep = norm_report(mk(1, 2, 0))
+        assert rep.equivalence == equivalence_checks(mk(1, 2, 0))
+        assert rep.tnorm_sq == rep.equivalence["upper"].lhs and rep.equiv_ok is True
 
     def test_report_json(self):
         rep = norm_report(mk(0, 1), float_digits=6)

@@ -190,6 +190,15 @@ class TestTheSplitIsOneStepClass:
         got, dense = split_pair(self.f1, 4), split_pair(self.f1.dense(), 4)
         assert (got.b, got.c, got.f1, got.f2, got.tnorm_sq) == (dense.b, dense.c, dense.f1, dense.f2, dense.tnorm_sq)
 
+    def test_periodic_center_with_a_functional_above_its_period_level(self):
+        # a center of level 3 and period level 1 against a level-2 functional:
+        # neither level is within the other's period level
+        f = near_unit_scale(DyadicStep.periodic(0, (0, 0, 0, 1), 2, 1), Fraction(1, 100))
+        h = DyadicStep(2, ["-1/1", "0/1", "1/1", "-1/2"])
+        got, dense = (d2p_witness(WeakNbhd(c, (h,), Fraction(1, 2)), Fraction(1, 2)) for c in (f, f.dense()))
+        assert _json_text(got.to_json()) == _json_text(dense.to_json())
+        assert got.checks["pairing_l"] == dense.checks["pairing_l"]
+
 
 def verify_split(f, f1, f2):
     """`_verify_split` against the masses of f and |f| on the coarse cells of
