@@ -33,7 +33,6 @@ from itertools import accumulate, chain, repeat
 from .dyadic import (
     StepValues,
     _shown,
-    as_index,
     decimal_str,
     frac_str,
     step_from_json,
@@ -287,10 +286,7 @@ def _cmd_probe(args) -> int:
         _emit_json(wit.to_json(), args.out)
     elif args.what == "chain":
         obj = _load_json(args.input, *_PAIR_KEYS, "A")
-        try:
-            A = [as_index(idx) for idx in _as_list(obj.get("A", []), "A")]
-        except (ValueError, TypeError) as exc:
-            raise InputError(f"'A' must list [k, j] cells: {exc}") from None
+        A = _as_list(obj.get("A", []), "A")
         rep = perturbation_l1_chain(_step(_need(obj, "f")), _step(_need(obj, "g")), A)
         _emit_json(rep.to_json(), args.out)
     else:  # slice

@@ -113,11 +113,15 @@ def perturbation_l1_chain(
 ) -> ChainReport:
     """Evaluate (l1(f+g) + l1(f-g))/2 >= l1(f) + int_A |g| - 2 int_A |f|.
 
-    A is a disjoint list of dyadic indices of level <= MAX_LEVEL. The
+    A is a disjoint list of dyadic indices of level <= MAX_LEVEL; a cell
+    that is not a valid [k, j] raises ValueError naming 'A'. The
     inequality holds for every valid input (pointwise max(|f|,|g|) =
     (|f+g|+|f-g|)/2); a violation is a library bug.
     """
-    cells = [as_index(idx) for idx in A]
+    try:
+        cells = [as_index(idx) for idx in A]
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"'A' must list [k, j] cells: {exc}") from None
     for k, _ in cells:
         if k > MAX_LEVEL:
             raise LevelOverflowError(f"cell level {k} exceeds cap {MAX_LEVEL} in 'A'")

@@ -112,16 +112,17 @@ class NormSqReport:
 
 
 def norm_report(f: DyadicStep, float_digits: int = 12) -> NormSqReport:
-    eq = check_equivalence(f)
-    t = eq["upper"].lhs
-    l1, linf = norms(f)
-    return NormSqReport(t, l1, linf, sqrt_floor_decimal(t, float_digits), eq)
+    t, (l1, linf) = tnorm_sq(f), norms(f)
+    return NormSqReport(t, l1, linf, sqrt_floor_decimal(t, float_digits), _equivalence(t, l1 ** 2))
 
 
 def check_equivalence(f: DyadicStep) -> dict[str, Check]:
     """l1**2 <= T**2 <= 2*l1**2 and the sharper computable T**2 <= (4/3) l1**2,
     through `checks.require`."""
-    t, lsq = tnorm_sq(f), norms(f).l1 ** 2
+    return _equivalence(tnorm_sq(f), norms(f).l1 ** 2)
+
+
+def _equivalence(t: Fraction, lsq: Fraction) -> dict[str, Check]:
     return require("norm equivalence", {
         "lower": check(lsq, "<=", t),
         "upper": check(t, "<=", 2 * lsq),
@@ -191,7 +192,8 @@ class DualNormEstimate:
     `maximizer` once normalized: `pairing_sq` = <maximizer, h>**2 and
     `tnorm_sq` = T(maximizer)**2 as the kernel measures them, and their ratio
     `lower_sq` the squared dual norm (so named when an ascent bounded it from
-    below). `checks` is the KKT certificate, `iterations` the support solves.
+    below). `checks` is the KKT certificate with `attained`, `iterations`
+    the support solves.
     """
 
     lower_sq: Fraction
@@ -262,7 +264,9 @@ def dual_norm_estimate(h: DyadicStep, L: int) -> DualNormEstimate:
     minimizes over the steps supported in S, u among them, so it is u, and
     Lawson-Hanson would find no index to add. Every call checks `nonneg`,
     `stationary` ((Q u)_i = c_i where u_i > 0) and `dual_feasible`
-    ((Q u)_i >= c_i elsewhere) on the int lattice through `checks.require`.
+    ((Q u)_i >= c_i elsewhere) on the int lattice, and `attained`
+    (lower_sq * tnorm_sq = pairing_sq: the program's value is what the
+    kernel measures on the maximizer), through `checks.require`.
 
     L < level(h) raises ValueError. At L >= level(h) this is the full dual
     norm of h: the conditional expectation onto the level-L cells keeps
@@ -280,15 +284,16 @@ def dual_norm_estimate(h: DyadicStep, L: int) -> DualNormEstimate:
         S = [x > 0 for x in U]
         U, E = _support_solve(L, c, S)
         solves += 1
+    # u = U / E solves the program for the projection's numerators c, over den
+    f_star = from_lattice(L, [x if n > 0 else -x for x, n in zip(U, nums)], E * den)
+    p, t = pairing(f_star, h), tnorm_sq(f_star)
+    value = Fraction(7 * sum(map(mul, c, U)) << 2 * L, E * den * den)
     # E * (Q u - c): zero on the support, nonnegative off it
     slack = [y - E * x for x, y in zip(c, _q_product(L, U))]
     checks = require("dual norm", {
         "nonneg": check(min(U), ">=", 0),
         "stationary": check(max((abs(r) for r, x in zip(slack, U) if x), default=0), "==", 0),
         "dual_feasible": check(min((r for r, x in zip(slack, U) if not x), default=0), ">=", 0),
+        "attained": check(value * t, "==", p * p),
     })
-    # u = U / E solves the program for the projection's numerators c, over den
-    f_star = from_lattice(L, [x if n > 0 else -x for x, n in zip(U, nums)], E * den)
-    p = pairing(f_star, h)
-    value = Fraction(7 * sum(map(mul, c, U)) << 2 * L, E * den * den)
-    return DualNormEstimate(value, f_star, p * p, tnorm_sq(f_star), solves, checks)
+    return DualNormEstimate(value, f_star, p * p, t, solves, checks)

@@ -30,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
-from math import lcm
-from typing import Optional, Sequence
+from math import isqrt, lcm
+from typing import Sequence
 
 from .checks import Check, check, require
 from .dyadic import (
@@ -191,9 +191,8 @@ def choose_K(gamma, functional_levels) -> int:
     gamma = to_frac(gamma)
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
-    K = max(functional_levels, default=0)
-    while Fraction(1, 1 << K) >= gamma:
-        K += 1
+    # 2**K > 1/gamma exactly when 2**K > floor(1/gamma)
+    K = max(max(functional_levels, default=0), (gamma.denominator // gamma.numerator).bit_length())
     if K + 2 > MAX_LEVEL:
         raise LevelOverflowError(f"split level {K}+2 exceeds cap {MAX_LEVEL}")
     return K
@@ -326,56 +325,34 @@ def d2p_witness(nbhd: WeakNbhd, eps) -> WitnessReport:
 def best_rational_leq_sqrt(x_sq: Fraction, max_den: int) -> Fraction:
     """Largest r = p/q with q <= max_den, r >= 0 and r**2 <= x_sq.
 
-    Stern-Brocot descent with the exact predicate p**2 * den <= q**2 * num;
-    never touches floats, works for rational or irrational sqrt(x_sq).
+    Walks the continued fraction of sqrt(x_sq) = (P + sqrt(D)) / Q, D = num *
+    den, in ints. The largest p/q <= sqrt(x_sq) with q <= max_den is the last
+    convergent when the next one lies above sqrt(x_sq), else the largest
+    semiconvergent between the last two that fits; Q = 0 ends the expansion
+    of a rational sqrt(x_sq) at an exact convergent.
     """
     x_sq = to_frac(x_sq)
     if x_sq < 0:
         raise ValueError("negative square")
     if max_den < 1:
         raise ValueError("max_den must be >= 1")
-    num, den = x_sq.numerator, x_sq.denominator
-
-    def le(p: int, q: int) -> bool:  # p/q <= sqrt(num/den)
-        return p * p * den <= q * q * num
-
-    def biggest_k(pred, cap: Optional[int]) -> int:
-        """Largest k in [0, cap] with pred(k); pred is monotone decreasing."""
-        if cap is not None and cap <= 0:
-            return 0
-        if not pred(1):
-            return 0
-        k = 1
-        while (cap is None or 2 * k <= cap) and pred(2 * k):
-            k *= 2
-        lo, hi = k, (2 * k if cap is None else min(2 * k, cap))
-        while lo < hi:  # invariant: pred(lo); find the last True
-            mid = (lo + hi + 1) // 2
-            if pred(mid):
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
-
-    a, b = 0, 1  # lower endpoint, always <= sqrt
-    c, d = 1, 0  # upper endpoint, always > sqrt
+    D = x_sq.numerator * x_sq.denominator
+    s, P, Q = isqrt(D), 0, x_sq.denominator
+    h0, k0, h1, k1 = 0, 1, 1, 0  # convergents n - 2 and n - 1
+    below = True  # whether convergent n lies below sqrt(x_sq): n is even
     while True:
-        if a * a * den == b * b * num:
-            return Fraction(a, b)  # hit sqrt exactly
-        k = biggest_k(
-            lambda k: le(a + k * c, b + k * d),
-            None if d == 0 else (max_den - b) // d,
-        )
-        if k:
-            a, b = a + k * c, b + k * d
-        k2 = biggest_k(
-            lambda k: not le(c + k * a, d + k * b),
-            (max_den - d) // b,
-        )
-        if k2:
-            c, d = c + k2 * a, d + k2 * b
-        if not k and not k2:
-            return Fraction(a, b)
+        # every complete quotient is positive and its conjugate negative, so
+        # Q > 0 and this is the floor of (P + sqrt(D)) / Q
+        a = (P + s) // Q
+        if a * k1 + k0 > max_den:
+            t = (max_den - k0) // k1
+            return Fraction(h0 + t * h1, k0 + t * k1) if below else Fraction(h1, k1)
+        h0, k0, h1, k1 = h1, k1, a * h1 + h0, a * k1 + k0
+        P = a * Q - P
+        Q = (D - P * P) // Q
+        if Q == 0:
+            return Fraction(h1, k1)
+        below = not below
 
 
 def near_unit_scale(f: DyadicStep, prec) -> DyadicStep:

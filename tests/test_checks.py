@@ -213,6 +213,14 @@ class TestForcedFailures:
         with raises_internal("internal: dual norm failed: stationary (8/1 == 0/1)"):
             dual_norm_estimate(mk(0, 1), 0)
 
+    def test_dual_norm_attained(self, monkeypatch):
+        real = renorm.tnorm_sq
+        monkeypatch.setattr(renorm, "tnorm_sq", lambda f: 2 * real(f))
+        # h = 1 at L = 0: u = 1/8, the value 7/8, T(u)**2 = 1/56 read as 1/28
+        # and <u, h>**2 = 1/64; the KKT checks read no norm and hold
+        with raises_internal("internal: dual norm failed: attained (1/32 == 1/64)"):
+            dual_norm_estimate(mk(0, 1), 0)
+
     def test_probe_chain(self, monkeypatch):
         real = probes.norms
         monkeypatch.setattr(probes, "norms", lambda f: real(f)._replace(l1=Fraction(0)))

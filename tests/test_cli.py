@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from renorml1 import cli, renorm, selftest, split_pair
+from renorml1 import cli, probes, renorm, selftest, split_pair
 from renorml1.checks import check, require
 from renorml1.cli import _json_text, build_parser, main
 from renorml1.dyadic import MAX_LEVEL, DyadicStep, frac_str, step_to_json, steps_to_json
@@ -326,6 +326,31 @@ class TestInputErrors:
         assert rc == 2 and text == ""
         assert err.startswith("input error:") and field in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "A, line",
+        [
+            ([5], "'A' must list [k, j] cells: cannot unpack non-iterable int object"),
+            ([[1.7, 1]], "'A' must list [k, j] cells: cell index entries must be integers, got 1.7"),
+            ([[True, 1]], "'A' must list [k, j] cells: cell index entries must be integers, got True"),
+            ([[1, 3]], "'A' must list [k, j] cells: cell position 3 out of range 1..2**1"),
+            ([[MAX_LEVEL + 1, 1]], f"cell level {MAX_LEVEL + 1} exceeds cap {MAX_LEVEL} in 'A'"),
+            ([[10**10, 1]], f"cell level {10**10} exceeds cap {MAX_LEVEL} in 'A'"),
+            ("x", "'A' must be a list, got 'x'"),
+        ],
+    )
+    def test_chain_cells_name_A(self, tmp_path, capsys, A, line):
+        rc, text = invoke(tmp_path, "probe", "chain", "--input", write_json(tmp_path, "in.json", dict(self.CHAIN, A=A)))
+        assert (rc, text, capsys.readouterr().err) == (2, "", f"input error: {line}\n")
+
+    def test_chain_parses_each_cell_once(self, tmp_path, monkeypatch):
+        # the library parses A; the CLI passes the list on as read
+        calls = []
+        real = probes.as_index
+        monkeypatch.setattr(probes, "as_index", lambda idx: calls.append(idx) or real(idx))
+        rc, text = invoke(tmp_path, "probe", "chain", "--input", write_json(tmp_path, "in.json", dict(self.CHAIN, A=[[1, 1], [1, 2]])))
+        assert rc == 0 and json.loads(text)["ok"] is True
+        assert calls == [[1, 1], [1, 2]] and not hasattr(cli, "as_index")
 
     # a misspelled key would otherwise be dropped: a neighborhood without its
     # functionals, a family whose m defaults, a chain on no cells

@@ -14,6 +14,7 @@ from renorml1 import (
     partial_below,
     refine,
     reflect,
+    renorm,
     seminorm,
     tail_formula,
     tnorm_sq,
@@ -132,6 +133,14 @@ class TestEquivalence:
         rep = norm_report(mk(1, 2, 0))
         assert rep.equivalence == equivalence_checks(mk(1, 2, 0))
         assert rep.tnorm_sq == rep.equivalence["upper"].lhs and rep.equiv_ok is True
+
+    def test_report_reads_norms_once(self, monkeypatch):
+        calls = []
+        real = renorm.norms
+        monkeypatch.setattr(renorm, "norms", lambda f: calls.append(f) or real(f))
+        rep = norm_report(mk(1, 2, 0))
+        assert calls == [mk(1, 2, 0)]
+        assert rep.equivalence == equivalence_checks(mk(1, 2, 0)) and (rep.l1, rep.linf) == (1, 2)
 
     def test_report_json(self):
         rep = norm_report(mk(0, 1), float_digits=6)
@@ -333,7 +342,8 @@ class TestDualNormEstimate:
     def test_kkt_certificate_holds(self, h, extra):
         L = h.level + extra
         est = dual_norm_estimate(h, L)
-        assert est.converged and list(est.checks) == ["nonneg", "stationary", "dual_feasible"]
+        assert est.converged and list(est.checks) == ["nonneg", "stationary", "dual_feasible", "attained"]
+        assert est.checks["attained"] == Check(est.lower_sq * est.tnorm_sq, est.pairing_sq, "==", True)
         hL = dyadic_project(h, L).values
         assert est.maximizer.level == L
         assert all(x * y >= 0 for x, y in zip(est.maximizer.values, hL))

@@ -26,7 +26,9 @@ from renorml1 import (
 from renorml1 import witness
 from renorml1.cli import _json_text
 from renorml1.dyadic import (
+    MAX_LEVEL,
     DyadicIndex,
+    LevelOverflowError,
     decompose,
     dyadic_project,
     from_lattice,
@@ -41,6 +43,7 @@ from renorml1.renorm import tnorm_sq_diff
 from renorml1.witness import _verify_split
 from conftest import mk, steps
 from dense_split import dense_extreme_json, dense_split, dense_verify, dense_witness_json
+from stern_brocot import stern_brocot_leq_sqrt
 
 
 class TestChooseGamma:
@@ -74,6 +77,25 @@ class TestChooseK:
     def test_strictness(self):
         K = choose_K(Fraction(1, 64), [])
         assert Fraction(1, 1 << K) < Fraction(1, 64) <= Fraction(1, 1 << (K - 1))
+
+    @given(
+        st.integers(min_value=1, max_value=10**12).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(min_value=n + 1, max_value=2 * n + 10**12))
+        ),
+        st.lists(st.integers(min_value=0, max_value=MAX_LEVEL + 4), max_size=3),
+    )
+    @settings(max_examples=300)
+    def test_matches_the_increment_loop(self, ratio, levels):
+        # the loop choose_K replaced: K from the highest level up until 2**-K < gamma
+        gamma = Fraction(*ratio)
+        K = max(levels, default=0)
+        while Fraction(1, 1 << K) >= gamma:
+            K += 1
+        if K + 2 > MAX_LEVEL:
+            with pytest.raises(LevelOverflowError, match=re.escape(f"split level {K}+2 exceeds cap {MAX_LEVEL}")):
+                choose_K(gamma, levels)
+        else:
+            assert choose_K(gamma, levels) == K
 
 
 class TestSplitPair:
@@ -302,10 +324,13 @@ class TestNearUnitScale:
 
 class TestBestRationalLeqSqrt:
     @given(
-        st.fractions(min_value=0, max_value=9, max_denominator=50),
-        st.integers(min_value=1, max_value=40),
+        st.one_of(
+            st.fractions(min_value=0, max_value=9, max_denominator=50),
+            st.fractions(min_value=0, max_value=3, max_denominator=50).map(lambda r: r * r),
+        ),
+        st.integers(min_value=1, max_value=200),
     )
-    @settings(max_examples=80)
+    @settings(max_examples=150)
     def test_matches_brute_force(self, x_sq, N):
         got = best_rational_leq_sqrt(x_sq, N)
         assert got.denominator <= N and got * got <= x_sq
@@ -321,6 +346,18 @@ class TestBestRationalLeqSqrt:
     def test_exact_square(self):
         assert best_rational_leq_sqrt(Fraction(4), 10) == 2
         assert best_rational_leq_sqrt(Fraction(9, 4), 10) == Fraction(3, 2)
+
+    @given(
+        st.integers(min_value=0, max_value=10**40),
+        st.integers(min_value=1, max_value=10**40),
+        st.booleans(),
+        st.integers(min_value=1, max_value=10**12),
+    )
+    @settings(max_examples=300)
+    def test_matches_the_stern_brocot_search(self, num, den, square, N):
+        # the search the continued-fraction walk replaced (`stern_brocot`)
+        x_sq = Fraction(num, den) ** (2 if square else 1)
+        assert best_rational_leq_sqrt(x_sq, N) == stern_brocot_leq_sqrt(x_sq, N)
 
 
 class TestWeakNbhd:
