@@ -19,8 +19,8 @@ at the boundary.
 Two step functions are equal iff their refinements to a common level have
 identical values, so neither the level nor the period is part of the
 identity of a function. Every public function returns for a periodic step
-what it returns for its dense expansion `dense()`, or raises a ValueError
-naming the period level. The kernels read the lattice through `masses(k)`,
+what it returns for its dense expansion `dense()`. The kernels read the
+lattice through `masses(k)`, which takes every k up to the level,
 `level_squares()` and `blocks()`; `mass_levels` is the one fold of int
 masses to coarser levels.
 """
@@ -283,13 +283,15 @@ class DyadicStep:
         return _new(self.level, self.level, nums, 1, self.den)
 
     def masses(self, k: int) -> Sequence[int]:
-        """The masses of the 2**k cells of level k, k <= the period level P,
-        over den << level. A level-k cell of coarse cell j, k >= the coarse
-        level L, holds 2**(P - k) periods of motif j; below L the masses of
-        level L fold."""
+        """The masses of the 2**k cells of level k <= level, over den << level:
+        up to the period level P, a level-k cell of coarse cell j, k >= the
+        coarse level L, holds 2**(P - k) periods of motif j and below L those
+        masses fold; above P they are the dense expansion's."""
         P, L = self.period_level, self.coarse
         if k > P:
-            raise ValueError(f"masses at level {k} lie above the period level {P}")
+            if k > self.level:
+                raise ValueError(f"masses at level {k} lie above the level {self.level}")
+            return self.dense().masses(k)
         # one period of each coarse cell, for a dense step its values
         sums = next(islice(mass_levels(self.motifs), self.level - P, None))
         if k >= L:
@@ -459,7 +461,11 @@ def integral_over(f: DyadicStep, idx) -> Fraction:
     """Exact integral of f over the dyadic cell I(k, j), k above or below
     f's level. Past MAX_LEVEL no storage is involved, but the result's
     denominator has k bits."""
-    k, j = as_index(idx)
+    return _cell_integral(f, *as_index(idx))
+
+
+def _cell_integral(f: DyadicStep, k: int, j: int) -> Fraction:
+    """`integral_over` of the cell (k, j) that `as_index` validated."""
     nums, den = lattice(f)
     if k >= f.level:
         return Fraction(nums[(j - 1) >> (k - f.level)], den << k)
@@ -474,14 +480,10 @@ def norms(f: DyadicStep) -> Norms:
 
 
 def pairing(f: DyadicStep, h: DyadicStep) -> Fraction:
-    """Exact duality bracket <f, h> = integral of f*h over [0, 1): f's
-    masses at level(h) dotted with h's numerators, for h of level <= f's
-    period level; otherwise the other way round. ValueError when neither
-    level is within the other's period level."""
-    if h.level > f.period_level:
-        if f.level > h.period_level:
-            periods = f"the period level {f.period_level}, and level {f.level} the period level {h.period_level}"
-            raise ValueError(f"functional level {h.level} exceeds {periods}")
+    """Exact duality bracket <f, h> = integral of f*h over [0, 1): the finer
+    step's masses at the coarser step's level dotted with the coarser step's
+    numerators."""
+    if h.level > f.level:
         f, h = h, f
     return Fraction(sum(map(mul, f.masses(h.level), lattice(h)[0])), h.den * f.den << f.level)
 
@@ -497,7 +499,7 @@ def dyadic_project(f: DyadicStep, K: int) -> DyadicStep:
     if K >= f.level:
         return refine(f, K)
     # a level-K cell average is 2**K times its mass, which is over den << f.level
-    return from_lattice(K, f.dense().masses(K), f.den << f.level - K)
+    return from_lattice(K, f.masses(K), f.den << f.level - K)
 
 
 def reflect(f: DyadicStep) -> DyadicStep:

@@ -20,9 +20,9 @@ from .dyadic import (
     MAX_LEVEL,
     DyadicStep,
     LevelOverflowError,
+    _cell_integral,
     as_index,
     frac_str,
-    integral_over,
     lin_comb,
     mass_levels,
     norms,
@@ -125,13 +125,16 @@ def perturbation_l1_chain(
     for k, _ in cells:
         if k > MAX_LEVEL:
             raise LevelOverflowError(f"cell level {k} exceeds cap {MAX_LEVEL} in 'A'")
-    for i in range(len(cells)):
-        for j in range(i + 1, len(cells)):
-            if cells[i].overlaps(cells[j]):
-                raise ValueError(f"indices {tuple(cells[i])} and {tuple(cells[j])} overlap")
+    # by left endpoint, coarser first: two dyadic cells overlap only when one
+    # holds the other, so some cell starts inside the one just before it
+    ranked = sorted(enumerate(cells), key=lambda ic: (ic[1].j - 1 << MAX_LEVEL - ic[1].k, ic[1].k))
+    for (i, a), (j, b) in zip(ranked, ranked[1:]):
+        if b.j - 1 << MAX_LEVEL - b.k < a.j << MAX_LEVEL - a.k:
+            first, second = (a, b) if i < j else (b, a)
+            raise ValueError(f"indices {tuple(first)} and {tuple(second)} overlap")
     af, ag = abs(f), abs(g)
-    int_a_f = sum((integral_over(af, idx) for idx in cells), Fraction(0))
-    int_a_g = sum((integral_over(ag, idx) for idx in cells), Fraction(0))
+    int_a_f = sum((_cell_integral(af, *idx) for idx in cells), Fraction(0))
+    int_a_g = sum((_cell_integral(ag, *idx) for idx in cells), Fraction(0))
     l1_sum = norms(f + g).l1
     l1_diff = norms(f - g).l1
     l1_f = norms(f).l1
@@ -150,7 +153,6 @@ def weak_smallness(u: DyadicStep, depth: int) -> Fraction:
         raise ValueError(f"depth must be >= 0, got {depth}")
     # levels min(depth, u.level) down to 0: a cell finer than u's grid holds
     # half its parent's integral, so deeper levels never score higher
-    u = u.dense()
     levels = mass_levels(u.masses(min(depth, u.level)))
     return Fraction(max(max(map(abs, masses)) for masses in levels), u.den << u.level)
 

@@ -26,7 +26,6 @@ from .checks import Check, check, require
 from .dyadic import (
     DyadicStep,
     _repeat,
-    as_index,
     dyadic_project,
     frac_str,
     from_lattice,
@@ -43,7 +42,7 @@ from .dyadic import (
 
 def seminorm(f: DyadicStep, idx) -> Fraction:
     """s(f, k, j) = integral of |f| over I(k, j), exactly."""
-    return integral_over(abs(f), as_index(idx))
+    return integral_over(abs(f), idx)
 
 
 def tnorm_sq(f: DyadicStep) -> Fraction:
@@ -85,8 +84,7 @@ def tail_formula(f: DyadicStep, T: int) -> Fraction:
     """Closed form of sum_{k >= T} 4**-k * sum_j s(f, k, j)**2 for T >= level(f)."""
     if T < f.level:
         raise ValueError(f"tail start {T} is below the function level {f.level}")
-    S = f.reps * sum(map(mul, f.motifs, f.motifs))
-    return Fraction(8 * S, 7 * f.den * f.den << f.level + 3 * T)
+    return Fraction(8 * f.level_squares()[0], 7 * f.den * f.den << f.level + 3 * T)
 
 
 @dataclass(frozen=True)
@@ -191,9 +189,9 @@ class DualNormEstimate:
     """The exact level-L dual norm of h, attained by the level-L step
     `maximizer` once normalized: `pairing_sq` = <maximizer, h>**2 and
     `tnorm_sq` = T(maximizer)**2 as the kernel measures them, and their ratio
-    `lower_sq` the squared dual norm (so named when an ascent bounded it from
-    below). `checks` is the KKT certificate with `attained`, `iterations`
-    the support solves.
+    `lower_sq`, the exact squared dual norm. `checks` is the KKT certificate
+    with `attained`, which every returned value passes, so `converged` is
+    always true; `iterations` counts the support solves.
     """
 
     lower_sq: Fraction

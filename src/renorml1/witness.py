@@ -81,11 +81,11 @@ class WeakNbhd:
 
     def deviation(self, *gs: DyadicStep) -> Fraction:
         """max over l and the given g of |<g, h_l> - <f, h_l>|, pairing f
-        (read dense, so a functional finer than its period level pairs too)
-        with each functional once; 0 without functionals."""
-        worst, f = Fraction(0), self.center.dense()
+        with each functional once, whatever the levels and periods of f, g
+        and h_l; 0 without functionals."""
+        worst = Fraction(0)
         for h in self.functionals:
-            fh = pairing(f, h)
+            fh = pairing(self.center, h)
             worst = max([worst, *(abs(pairing(g, h) - fh) for g in gs)])
         return worst
 
@@ -210,7 +210,7 @@ def split_pair(f: DyadicStep, K: int) -> SplitPair:
         raise ValueError(f"K must be >= 0, got {K}")
     if K + 2 > MAX_LEVEL:
         raise LevelOverflowError(f"split level {K}+2 exceeds cap {MAX_LEVEL}")
-    f, L = f.dense(), min(f.level, K)
+    L = min(f.level, K)
     # pos[j] and neg[j] are the masses of |f| + f and |f| - f (twice f's
     # positive and negative parts) on the level-L cell j, over D
     m, a = f.masses(L), abs(f).masses(L)
@@ -358,14 +358,16 @@ def best_rational_leq_sqrt(x_sq: Fraction, max_den: int) -> Fraction:
 def near_unit_scale(f: DyadicStep, prec) -> DyadicStep:
     """Scale f to sit just inside the unit sphere of the renormed space.
 
-    Returns r*f where r is the largest rational with denominator <= 1/prec
-    and r**2 * tnorm_sq(f) <= 1. For prec small relative to sqrt(tnorm_sq(f))
-    this lands in [1 - 3*prec, 1]; pre-normalize big centers (divide by an
-    integer) before calling if the bracket matters.
+    Returns r*f where r is the largest rational with denominator <= 1/prec,
+    prec in (0, 1], and r**2 * tnorm_sq(f) <= 1. For prec small relative to
+    sqrt(tnorm_sq(f)) this lands in [1 - 3*prec, 1]; pre-normalize big
+    centers (divide by an integer) before calling if the bracket matters.
     """
     prec = to_frac(prec)
     if prec <= 0:
         raise ValueError("prec must be > 0")
+    if prec > 1:
+        raise ValueError(f"prec must be in (0, 1], got {_shown(frac_str(prec))}")
     q = tnorm_sq(f)
     if q == 0:
         raise ValueError("cannot scale the zero function to the unit sphere")

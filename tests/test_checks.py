@@ -141,6 +141,30 @@ class TestOneRaiseSite:
         }
         assert found <= self.STEP_TYPE_ALLOWED
 
+    def test_only_dyadic_reads_the_period(self):
+        """A periodic step answers like its dense expansion, so outside
+        `dyadic` no module calls `.dense()` or reads `.period_level`
+        (`selftest` excepted: its batteries check against the dense
+        expansion), and `renorm` reads no `.motifs` or `.reps`."""
+
+        def period_read(name, node):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "dense":
+                return "dense()"
+            if isinstance(node, ast.Attribute) and (
+                node.attr == "period_level" or (name == "renorm.py" and node.attr in ("motifs", "reps"))
+            ):
+                return node.attr
+            return None
+
+        found = [
+            (name, node.lineno, what)
+            for name, tree in self.modules().items()
+            if name not in ("dyadic.py", "selftest.py")
+            for node in ast.walk(tree)
+            if (what := period_read(name, node))
+        ]
+        assert found == []
+
     def test_no_rounding_in_the_package(self):
         """Every value is exact: no `float(...)` and no `limit_denominator`
         call anywhere in the package."""

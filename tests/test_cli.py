@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from renorml1 import cli, probes, renorm, selftest, split_pair
+from renorml1 import cli, dyadic, probes, renorm, selftest, split_pair
 from renorml1.checks import check, require
 from renorml1.cli import _json_text, build_parser, main
 from renorml1.dyadic import MAX_LEVEL, DyadicStep, frac_str, step_to_json, steps_to_json
@@ -344,10 +344,12 @@ class TestInputErrors:
         assert (rc, text, capsys.readouterr().err) == (2, "", f"input error: {line}\n")
 
     def test_chain_parses_each_cell_once(self, tmp_path, monkeypatch):
-        # the library parses A; the CLI passes the list on as read
+        # the library parses A and integrates the parsed cells; the CLI passes
+        # the list on as read
         calls = []
-        real = probes.as_index
-        monkeypatch.setattr(probes, "as_index", lambda idx: calls.append(idx) or real(idx))
+        real = dyadic.as_index
+        for module in (probes, dyadic):
+            monkeypatch.setattr(module, "as_index", lambda idx: calls.append(idx) or real(idx))
         rc, text = invoke(tmp_path, "probe", "chain", "--input", write_json(tmp_path, "in.json", dict(self.CHAIN, A=[[1, 1], [1, 2]])))
         assert rc == 0 and json.loads(text)["ok"] is True
         assert calls == [[1, 1], [1, 2]] and not hasattr(cli, "as_index")

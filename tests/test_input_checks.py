@@ -33,6 +33,7 @@ CASES = [
     (lambda: best_rational_leq_sqrt(Fraction(-1), 1), ValueError, "negative square"),
     (lambda: best_rational_leq_sqrt(Fraction(2), 0), ValueError, "max_den must be >= 1"),
     (lambda: near_unit_scale(HALF, 0), ValueError, "prec must be > 0"),
+    (lambda: near_unit_scale(HALF, 2), ValueError, "prec must be in (0, 1], got 2/1"),
     (lambda: choose_K(Fraction(1), []), ValueError, "gamma must be in (0, 1), got 1"),
     (lambda: choose_K(Fraction(1, 2), [MAX_LEVEL - 1]), LevelOverflowError,
      f"split level {MAX_LEVEL - 1}+2 exceeds cap {MAX_LEVEL}"),
@@ -64,6 +65,12 @@ def test_bad_argument_raises_its_message(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error and str(info.value) == message
+
+
+def test_a_negative_prec_keeps_the_message_of_zero():
+    # a case of its own: a second "prec must be > 0" in CASES would rename the first's test id
+    with pytest.raises(ValueError, match=r"^prec must be > 0$"):
+        near_unit_scale(HALF, -1)
 
 
 def test_a_negative_denominator_moves_to_the_numerators():

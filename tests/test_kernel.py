@@ -251,17 +251,14 @@ def functional(k):
     return from_lattice(k, [(7 * j) % 5 - 2 for j in range(1 << k)], 2)
 
 
-def agree(fn, *args, period_error=False):
+def agree(fn, *args):
     """fn on steps that may be periodic and on their dense expansions: equal
-    results, or, with `period_error` (for `pairing`), a ValueError from the
-    first call that names a period level. Any other exception,
+    results, or the same ValueError from both. Any other exception,
     AttributeError and TypeError among them, fails."""
     dense = [a.dense() if isinstance(a, DyadicStep) else a for a in args]
     try:
         got = fn(*args)
     except ValueError as exc:
-        if period_error and "period level" in str(exc):
-            return
         with pytest.raises(type(exc), match=re.escape(str(exc))):
             fn(*dense)
         return
@@ -281,16 +278,13 @@ def witness_probes(f, eps=Fraction(1, 2)):
 @given(periodic_steps(), st.data())
 def test_dense_and_periodic_views_agree(p, data):
     # every public step function of dyadic, renorm and probes returns for a
-    # periodic step what it returns for its dense expansion, or raises the
-    # ValueError that names the period level
-    d, N, P = p.dense(), p.level, p.period_level
+    # periodic step what it returns for its dense expansion
+    d, N = p.dense(), p.level
     assert (d.level, d.coarse, d.reps, d.period_level) == (N, N, 1, N) and p.reps >= 2
     assert p == d and hash(p) == hash(d) and repr(p) == repr(d) and p.values == d.values
     assert lattice(p) == lattice(d) and lattice(p, N + 1) == lattice(d, N + 1) and p.is_zero() == d.is_zero()
-    # the lattice the kernels read
-    assert [list(p.masses(k)) for k in range(P + 1)] == [list(d.masses(k)) for k in range(P + 1)]
-    with pytest.raises(ValueError, match=f"masses at level {P + 1} lie above the period level {P}$"):
-        p.masses(P + 1)
+    # the lattice the kernels read; `masses` and `pairing` against dense
+    # functionals are tested below
     assert p.level_squares() == d.level_squares()
     assert list(chain.from_iterable(b * p.reps for b in p.blocks())) == list(d.motifs)
     c = data.draw(small_fractions)
@@ -309,9 +303,6 @@ def test_dense_and_periodic_views_agree(p, data):
         cell = (k, data.draw(st.integers(1, 1 << k)))
         agree(integral_over, p, cell)
         agree(seminorm, p, cell)
-    for k in range(N + 1):
-        agree(pairing, p, functional(k), period_error=True)
-        agree(pairing, functional(k), p, period_error=True)
     agree(dual_norm_estimate, p, N)
     if not p.is_zero():
         agree(witness_probes, in_ball(p))
@@ -324,8 +315,29 @@ def test_dense_and_periodic_views_agree(p, data):
             operator.add, operator.sub, operator.eq, lambda f, h: lin_comb(c, f, 2, h), pairing,
             tnorm_sq_diff, triangle_equality_case, midpoint_defect, lambda f, h: perturbation_l1_chain(f, h, A),
         ):
-            agree(fn, p, g, period_error=fn is pairing)
-            agree(fn, g, p, period_error=fn is pairing)
+            agree(fn, p, g)
+            agree(fn, g, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(periodic_steps())
+def test_masses_take_every_level_up_to_the_level(p):
+    # above the period level too; only a level above the step's own is refused
+    N = p.level
+    for k in range(N + 1):
+        assert list(p.masses(k)) == list(p.dense().masses(k))
+    with pytest.raises(ValueError, match=f"^masses at level {N + 1} lie above the level {N}$"):
+        p.masses(N + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(periodic_steps())
+def test_pairing_reads_the_finer_masses_at_every_level(p):
+    # functionals below the period level, between it and the level, and finer
+    # than p: each pairs as with the dense expansion, either way round
+    for k in range(p.level + 3):
+        h = functional(k)
+        assert pairing(p, h) == pairing(p.dense(), h) == pairing(h, p)
 
 
 # -- steps built by the kernel keep their numerators ---------------------------

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -117,12 +118,36 @@ class TestPerturbationChain:
 
     def test_cell_above_the_cap_raises_before_integrating(self, monkeypatch):
         # a level-10**10 integral would need a 10**10-bit denominator (1.25 GB)
-        monkeypatch.setattr(probes, "integral_over", lambda f, idx: pytest.fail("integrated"))
+        monkeypatch.setattr(probes, "_cell_integral", lambda f, k, j: pytest.fail("integrated"))
         f = mk(0, 1)
         with pytest.raises(LevelOverflowError, match=f"cell level {10**10} exceeds cap {MAX_LEVEL}"):
             perturbation_l1_chain(f, f, [(10**10, 1)])
         with pytest.raises(LevelOverflowError):
             perturbation_l1_chain(f, f, [(0, 1), (MAX_LEVEL + 1, 1)])
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 8)).filter(lambda c: c[1] <= 1 << c[0]), max_size=6))
+    @settings(max_examples=200)
+    def test_overlap_check_matches_every_pair(self, A):
+        # the sorted pass refuses exactly the lists that have an overlapping
+        # pair, and names one such pair in list order
+        cells = [DyadicIndex(*c) for c in A]
+        pairs = [(a, b) for i, a in enumerate(cells) for b in cells[i + 1 :] if a.overlaps(b)]
+        f = mk(1, 1, -2)
+        try:
+            perturbation_l1_chain(f, f, A)
+        except ValueError as exc:
+            named = re.fullmatch(r"indices \((\d+), (\d+)\) and \((\d+), (\d+)\) overlap", str(exc))
+            a, b = DyadicIndex(*map(int, named.groups()[:2])), DyadicIndex(*map(int, named.groups()[2:]))
+            assert (a, b) in pairs
+        else:
+            assert not pairs
+
+    def test_every_cell_of_level_15(self):
+        # one pass over the sorted cells, not one comparison per pair
+        A = [(15, j) for j in range(1 << 15, 0, -1)]
+        f, g = mk(1, 1, -2), mk(2, 1, 0, 3, -1)
+        rep = perturbation_l1_chain(f, g, A)
+        assert (rep.int_a_abs_f, rep.int_a_abs_g) == (norms(f).l1, norms(g).l1)
 
     @given(steps(max_level=3), steps(max_level=3), st.data())
     @settings(max_examples=60)

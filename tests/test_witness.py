@@ -123,9 +123,9 @@ class TestSplitPair:
                 assert pairing(fi, h) == pairing(fi.dense(), h)
         # at K = level(f) every motif is repeated once: the split is dense
         assert sp.f1.reps == 1 and pairing(sp.f1, mk(2, 1, 0, 0, 1)) == pairing(sp.f1.dense(), mk(2, 1, 0, 0, 1))
-        periodic = split_pair(mk(1, 1, -1), 2).f1
-        with pytest.raises(ValueError, match="functional level 3 exceeds the period level 2"):
-            pairing(periodic, mk(3, 1, 0, 0, 1, 0, 0, 0, 0))
+        # a functional between the period level 2 and the level 4
+        periodic, h = split_pair(mk(1, 1, -1), 2).f1, mk(3, 1, 0, 0, 1, 0, 0, 0, 0)
+        assert pairing(periodic, h) == pairing(periodic.dense(), h) == pairing(h, periodic)
 
     @given(steps(max_level=4), st.integers(min_value=0, max_value=6))
     @settings(max_examples=60, deadline=None)
@@ -178,7 +178,7 @@ class TestSplitPair:
 class TestTheSplitIsOneStepClass:
     """f1 of the split of (1/2, -1/3) at K = 3 has level 5, coarse level 1
     and reps 4, so period level 3: every public function reads it as its
-    dense expansion, or names the period level."""
+    dense expansion."""
 
     f1 = split_pair(DyadicStep(1, ["1/2", "-1/3"]), 3).f1
 
@@ -199,9 +199,9 @@ class TestTheSplitIsOneStepClass:
         assert dyadic_project(self.f1, 2) == dyadic_project(self.f1.dense(), 2)
 
     def test_masses_above_the_period_level_name_both_levels(self):
-        with pytest.raises(ValueError, match="^masses at level 5 lie above the period level 3$"):
-            self.f1.masses(5)
-        assert [list(self.f1.masses(k)) for k in range(4)] == [list(self.f1.dense().masses(k)) for k in range(4)]
+        assert [list(self.f1.masses(k)) for k in range(6)] == [list(self.f1.dense().masses(k)) for k in range(6)]
+        with pytest.raises(ValueError, match="^masses at level 6 lie above the level 5$"):
+            self.f1.masses(6)
 
     def test_weak_smallness_above_the_period_level(self):
         for depth in range(7):
@@ -213,8 +213,8 @@ class TestTheSplitIsOneStepClass:
         assert (got.b, got.c, got.f1, got.f2, got.tnorm_sq) == (dense.b, dense.c, dense.f1, dense.f2, dense.tnorm_sq)
 
     def test_periodic_center_with_a_functional_above_its_period_level(self):
-        # a center of level 3 and period level 1 against a level-2 functional:
-        # neither level is within the other's period level
+        # a center of level 3 and period level 1 against a level-2 functional,
+        # which pairs with the center's level-2 masses, above its period level
         f = near_unit_scale(DyadicStep.periodic(0, (0, 0, 0, 1), 2, 1), Fraction(1, 100))
         h = DyadicStep(2, ["-1/1", "0/1", "1/1", "-1/2"])
         got, dense = (d2p_witness(WeakNbhd(c, (h,), Fraction(1, 2)), Fraction(1, 2)) for c in (f, f.dense()))
