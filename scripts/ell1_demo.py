@@ -7,6 +7,7 @@ Usage: python scripts/ell1_demo.py [--seed 0]
 """
 
 import argparse
+import random
 from fractions import Fraction
 
 from renorml1 import (
@@ -17,14 +18,14 @@ from renorml1 import (
     nonsmooth_pairings,
 )
 from renorml1.dyadic import frac_str
-from renorml1.gen import random_fraction, rng_from_seed
+from renorml1.gen import random_fraction
 
 
 def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
-    rng = rng_from_seed(args.seed)
+    rng = random.Random(args.seed)
 
     deltas = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(1, 5)]
     fam = greedy_asymptotic_ell1(deltas, 4)

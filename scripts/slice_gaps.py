@@ -8,10 +8,11 @@ Usage: python scripts/slice_gaps.py [--out slice_gaps.csv]
 """
 
 import argparse
+import sys
 from fractions import Fraction
 
 from renorml1 import DyadicStep, near_unit_scale, slice_diameter_lb, tnorm_sq
-from renorml1.dyadic import frac_str, sqrt_floor_decimal
+from renorml1.dyadic import frac_str, sqrt_floor_decimal, to_frac
 from renorml1.probes import slice_csv
 
 
@@ -21,7 +22,11 @@ def main() -> None:
     parser.add_argument("--prec", default="1/10000")
     args = parser.parse_args()
 
-    center = near_unit_scale(DyadicStep.constant(1), Fraction(args.prec))
+    try:
+        center = near_unit_scale(DyadicStep.constant(1), to_frac(args.prec))
+    except ValueError as exc:  # a bad --prec ends like a CLI input error
+        sys.stderr.write(f"input error: {exc}\n")
+        sys.exit(2)
     schedule = [Fraction(1, 5), Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)]
     entries = slice_diameter_lb(center, [DyadicStep.constant(1)], Fraction(1), schedule)
 

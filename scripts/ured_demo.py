@@ -7,10 +7,11 @@ Usage: python scripts/ured_demo.py [--steps 10] [--delta 1/2]
 """
 
 import argparse
+import sys
 from fractions import Fraction
 
 from renorml1 import segment_check, ured_recursion
-from renorml1.dyadic import frac_str
+from renorml1.dyadic import frac_str, to_frac
 
 
 def main() -> None:
@@ -19,9 +20,13 @@ def main() -> None:
     parser.add_argument("--delta", default="1/2")
     args = parser.parse_args()
 
-    delta = Fraction(args.delta)
     eps = [Fraction(1, 2**n) for n in range(1, args.steps + 1)]
-    run = ured_recursion(delta, eps, args.steps)
+    try:
+        delta = to_frac(args.delta)
+        run = ured_recursion(delta, eps, args.steps)
+    except ValueError as exc:  # a bad --delta or --steps ends like a CLI input error
+        sys.stderr.write(f"input error: {exc}\n")
+        sys.exit(2)
 
     print(f"z = (1 - {frac_str(delta)}) e_1, eps_n = 2^-n")
     print(f"{'n':>3} {'eps_n':>8} {'||2x_n+z||':>12} {'2 - ||2x_n+z||':>16}")

@@ -253,14 +253,15 @@ class DyadicStep:
     # -- identity -----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
+        """Equal as functions: one least common denominator and a zero
+        difference, which `lin_comb` takes motif by motif on one shape."""
         if not isinstance(other, DyadicStep):
             return NotImplemented
-        L = max(self.level, other.level)
-        return self.den == other.den and lattice(self, L)[0] == lattice(other, L)[0]
+        return self.den == other.den and (self - other).is_zero()
 
     def __hash__(self) -> int:
-        c = canonical(self)
-        return hash((c.level, c.motifs, c.den))
+        # invariants of the function, whatever its level or period
+        return hash((self.den, *norms(self)))
 
     def __repr__(self) -> str:
         body = ", ".join(
@@ -364,12 +365,13 @@ def _reduced(level: int, coarse: int, motifs, reps: int, den: int) -> DyadicStep
     return _new(level, coarse, motifs, reps, den // g)
 
 
-def _check_level(level: int) -> None:
-    """A level in 0..MAX_LEVEL, checked before anything of its size is built."""
+def _check_level(level: int, what: str = "level") -> None:
+    """A level in 0..MAX_LEVEL, checked before anything of its size is built;
+    `what` names what it bounds. The one place LevelOverflowError is raised."""
     if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
+        raise ValueError(f"{what} must be >= 0, got {level}")
     if level > MAX_LEVEL:
-        raise LevelOverflowError(f"level {level} exceeds cap {MAX_LEVEL}")
+        raise LevelOverflowError(f"{what} {level} exceeds cap {MAX_LEVEL}")
 
 
 def _check_shape(level: int, count: int) -> None:
@@ -407,8 +409,7 @@ def refine(f: DyadicStep, new_level: int) -> DyadicStep:
     numerator of its motifs repeated per subcell."""
     if new_level < f.level:
         raise ValueError(f"cannot refine level {f.level} down to {new_level}")
-    if new_level > MAX_LEVEL:
-        raise LevelOverflowError(f"level {new_level} exceeds cap {MAX_LEVEL}")
+    _check_level(new_level)
     if new_level == f.level:
         return f
     coarse = f.coarse if f.reps > 1 else new_level
@@ -461,16 +462,24 @@ def integral_over(f: DyadicStep, idx) -> Fraction:
     """Exact integral of f over the dyadic cell I(k, j), k above or below
     f's level. Past MAX_LEVEL no storage is involved, but the result's
     denominator has k bits."""
-    return _cell_integral(f, *as_index(idx))
+    return _cells_integral(f, [as_index(idx)])
 
 
-def _cell_integral(f: DyadicStep, k: int, j: int) -> Fraction:
-    """`integral_over` of the cell (k, j) that `as_index` validated."""
+def _cells_integral(f: DyadicStep, cells: Sequence[DyadicIndex]) -> Fraction:
+    """The sum of the integrals of f over cells (k, j) that `as_index`
+    validated: int masses over den << the finest level T among f and the
+    cells, and one Fraction."""
     nums, den = lattice(f)
-    if k >= f.level:
-        return Fraction(nums[(j - 1) >> (k - f.level)], den << k)
-    span = 1 << (f.level - k)
-    return Fraction(sum(nums[(j - 1) * span : j * span]), den << f.level)
+    N = f.level
+    T = max([N, *(k for k, _ in cells)])
+    total = 0
+    for k, j in cells:
+        if k >= N:
+            total += nums[(j - 1) >> (k - N)] << (T - k)
+        else:
+            span = 1 << (N - k)
+            total += sum(nums[(j - 1) * span : j * span]) << (T - N)
+    return Fraction(total, den << T)
 
 
 def norms(f: DyadicStep) -> Norms:
@@ -494,8 +503,7 @@ def dyadic_project(f: DyadicStep, K: int) -> DyadicStep:
     Replaces f by its cell averages at level K; preserves every integral
     over cells of level <= K and is idempotent.
     """
-    if K < 0:
-        raise ValueError(f"level must be >= 0, got {K}")
+    _check_level(K)
     if K >= f.level:
         return refine(f, K)
     # a level-K cell average is 2**K times its mass, which is over den << f.level

@@ -26,10 +26,9 @@ from typing import Optional, Sequence
 
 from .checks import check, require
 from .dyadic import (
-    MAX_LEVEL,
     DyadicIndex,
     DyadicStep,
-    LevelOverflowError,
+    _check_level,
     _shown,
     frac_str,
     indicator,
@@ -70,10 +69,6 @@ class Spike:
         return abs(self.height) / (1 << self.level)
 
     def as_step(self) -> DyadicStep:
-        if self.level > MAX_LEVEL:
-            raise LevelOverflowError(
-                f"spike level {self.level} exceeds dense cap {MAX_LEVEL}"
-            )
         return indicator(self.support, self.height)
 
     def to_json(self) -> dict:
@@ -143,8 +138,7 @@ def octahedral_direction(E: Sequence[DyadicStep], eps) -> DyadicStep:
     if not E:
         return DyadicStep.constant(1)
     K = _direction_level(max(f.level for f in E), eps)
-    if K > MAX_LEVEL:
-        raise LevelOverflowError(f"direction level {K} exceeds cap {MAX_LEVEL}")
+    _check_level(K, "direction level")  # K is derived, so name it
     return indicator(DyadicIndex(K, 1), 1 << K)
 
 
@@ -205,8 +199,7 @@ def disjoint_spike_family(deltas: Sequence, m: int, K: int) -> SpikeFamily:
     """x_k = (1 - deltas[k]) * 2**K * 1_{I(K, k)}: disjoint supports, exact
     l1 lower bound with equality."""
     deltas = _checked_deltas(deltas, m)
-    if K < 0 or K > MAX_LEVEL:
-        raise LevelOverflowError(f"level {K} out of range 0..{MAX_LEVEL}")
+    _check_level(K)
     if (1 << K) < m:
         raise CapacityError(f"2**{K} cells cannot host {m} disjoint members")
     spikes = tuple(

@@ -15,28 +15,15 @@ from .dyadic import DyadicStep, norms
 from .witness import WeakNbhd, near_unit_scale
 
 
-def rng_from_seed(seed: int) -> random.Random:
-    return random.Random(seed)
-
-
-def random_fraction(
-    rng: random.Random, max_num: int = 64, max_den: int = 64, signed: bool = True
-) -> Fraction:
-    lo = -max_num if signed else 0
-    return Fraction(rng.randint(lo, max_num), rng.randint(1, max_den))
+def random_fraction(rng: random.Random, max_num: int = 64, max_den: int = 64) -> Fraction:
+    return Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
 
 
 def random_step(
-    rng: random.Random,
-    max_level: int = 4,
-    max_num: int = 64,
-    max_den: int = 64,
-    signed: bool = True,
+    rng: random.Random, max_level: int = 4, max_num: int = 64, max_den: int = 64
 ) -> DyadicStep:
     level = rng.randint(0, max_level)
-    vals = tuple(
-        random_fraction(rng, max_num, max_den, signed) for _ in range(1 << level)
-    )
+    vals = tuple(random_fraction(rng, max_num, max_den) for _ in range(1 << level))
     return DyadicStep(level, vals)
 
 
@@ -47,47 +34,34 @@ def random_nonzero_step(rng: random.Random, **kw) -> DyadicStep:
             return f
 
 
-def random_functional(
-    rng: random.Random, max_level: int = 3, den: int = 16
-) -> DyadicStep:
-    """A step function with linf <= 1 (values p/den, |p| <= den)."""
-    level = rng.randint(0, max_level)
-    vals = tuple(Fraction(rng.randint(-den, den), den) for _ in range(1 << level))
+def random_functional(rng: random.Random) -> DyadicStep:
+    """A step function of level <= 3 with linf <= 1 (values p/16, |p| <= 16)."""
+    level = rng.randint(0, 3)
+    vals = tuple(Fraction(rng.randint(-16, 16), 16) for _ in range(1 << level))
     return DyadicStep(level, vals)
 
 
-def random_near_unit(
-    rng: random.Random,
-    prec=Fraction(1, 10**4),
-    max_level: int = 3,
-    max_num: int = 8,
-    max_den: int = 8,
-) -> DyadicStep:
-    """A center with tnorm_sq in [1 - 3*prec, 1].
+def random_near_unit(rng: random.Random) -> DyadicStep:
+    """A center of level <= 3 with tnorm_sq in [1 - 3/10**4, 1].
 
     The raw function is divided by an integer to bring l1 under 1 before the
-    exact near-unit scaling, which keeps the 3*prec bracket valid.
+    exact near-unit scaling to precision 1/10**4, which keeps the bracket
+    valid.
     """
-    f = random_nonzero_step(rng, max_level=max_level, max_num=max_num, max_den=max_den)
+    f = random_nonzero_step(rng, max_level=3, max_num=8, max_den=8)
     l1 = norms(f).l1
     if l1 > 1:
         f = f * Fraction(1, math.ceil(l1))
-    return near_unit_scale(f, prec)
+    return near_unit_scale(f, Fraction(1, 10**4))
 
 
-def random_weak_nbhd(
-    rng: random.Random,
-    max_functionals: int = 3,
-    min_delta=Fraction(1, 20),
-    max_delta=Fraction(1, 2),
-    **center_kw,
-) -> WeakNbhd:
-    center = random_near_unit(rng, **center_kw)
-    m = rng.randint(0, max_functionals)
+def random_weak_nbhd(rng: random.Random) -> WeakNbhd:
+    """A near-unit center, 0 to 3 functionals and delta = 1/20 + (9/20)*i/20
+    for a random i in 0..20."""
+    center = random_near_unit(rng)
+    m = rng.randint(0, 3)
     functionals = tuple(random_functional(rng) for _ in range(m))
-    lo = Fraction(min_delta)
-    hi = Fraction(max_delta)
-    delta = lo + (hi - lo) * Fraction(rng.randint(0, 20), 20)
+    delta = Fraction(1, 20) + Fraction(9, 20) * Fraction(rng.randint(0, 20), 20)
     return WeakNbhd(center, functionals, delta)
 
 
@@ -99,12 +73,10 @@ def rademacher(level: int) -> DyadicStep:
     return DyadicStep(level, vals)
 
 
-def random_disjoint_indices(
-    rng: random.Random, count: int, max_level: int = 4
-) -> list[tuple[int, int]]:
-    """Distinct cells at one common level (hence pairwise disjoint)."""
+def random_disjoint_indices(rng: random.Random, count: int) -> list[tuple[int, int]]:
+    """Distinct cells at one common level <= 4 (hence pairwise disjoint)."""
     if count == 0:
         return []
-    k = rng.randint(max(0, (count - 1).bit_length()), max_level)
+    k = rng.randint(max(0, (count - 1).bit_length()), 4)
     positions = rng.sample(range(1, (1 << k) + 1), count)
     return [(k, j) for j in sorted(positions)]

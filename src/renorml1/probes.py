@@ -19,8 +19,8 @@ from .checks import Check, check, require
 from .dyadic import (
     MAX_LEVEL,
     DyadicStep,
-    LevelOverflowError,
-    _cell_integral,
+    _cells_integral,
+    _check_level,
     as_index,
     frac_str,
     lin_comb,
@@ -123,8 +123,7 @@ def perturbation_l1_chain(
     except (ValueError, TypeError) as exc:
         raise ValueError(f"'A' must list [k, j] cells: {exc}") from None
     for k, _ in cells:
-        if k > MAX_LEVEL:
-            raise LevelOverflowError(f"cell level {k} exceeds cap {MAX_LEVEL} in 'A'")
+        _check_level(k, "'A' cell level")
     # by left endpoint, coarser first: two dyadic cells overlap only when one
     # holds the other, so some cell starts inside the one just before it
     ranked = sorted(enumerate(cells), key=lambda ic: (ic[1].j - 1 << MAX_LEVEL - ic[1].k, ic[1].k))
@@ -133,8 +132,8 @@ def perturbation_l1_chain(
             first, second = (a, b) if i < j else (b, a)
             raise ValueError(f"indices {tuple(first)} and {tuple(second)} overlap")
     af, ag = abs(f), abs(g)
-    int_a_f = sum((_cell_integral(af, *idx) for idx in cells), Fraction(0))
-    int_a_g = sum((_cell_integral(ag, *idx) for idx in cells), Fraction(0))
+    int_a_f = _cells_integral(af, cells)
+    int_a_g = _cells_integral(ag, cells)
     l1_sum = norms(f + g).l1
     l1_diff = norms(f - g).l1
     l1_f = norms(f).l1

@@ -10,6 +10,7 @@ the trial (0 for a fixed check). Everything is exact; there are no tolerances.
 from __future__ import annotations
 
 import math
+import random
 import zlib
 from fractions import Fraction
 from typing import Iterator
@@ -48,7 +49,7 @@ from .ured import segment_check, ured_recursion
 
 def _sub_rng(seed: int, tag: str):
     # str hashing is salted per process; crc32 keeps streams reproducible
-    return gen.rng_from_seed((seed ^ zlib.crc32(tag.encode())) & 0xFFFFFFFFFFFF)
+    return random.Random((seed ^ zlib.crc32(tag.encode())) & 0xFFFFFFFFFFFF)
 
 
 class InvariantFailure(Exception):

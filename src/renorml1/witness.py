@@ -35,9 +35,8 @@ from typing import Sequence
 
 from .checks import Check, check, require
 from .dyadic import (
-    MAX_LEVEL,
     DyadicStep,
-    LevelOverflowError,
+    _check_level,
     _shown,
     frac_str,
     lin_comb,
@@ -160,26 +159,25 @@ class WitnessReport:
 def choose_gamma(f_inf, delta, eps) -> Fraction:
     """Largest gamma = 2**-p (p >= 1) with (5*f_inf + 1)*gamma < delta and
     2*(1-gamma)**1.5 > 2 - eps, the latter compared as 4*(1-gamma)**3 >
-    (2-eps)**2 (vacuous for eps >= 2). LevelOverflowError when no
-    gamma >= 2**-(4*MAX_LEVEL + 64) qualifies: a smaller one puts the split
-    level K + 2 far past MAX_LEVEL."""
+    (2-eps)**2 (vacuous for eps >= 2). Both hold for every larger p, so p is
+    the larger of the two smallest p, each read off a bit length."""
     f_inf, delta, eps = to_frac(f_inf), to_frac(delta), to_frac(eps)
     if delta <= 0:
         raise ValueError("delta must be > 0")
     if eps <= 0:
         raise ValueError("eps must be > 0")
-    p = 1
-    while True:
-        gamma = Fraction(1, 1 << p)
-        if (5 * f_inf + 1) * gamma < delta and (
-            eps >= 2 or 4 * (1 - gamma) ** 3 > (2 - eps) ** 2
-        ):
-            return gamma
-        p += 1
-        if p > 4 * MAX_LEVEL + 64:
-            raise LevelOverflowError(
-                f"gamma would be below 2**-{p - 1}, so the split level exceeds cap {MAX_LEVEL}"
-            )
+    # 2**p > (5*f_inf + 1)/delta exactly when 2**p > its floor
+    p = max(1, max(0, (5 * f_inf + 1) // delta).bit_length())
+    if eps < 2:
+        # (1-gamma)**3 > t = (2-eps)**2/4 needs gamma < 1 - t, since
+        # (1-gamma)**3 < 1-gamma, and 3*gamma < 1 - t is enough, since
+        # (1-gamma)**3 >= 1 - 3*gamma: so p is q, q + 1 or q + 2, with q the
+        # smallest p with 2**-p < 1 - t
+        t = (2 - eps) ** 2 / 4
+        q = (1 // (1 - t)).bit_length()
+        q += sum((1 - Fraction(1, 1 << i)) ** 3 <= t for i in (q, q + 1))
+        p = max(p, q)
+    return Fraction(1, 1 << p)
 
 
 def choose_K(gamma, functional_levels) -> int:
@@ -193,8 +191,7 @@ def choose_K(gamma, functional_levels) -> int:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
     # 2**K > 1/gamma exactly when 2**K > floor(1/gamma)
     K = max(max(functional_levels, default=0), (gamma.denominator // gamma.numerator).bit_length())
-    if K + 2 > MAX_LEVEL:
-        raise LevelOverflowError(f"split level {K}+2 exceeds cap {MAX_LEVEL}")
+    _check_level(K + 2, "split level")
     return K
 
 
@@ -208,8 +205,7 @@ def split_pair(f: DyadicStep, K: int) -> SplitPair:
     """
     if K < 0:
         raise ValueError(f"K must be >= 0, got {K}")
-    if K + 2 > MAX_LEVEL:
-        raise LevelOverflowError(f"split level {K}+2 exceeds cap {MAX_LEVEL}")
+    _check_level(K + 2, "split level")
     L = min(f.level, K)
     # pos[j] and neg[j] are the masses of |f| + f and |f| - f (twice f's
     # positive and negative parts) on the level-L cell j, over D

@@ -5,6 +5,7 @@ single PASS line; run with `pytest tests/test_acceptance.py -v -s`.
 
 import json
 import math
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -46,7 +47,6 @@ from renorml1.gen import (
     random_nonzero_step,
     random_functional,
     random_step,
-    rng_from_seed,
 )
 
 
@@ -107,7 +107,7 @@ def mass_pyramid(step, top):
 
 def test_01_norm_closed_form():
     assert tnorm_sq(DyadicStep.constant(1)) == Fraction(8, 7)
-    rng = rng_from_seed(101)
+    rng = random.Random(101)
     for _ in range(200):
         f = random_step(rng, max_level=6, max_num=64, max_den=64)
         t = tnorm_sq(f)
@@ -117,7 +117,7 @@ def test_01_norm_closed_form():
 
 
 def test_02_equivalence():
-    rng = rng_from_seed(102)
+    rng = random.Random(102)
     for _ in range(1000):
         f = random_step(rng, max_level=5, max_num=32, max_den=32)
         eq = check_equivalence(f)
@@ -131,7 +131,7 @@ def test_02_equivalence():
 def test_03_split_identities():
     from renorml1 import split_pair
 
-    rng = rng_from_seed(103)
+    rng = random.Random(103)
     for _ in range(500):
         f = random_step(rng, max_level=3, max_num=8, max_den=8)
         K = rng.randint(0, 5)
@@ -156,7 +156,7 @@ def test_03_split_identities():
 
 
 def test_04_d2p_witness():
-    rng = rng_from_seed(104)
+    rng = random.Random(104)
     eps = Fraction(1, 10)
     target = (2 - eps) ** 2
     for _ in range(100):
@@ -191,7 +191,7 @@ def test_04_d2p_witness():
 
 
 def test_05_strict_convexity():
-    rng = rng_from_seed(105)
+    rng = random.Random(105)
     mismatches = 0
     for _ in range(1000):
         f = random_step(rng, max_level=3, max_num=8, max_den=8)
@@ -218,7 +218,7 @@ def test_05_strict_convexity():
 
 
 def test_06_equi_integrability_chain():
-    rng = rng_from_seed(106)
+    rng = random.Random(106)
     for _ in range(500):
         f = random_step(rng, max_level=4, max_num=16, max_den=16)
         g = random_step(rng, max_level=4, max_num=16, max_den=16)
@@ -229,7 +229,7 @@ def test_06_equi_integrability_chain():
 
 
 def test_07_octahedrality_oracle():
-    rng = rng_from_seed(107)
+    rng = random.Random(107)
     eps_pool = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
     for trial in range(100):
         members = rng.randint(1, 3)
@@ -252,7 +252,7 @@ def test_07_octahedrality_oracle():
 
 
 def test_08_asymptotic_ell1():
-    rng = rng_from_seed(108)
+    rng = random.Random(108)
     disj = disjoint_spike_family(
         [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)], 4, 3
     )
@@ -273,7 +273,7 @@ def test_08_asymptotic_ell1():
 
 
 def test_09_dual_segment():
-    rng = rng_from_seed(109)
+    rng = random.Random(109)
     for _ in range(50):
         m = rng.randint(2, 6)
         K = rng.randint((m - 1).bit_length(), 5)
@@ -311,7 +311,7 @@ def test_10_ured_failure():
 
 
 def test_11_dual_norm_estimator():
-    rng = rng_from_seed(111)
+    rng = random.Random(111)
 
     def grid_optimum(h):
         # brute force over level-2 nonnegative step functions, values on the

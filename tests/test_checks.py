@@ -93,7 +93,8 @@ def scopes(body, prefix=""):
 
 class TestOneRaiseSite:
     """A lint-style guard: a failed verification raises only through
-    `checks.require`, and the check record is defined once."""
+    `checks.require`, a level past the cap only through
+    `dyadic._check_level`, and the check record is defined once."""
 
     def modules(self):
         return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
@@ -110,6 +111,18 @@ class TestOneRaiseSite:
             if isinstance(node, ast.Raise) and node.exc is not None and "RuntimeError" in names(node.exc)
         }
         assert sites == {("checks.py", "require")}
+
+    def test_level_overflow_is_raised_in_check_level_only(self):
+        """Every `raise` of a `LevelOverflowError` in the package sits in
+        `dyadic._check_level`: the level cap is checked in one function."""
+        sites = [
+            (name, qual)
+            for name, tree in self.modules().items()
+            for qual, scope in scopes(tree.body)
+            for node in ast.walk(scope)
+            if isinstance(node, ast.Raise) and node.exc is not None and "LevelOverflowError" in names(node.exc)
+        ]
+        assert sites == [("dyadic.py", "_check_level")]
 
     #: the code that must know a step's type: equality with other objects
     STEP_TYPE_ALLOWED = {("dyadic.py", "DyadicStep.__eq__")}

@@ -127,8 +127,8 @@ class TestWitness:
         rc, _ = invoke(tmp_path, "witness", "--input", str(tmp_path / "no.json"), "--eps", "1/5")
         assert rc == 2
 
-    # no gamma >= 2**-144 is admissible here, and a smaller one could never
-    # fit its split level under the cap: an input error, not an internal one
+    # gamma is below 2**-200 here, so its split level is far past the cap:
+    # an input error, not an internal one
     @pytest.mark.parametrize("delta, eps", [(f"1/{2**200}", "1/5"), ("1/10", f"1/{2**200}")])
     def test_tiny_delta_or_eps_exceeds_the_cap(self, tmp_path, capsys, delta, eps):
         path = write_json(tmp_path, "nbhd.json", dict(NBHD, delta=delta))
@@ -136,6 +136,13 @@ class TestWitness:
         err = capsys.readouterr().err
         assert rc == 2 and text == ""
         assert err.startswith("input error:") and f"exceeds cap {MAX_LEVEL}" in err
+
+    def test_eps_one_over_ten_to_the_100_names_the_split_level(self, tmp_path, capsys):
+        # gamma = 2**-334 and K = 335: the split level K + 2 is read off, not searched for
+        path = write_json(tmp_path, "nbhd.json", NBHD)
+        rc, text = invoke(tmp_path, "witness", "--input", path, "--eps", f"1/{10**100}")
+        assert (rc, text) == (2, "")
+        assert capsys.readouterr().err == f"input error: split level 337 exceeds cap {MAX_LEVEL}\n"
 
 
 class TestProbe:
@@ -334,8 +341,8 @@ class TestInputErrors:
             ([[1.7, 1]], "'A' must list [k, j] cells: cell index entries must be integers, got 1.7"),
             ([[True, 1]], "'A' must list [k, j] cells: cell index entries must be integers, got True"),
             ([[1, 3]], "'A' must list [k, j] cells: cell position 3 out of range 1..2**1"),
-            ([[MAX_LEVEL + 1, 1]], f"cell level {MAX_LEVEL + 1} exceeds cap {MAX_LEVEL} in 'A'"),
-            ([[10**10, 1]], f"cell level {10**10} exceeds cap {MAX_LEVEL} in 'A'"),
+            ([[MAX_LEVEL + 1, 1]], f"'A' cell level {MAX_LEVEL + 1} exceeds cap {MAX_LEVEL}"),
+            ([[10**10, 1]], f"'A' cell level {10**10} exceeds cap {MAX_LEVEL}"),
             ("x", "'A' must be a list, got 'x'"),
         ],
     )

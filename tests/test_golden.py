@@ -197,3 +197,14 @@ def test_slice_gaps_output_unchanged(monkeypatch, capsys, tmp_path):
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
         "15558a8dd29b5e04bfdac68685dd3366404f8ab0adb05075979836711d8bfda0"
     )
+
+
+@pytest.mark.parametrize("name, argv, line", [
+    ("ured_demo.py", ["--delta", "2"], "input error: delta must be in (0, 1), got 2\n"),
+    ("slice_gaps.py", ["--prec", "2"], "input error: prec must be in (0, 1], got 2/1\n"),
+], ids=["ured_demo", "slice_gaps"])
+def test_demo_scripts_end_bad_input_like_the_cli(monkeypatch, capsys, tmp_path, name, argv, line):
+    monkeypatch.chdir(tmp_path)  # slice_gaps.py would write its csv here
+    with pytest.raises(SystemExit) as info:
+        run_script(monkeypatch, capsys, name, argv)
+    assert info.value.code == 2 and capsys.readouterr() == ("", line)

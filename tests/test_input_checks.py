@@ -36,10 +36,10 @@ CASES = [
     (lambda: near_unit_scale(HALF, 2), ValueError, "prec must be in (0, 1], got 2/1"),
     (lambda: choose_K(Fraction(1), []), ValueError, "gamma must be in (0, 1), got 1"),
     (lambda: choose_K(Fraction(1, 2), [MAX_LEVEL - 1]), LevelOverflowError,
-     f"split level {MAX_LEVEL - 1}+2 exceeds cap {MAX_LEVEL}"),
+     f"split level {MAX_LEVEL + 1} exceeds cap {MAX_LEVEL}"),
     (lambda: split_pair(HALF, -1), ValueError, "K must be >= 0, got -1"),
     (lambda: split_pair(HALF, MAX_LEVEL - 1), LevelOverflowError,
-     f"split level {MAX_LEVEL - 1}+2 exceeds cap {MAX_LEVEL}"),
+     f"split level {MAX_LEVEL + 1} exceeds cap {MAX_LEVEL}"),
     (lambda: d2p_witness(WeakNbhd(HALF, (), Fraction(1, 2)), 0), ValueError, "eps must be > 0"),
     (lambda: weak_smallness(HALF, -1), ValueError, "depth must be >= 0, got -1"),
     (lambda: partial_below(HALF, -1), ValueError, "truncation level must be >= 0, got -1"),
@@ -51,7 +51,7 @@ CASES = [
     (lambda: octahedral_direction([DyadicStep.zero(MAX_LEVEL)], Fraction(1, 2)), LevelOverflowError,
      f"direction level {MAX_LEVEL + 2} exceeds cap {MAX_LEVEL}"),
     (lambda: disjoint_spike_family([Fraction(1, 2)], 1, MAX_LEVEL + 1), LevelOverflowError,
-     f"level {MAX_LEVEL + 1} out of range 0..{MAX_LEVEL}"),
+     f"level {MAX_LEVEL + 1} exceeds cap {MAX_LEVEL}"),
     (lambda: DyadicStep.periodic(1, (1,), 1, 1), ValueError,
      "need 2**1 motifs of 2**w values and reps a power of 2, got 1 and 1"),
     (lambda: decimal_str(Fraction(-1)), ValueError, "negative argument"),

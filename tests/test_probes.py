@@ -118,9 +118,9 @@ class TestPerturbationChain:
 
     def test_cell_above_the_cap_raises_before_integrating(self, monkeypatch):
         # a level-10**10 integral would need a 10**10-bit denominator (1.25 GB)
-        monkeypatch.setattr(probes, "_cell_integral", lambda f, k, j: pytest.fail("integrated"))
+        monkeypatch.setattr(probes, "_cells_integral", lambda f, cells: pytest.fail("integrated"))
         f = mk(0, 1)
-        with pytest.raises(LevelOverflowError, match=f"cell level {10**10} exceeds cap {MAX_LEVEL}"):
+        with pytest.raises(LevelOverflowError, match=f"'A' cell level {10**10} exceeds cap {MAX_LEVEL}"):
             perturbation_l1_chain(f, f, [(10**10, 1)])
         with pytest.raises(LevelOverflowError):
             perturbation_l1_chain(f, f, [(0, 1), (MAX_LEVEL + 1, 1)])

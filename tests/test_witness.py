@@ -5,7 +5,7 @@ from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from renorml1 import (
@@ -43,6 +43,7 @@ from renorml1.renorm import tnorm_sq_diff
 from renorml1.witness import _verify_split
 from conftest import mk, steps
 from dense_split import dense_extreme_json, dense_split, dense_verify, dense_witness_json
+from gamma_loop import gamma_increment_loop
 from stern_brocot import stern_brocot_leq_sqrt
 
 
@@ -66,6 +67,21 @@ class TestChooseGamma:
             choose_gamma(1, 0, 1)
         with pytest.raises(ValueError):
             choose_gamma(1, 1, 0)
+
+    @given(
+        st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**12),
+        st.fractions(min_value=0, max_value=100, max_denominator=10**30).filter(lambda d: d > 0),
+        st.one_of(
+            st.fractions(min_value=0, max_value=4, max_denominator=10**30).filter(lambda e: e > 0),
+            st.sampled_from([Fraction(2), Fraction(5, 2), Fraction(1, 10**100)]),
+        ),
+    )
+    @example(Fraction(1), Fraction(1, 2), Fraction(1, 10**100))
+    @example(Fraction(-3, 5), Fraction(1, 10**30), Fraction(2))
+    @example(Fraction(7, 8), Fraction(1, 10), Fraction(199, 100))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_increment_loop(self, f_inf, delta, eps):
+        assert choose_gamma(f_inf, delta, eps) == gamma_increment_loop(f_inf, delta, eps)
 
 
 class TestChooseK:
@@ -92,7 +108,7 @@ class TestChooseK:
         while Fraction(1, 1 << K) >= gamma:
             K += 1
         if K + 2 > MAX_LEVEL:
-            with pytest.raises(LevelOverflowError, match=re.escape(f"split level {K}+2 exceeds cap {MAX_LEVEL}")):
+            with pytest.raises(LevelOverflowError, match=re.escape(f"split level {K + 2} exceeds cap {MAX_LEVEL}")):
                 choose_K(gamma, levels)
         else:
             assert choose_K(gamma, levels) == K
@@ -194,6 +210,13 @@ class TestTheSplitIsOneStepClass:
     def test_equal_and_hash_to_the_dense_step(self):
         assert self.f1 == self.f1.dense() and self.f1.dense() == self.f1
         assert hash(self.f1) == hash(self.f1.dense())
+
+    def test_equal_and_hash_of_one_shape_read_the_motifs(self, monkeypatch):
+        f2 = split_pair(DyadicStep(1, ["1/2", "-1/3"]), 3).f2
+        again = lin_comb(1, self.f1, 0, f2)  # f1, built anew in the shape f1 and f2 share
+        monkeypatch.setattr(DyadicStep, "dense", lambda f: pytest.fail("expanded"))
+        assert again == self.f1 and self.f1 != f2
+        assert hash(again) == hash(self.f1)
 
     def test_project_between_the_coarse_and_the_period_level(self):
         assert dyadic_project(self.f1, 2) == dyadic_project(self.f1.dense(), 2)
