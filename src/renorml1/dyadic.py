@@ -19,10 +19,12 @@ at the boundary.
 Two step functions are equal iff their refinements to a common level have
 identical values, so neither the level nor the period is part of the
 identity of a function. Every public function returns for a periodic step
-what it returns for its dense expansion `dense()`. The kernels read the
-lattice through `masses(k)`, which takes every k up to the level,
-`level_squares()` and `blocks()`; `mass_levels` is the one fold of int
-masses to coarser levels.
+what it returns for its dense expansion `dense()`. `masses(k)`, the one
+cell reader, costs O(motifs + 2**k): above the period level the motifs fold
+within themselves. Beyond `masses(level)`, only `values`, `canonical` and
+combining steps of different shapes build all 2**level cells. The kernels read the lattice
+through `masses(k)`, `level_squares()` and `blocks()`; `mass_levels` is the
+one fold of int masses to coarser levels.
 """
 
 from __future__ import annotations
@@ -219,7 +221,7 @@ class DyadicStep:
     def values(self) -> tuple[Fraction, ...]:
         """The cell values as Fractions; each distinct numerator is reduced once."""
         frac = {n: Fraction(n, self.den) for n in set(self.motifs)}
-        return tuple(map(frac.__getitem__, lattice(self)[0]))
+        return tuple(map(frac.__getitem__, self.masses(self.level)))
 
     @property
     def period_level(self) -> int:
@@ -284,17 +286,22 @@ class DyadicStep:
         return _new(self.level, self.level, nums, 1, self.den)
 
     def masses(self, k: int) -> Sequence[int]:
-        """The masses of the 2**k cells of level k <= level, over den << level:
-        up to the period level P, a level-k cell of coarse cell j, k >= the
-        coarse level L, holds 2**(P - k) periods of motif j and below L those
-        masses fold; above P they are the dense expansion's."""
-        P, L = self.period_level, self.coarse
+        """The masses of the 2**k cells of level 0 <= k <= level, over
+        den << level, in O(len(motifs) + 2**k): above the period level P each
+        motif folds within itself, and its masses repeat `reps` times; up to
+        P, a level-k cell of coarse cell j, k >= the coarse level L, holds
+        2**(P - k) periods of motif j, and below L those masses fold."""
+        N, P, L = self.level, self.period_level, self.coarse
+        if k > N:
+            raise ValueError(f"masses at level {k} lie above the level {N}")
+        _check_level(k, "mass level")
+        # each motif folded to level max(k, P): one period, for a dense step its values
+        sums = next(islice(mass_levels(self.motifs), N - max(k, P), None))
         if k > P:
-            if k > self.level:
-                raise ValueError(f"masses at level {k} lie above the level {self.level}")
-            return self.dense().masses(k)
-        # one period of each coarse cell, for a dense step its values
-        sums = next(islice(mass_levels(self.motifs), self.level - P, None))
+            b, tiled = 1 << k - P, []
+            for i in range(0, len(sums), b):
+                tiled += sums[i : i + b] * self.reps
+            return tiled
         if k >= L:
             return sums if P == L else _repeat(tuple([s << P - k for s in sums]), 1 << k - L)
         return next(islice(mass_levels([s << P - L for s in sums] if P > L else sums), L - k, None))
@@ -424,12 +431,6 @@ def canonical(f: DyadicStep) -> DyadicStep:
     return _new(level, level, nums, 1, f.den)
 
 
-def lattice(f: DyadicStep, level: Optional[int] = None) -> tuple[tuple[int, ...], int]:
-    """(nums, den) of f, one numerator per cell; with `level`, the numerators
-    are refined to that level (each repeated per subcell)."""
-    return _repeat(f.dense().motifs, 1 << ((f.level if level is None else level) - f.level)), f.den
-
-
 def from_lattice(level: int, nums, den: int) -> DyadicStep:
     """The dense step function with values Fraction(nums[i], den), reduced to
     the least common denominator of its values."""
@@ -467,19 +468,18 @@ def integral_over(f: DyadicStep, idx) -> Fraction:
 
 def _cells_integral(f: DyadicStep, cells: Sequence[DyadicIndex]) -> Fraction:
     """The sum of the integrals of f over cells (k, j) that `as_index`
-    validated: int masses over den << the finest level T among f and the
-    cells, and one Fraction."""
-    nums, den = lattice(f)
-    N = f.level
-    T = max([N, *(k for k, _ in cells)])
+    validated, as one Fraction over den << the finest level T among f and
+    the cells: each reads f's masses at level min(k, level), once per level."""
+    N, levels = f.level, {k for k, _ in cells}
+    T = max([N, *levels])
+    masses = {m: f.masses(m) for m in {min(k, N) for k in levels}}
+    # per cell level k: its masses, the bits a finer cell's j drops, the shift to T
+    read = {k: (masses[min(k, N)], max(k - N, 0), T - max(k, N)) for k in levels}
     total = 0
     for k, j in cells:
-        if k >= N:
-            total += nums[(j - 1) >> (k - N)] << (T - k)
-        else:
-            span = 1 << (N - k)
-            total += sum(nums[(j - 1) * span : j * span]) << (T - N)
-    return Fraction(total, den << T)
+        ms, drop, shift = read[k]
+        total += ms[(j - 1) >> drop] << shift
+    return Fraction(total, f.den << T)
 
 
 def norms(f: DyadicStep) -> Norms:
@@ -494,7 +494,7 @@ def pairing(f: DyadicStep, h: DyadicStep) -> Fraction:
     numerators."""
     if h.level > f.level:
         f, h = h, f
-    return Fraction(sum(map(mul, f.masses(h.level), lattice(h)[0])), h.den * f.den << f.level)
+    return Fraction(sum(map(mul, f.masses(h.level), h.masses(h.level))), h.den * f.den << f.level)
 
 
 def dyadic_project(f: DyadicStep, K: int) -> DyadicStep:

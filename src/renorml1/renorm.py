@@ -30,7 +30,6 @@ from .dyadic import (
     frac_str,
     from_lattice,
     integral_over,
-    lattice,
     lin_comb,
     mass_levels,
     norms,
@@ -165,19 +164,18 @@ def triangle_equality_case(f: DyadicStep, g: DyadicStep) -> EqualityCase:
     proportional seminorm vectors; on step functions this reduces to the
     finite criterion f = t*g cellwise for some t >= 0.
     """
-    L = max(f.level, g.level)
-    vf = refine(f, L).values
-    vg = refine(g, L).values
-    if all(y == 0 for y in vg):
-        if all(x == 0 for x in vf):
+    if g.is_zero():
+        if f.is_zero():
             return EqualityCase("Degenerate", Fraction(0), zero_operand=True)
         return EqualityCase("Strict", None, zero_operand=True)
-    i0 = next(i for i, y in enumerate(vg) if y != 0)
-    t = vf[i0] / vg[i0]
-    if t < 0:
+    L = max(f.level, g.level)
+    a, b = refine(f, L).masses(L), refine(g, L).masses(L)
+    # at the first cell where g is not 0, t = (x0 / f.den) / (y0 / g.den); f = t*g cross-multiplied
+    x0, y0 = next((x, y) for x, y in zip(a, b) if y)
+    if x0 * y0 < 0:
         return EqualityCase("Strict")
-    if all(x == t * y for x, y in zip(vf, vg)):
-        return EqualityCase("Degenerate", t)
+    if all(x * y0 == x0 * y for x, y in zip(a, b)):
+        return EqualityCase("Degenerate", Fraction(x0 * g.den, y0 * f.den))
     return EqualityCase("Strict")
 
 
@@ -273,7 +271,8 @@ def dual_norm_estimate(h: DyadicStep, L: int) -> DualNormEstimate:
     """
     if L < h.level:
         raise ValueError(f"dual-norm level L = {L} is below the level {h.level} of h")
-    nums, den = lattice(dyadic_project(h, L))
+    hL = dyadic_project(h, L)
+    nums, den = hL.masses(L), hL.den
     c = list(map(abs, nums))
     S = [x > 0 for x in c]
     U, E = _support_solve(L, c, S)

@@ -269,7 +269,7 @@ def d2p_witness(nbhd: WeakNbhd, eps) -> WitnessReport:
     f = nbhd.center
     q = tnorm_sq(f)
     if q > 1:
-        raise ValueError(f"center has tnorm_sq = {q} > 1; not in the unit ball")
+        raise ValueError(f"center has tnorm_sq = {_shown(frac_str(q))} > 1; not in the unit ball")
 
     gamma = choose_gamma(norms(f).linf, nbhd.delta, eps)
     K = choose_K(gamma, [h.level for h in nbhd.functionals])

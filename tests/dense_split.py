@@ -20,9 +20,9 @@ from renorml1.checks import Check, check
 from renorml1.dyadic import (
     DyadicStep,
     _new,
+    _repeat,
     frac_str,
     from_lattice,
-    lattice,
     lin_comb,
     mass_levels,
     norms,
@@ -30,6 +30,13 @@ from renorml1.dyadic import (
 )
 from renorml1.renorm import tnorm_sq, tnorm_sq_from_squares
 from renorml1.witness import WeakNbhd, choose_K, choose_gamma
+
+
+def lattice(f: DyadicStep, level=None) -> tuple[tuple[int, ...], int]:
+    """(nums, den) of f, one numerator per cell of its dense expansion; with
+    `level`, refined to that level (each repeated per subcell). A reader of
+    its own, so that the oracle does not read the kernel's `masses`."""
+    return _repeat(f.dense().motifs, 1 << ((f.level if level is None else level) - f.level)), f.den
 
 
 @dataclass(frozen=True)

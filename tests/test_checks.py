@@ -178,6 +178,25 @@ class TestOneRaiseSite:
         ]
         assert found == []
 
+    def test_kernels_read_cells_through_masses(self):
+        """`masses(k)` is the one cell reader: no module defines a
+        `lattice` function, and `renorm`, `probes` and `witness` read no
+        step's `.values` (a `.values()` call on a dict is not a read)."""
+        found = []
+        for name, tree in self.modules().items():
+            called = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == "lattice":
+                    found.append((name, node.lineno, "lattice"))
+                elif (
+                    name in ("renorm.py", "probes.py", "witness.py")
+                    and isinstance(node, ast.Attribute)
+                    and node.attr == "values"
+                    and id(node) not in called
+                ):
+                    found.append((name, node.lineno, ".values"))
+        assert found == []
+
     def test_no_rounding_in_the_package(self):
         """Every value is exact: no `float(...)` and no `limit_denominator`
         call anywhere in the package."""

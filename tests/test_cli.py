@@ -487,6 +487,20 @@ class TestInputErrors:
         assert rc == 2 and text == ""
         assert capsys.readouterr().err == f"input error: {message}...\n"
 
+    # a center outside the unit ball is named by the start of its T**2, also
+    # past Python's 4300-digit int-string limit (3000 sevens)
+    @pytest.mark.parametrize("n", [1500, 3000])
+    @pytest.mark.parametrize("argv", [["witness"], ["probe", "extreme"], ["probe", "slice"]])
+    def test_out_of_ball_center_is_named_by_its_start(self, tmp_path, capsys, argv, n):
+        d = int("7" * n)
+        center = {"level": 0, "values": [f"{2 * d + 1}/{d}"]}
+        path = write_json(tmp_path, "in.json", dict(NBHD, center=center))
+        rc, text = invoke(tmp_path, *argv, "--eps", "1/5", "--input", path)
+        # T(c)**2 = (8/7) c**2 for the constant c = (2d + 1)/d
+        shown = frac_str(Fraction(8 * (2 * d + 1) ** 2, 7 * d * d))[:21]
+        assert rc == 2 and text == ""
+        assert capsys.readouterr().err == f"input error: center has tnorm_sq = {shown}... > 1; not in the unit ball\n"
+
     def test_invalid_rational_is_named_by_its_start(self, tmp_path, capsys):
         rc, text = invoke(tmp_path, "ured", "--delta", "1/2", "--eps", "x" * 5000)
         err = capsys.readouterr().err

@@ -8,10 +8,11 @@ functions, and on values with 2**48-sized denominators (the shape of the
 rounded iterates of the projected ascent that `dual_norm_estimate` ran
 before its exact solve).
 
-`oracle_lattice` is the former body of `lattice`, which recomputed the
-numerators from the values on every call. Every step now holds only its
-numerators and their denominator: for a step from every public constructor
-and operation they must equal the oracle's, so the stored denominator is
+`oracle_lattice` is the former body of the removed `lattice` reader, which
+recomputed the numerators from the values on every call. Every step now
+holds only its numerators and their denominator, which `masses(level)` and
+`den` read (`read`): for a step from every public constructor and operation
+they must equal the oracle's, so the stored denominator is
 the least one, `==` and `hash` must agree with comparing refined Fraction
 values, and the numerators must never change after a kernel has read them.
 """
@@ -60,13 +61,12 @@ from renorml1.dyadic import (
     LevelOverflowError,
     frac_str,
     from_lattice,
-    lattice,
     mass_levels,
     step_from_json,
     step_to_json,
     steps_to_json,
 )
-from renorml1.renorm import _q_product, partial_below, tail_formula, tnorm_sq
+from renorml1.renorm import EqualityCase, _q_product, partial_below, tail_formula, tnorm_sq
 from conftest import mk, small_fractions
 
 # -- oracles: the Fraction kernel ----------------------------------------------
@@ -80,6 +80,14 @@ def oracle_lattice(f, level=None):
     nums = [n * (den // d) for n, d in ratios]
     rep = 1 << ((f.level if level is None else level) - f.level)
     return (nums if rep == 1 else [n for n in nums for _ in range(rep)]), den
+
+
+def read(f, level=None):
+    """(nums, den) of f through the one cell reader: the level-L masses of f
+    refined to L (its own level by default), which are over den << L, so
+    equal to its numerators over den."""
+    L = f.level if level is None else level
+    return refine(f, L).masses(L), f.den
 
 
 def oracle_mass_levels(f, absolute=False):
@@ -150,6 +158,23 @@ def oracle_tnorm_grad(u):
     return grad
 
 
+def oracle_triangle_equality_case(f, g):
+    L = max(f.level, g.level)
+    vf = refine(f, L).values
+    vg = refine(g, L).values
+    if all(y == 0 for y in vg):
+        if all(x == 0 for x in vf):
+            return EqualityCase("Degenerate", Fraction(0), zero_operand=True)
+        return EqualityCase("Strict", None, zero_operand=True)
+    i0 = next(i for i, y in enumerate(vg) if y != 0)
+    t = vf[i0] / vg[i0]
+    if t < 0:
+        return EqualityCase("Strict")
+    if all(x == t * y for x, y in zip(vf, vg)):
+        return EqualityCase("Degenerate", t)
+    return EqualityCase("Strict")
+
+
 # -- inputs --------------------------------------------------------------------
 
 #: values with denominators up to 2**48
@@ -183,7 +208,7 @@ def as_fractions(D, levels):
 @settings(max_examples=100, deadline=None)
 @given(functions())
 def test_lattice_writes_the_values(f):
-    nums, den = lattice(f)
+    nums, den = read(f)
     assert all(isinstance(n, int) for n in nums) and den >= 1
     assert tuple(Fraction(n, den) for n in nums) == f.values
     assert den == lcm(*(v.denominator for v in f.values))
@@ -227,6 +252,21 @@ def test_norms_projection_and_gradient(f, K):
     # T(u)**2 = u^T Q u / (7 * 16**L): its gradient is 2 Q u / (7 * 16**L)
     u, L = abs(f), f.level
     assert [Fraction(2 * x, 7 * u.den << 4 * L) for x in _q_product(L, u.motifs)] == oracle_tnorm_grad(u)
+
+
+@settings(max_examples=100, deadline=None)
+@given(functions(), functions(), st.sampled_from(("free", "multiple", "zero f", "zero g")), values, st.integers(0, 2))
+def test_triangle_equality_case_cross_multiplies(f, g, kind, t, up):
+    # g a multiple of f (t of either sign or 0, at a finer level), either one
+    # zero, or the two drawn apart; at mixed levels either way round
+    if kind == "multiple":
+        g = refine(t * f, f.level + up)
+    elif kind == "zero f":
+        f = DyadicStep.zero(up)
+    elif kind == "zero g":
+        g = DyadicStep.zero(up)
+    assert triangle_equality_case(f, g) == oracle_triangle_equality_case(f, g)
+    assert triangle_equality_case(g, f) == oracle_triangle_equality_case(g, f)
 
 
 # -- one step class: periodic steps against their dense expansions --------------
@@ -282,9 +322,11 @@ def test_dense_and_periodic_views_agree(p, data):
     d, N = p.dense(), p.level
     assert (d.level, d.coarse, d.reps, d.period_level) == (N, N, 1, N) and p.reps >= 2
     assert p == d and hash(p) == hash(d) and repr(p) == repr(d) and p.values == d.values
-    assert lattice(p) == lattice(d) and lattice(p, N + 1) == lattice(d, N + 1) and p.is_zero() == d.is_zero()
-    # the lattice the kernels read; `masses` and `pairing` against dense
-    # functionals are tested below
+    assert list(read(p, N + 1)[0]) == list(read(d, N + 1)[0]) and p.den == d.den and p.is_zero() == d.is_zero()
+    # the one cell reader, at every level and past both ends; `pairing`
+    # against dense functionals is tested below
+    for k in range(-1, N + 2):
+        agree(lambda f: list(f.masses(k)), p)
     assert p.level_squares() == d.level_squares()
     assert list(chain.from_iterable(b * p.reps for b in p.blocks())) == list(d.motifs)
     c = data.draw(small_fractions)
@@ -330,6 +372,46 @@ def test_masses_take_every_level_up_to_the_level(p):
         p.masses(N + 1)
 
 
+def test_masses_below_level_0_are_refused():
+    # named, not a StopIteration out of the fold; above the level comes first
+    f = DyadicStep(2, [1, 2, 3, 4])
+    with pytest.raises(ValueError, match="^mass level must be >= 0, got -1$"):
+        f.masses(-1)
+    with pytest.raises(ValueError, match="^mass level must be >= 0, got -1$"):
+        DyadicStep.periodic(0, [1, 2], 2, 3).masses(-1)
+    with pytest.raises(ValueError, match="^masses at level 3 lie above the level 2$"):
+        f.masses(3)
+
+
+def test_cell_readers_expand_no_step_past_the_level_asked(monkeypatch):
+    # the split's f1 has level 20 and period level 18: a read of the cells of
+    # level k <= 19 must never build its 2**20 cells
+    f1 = split_pair(DyadicStep(1, [Fraction(1, 2), Fraction(-1, 3)]), 18).f1
+    assert (f1.level, f1.period_level) == (20, 18)
+    expanded = []
+    dense = DyadicStep.dense
+
+    def recording(f):
+        if f.reps > 1:
+            expanded.append(f.level)
+        return dense(f)
+
+    monkeypatch.setattr(DyadicStep, "dense", recording)
+    reads = [
+        *((k, lambda k=k: f1.masses(k)) for k in range(20)),
+        *((k, lambda k=k: integral_over(f1, (k, 1 + (5 * k) % (1 << k)))) for k in range(19)),
+        *((k, lambda k=k: seminorm(f1, (k, (1 << k) - (3 * k) % (1 << k)))) for k in range(19)),
+        (19, lambda: weak_smallness(f1, 19)),
+        (18, lambda: dyadic_project(f1, 18)),
+        (3, lambda: pairing(f1, functional(3))),
+        (3, lambda: pairing(functional(3), f1)),
+    ]
+    for k, fn in reads:
+        fn()
+        assert all(level <= k for level in expanded), (k, expanded)
+        expanded.clear()
+
+
 @settings(max_examples=100, deadline=None)
 @given(periodic_steps())
 def test_pairing_reads_the_finer_masses_at_every_level(p):
@@ -372,11 +454,11 @@ def test_built_step_keeps_the_least_lattice(case, up):
     level, nums, den = case
     f = from_lattice(level, nums, den)
     assert f.values == tuple(Fraction(n, den) for n in nums)
-    got = lattice(f)
+    got = read(f)
     assert type(got[0]) is tuple
     # the kept numerators are those the values give, over the least denominator
     assert got == as_oracle(f) == as_oracle(DyadicStep(level, f.values))
-    assert lattice(f, level + up) == as_oracle(f, level + up)
+    assert read(f, level + up) == as_oracle(f, level + up)
     assert step_to_json(f) == {"level": level, "values": [frac_str(v) for v in f.values]}
 
 
@@ -385,7 +467,7 @@ def test_built_step_keeps_the_least_lattice(case, up):
 def test_ops_on_built_steps_keep_the_least_lattice(case_f, case_g, a):
     f, g = from_lattice(*case_f), from_lattice(*case_g)
     for out in (a * f, f - g, lin_comb(a, f, 2, g)):
-        assert lattice(out) == as_oracle(out)
+        assert read(out) == as_oracle(out)
         # the same values as the Fraction kernel gives on a step built from Fractions
         assert out == DyadicStep(out.level, out.values)
 
@@ -430,7 +512,7 @@ def public_steps(f, g, case, a, K, j):
 def test_every_step_is_its_least_lattice(f, g, case, a, K, j):
     steps = public_steps(f, g, case, a, K, j)
     for out in steps:
-        nums, den = lattice(out)
+        nums, den = read(out)
         assert type(nums) is tuple and all(type(n) is int for n in nums)
         assert type(den) is int and den > 0
         assert (nums, den) == as_oracle(out)
@@ -460,18 +542,18 @@ def test_from_lattice_checks_the_shape():
 def test_kernels_leave_the_kept_numerators_unchanged():
     center = near_unit_scale(mk(2, 1, Fraction(-1, 2), 3, 0), Fraction(1, 10**4))
     nbhd = WeakNbhd(center, (mk(0, 1), mk(2, Fraction(1, 2), -1, 0, Fraction(3, 4))), Fraction(1, 2))
-    before = lattice(center)
+    before = read(center)
     rep = d2p_witness(nbhd, Fraction(1, 5))
     steps = (center, *(p.dense() for p in (rep.pair.f1, rep.pair.f2, rep.g1, rep.g2)))
-    kept = [lattice(f) for f in steps]
+    kept = [read(f) for f in steps]
     assert kept[0] == before and all(type(nums) is tuple for nums, _ in kept)
     snapshot = [(list(nums), den) for nums, den in kept]
     for f in steps:
         tnorm_sq(f)
         # the top level is handed out as kept, immutable
-        assert next(mass_levels(lattice(f)[0])) is lattice(f)[0]
-        list(mass_levels(lattice(f)[0]))
+        assert next(mass_levels(read(f)[0])) is read(f)[0]
+        list(mass_levels(read(f)[0]))
         split_pair(f, 3)
     d2p_witness(nbhd, Fraction(1, 5))
     for f, (nums, den), (was, was_den) in zip(steps, kept, snapshot):
-        assert lattice(f)[0] is nums and list(nums) == was and den == was_den
+        assert read(f)[0] is nums and list(nums) == was and den == was_den

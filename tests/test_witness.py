@@ -34,7 +34,6 @@ from renorml1.dyadic import (
     from_lattice,
     indicator,
     integral_over,
-    lattice,
     lin_comb,
     refine,
 )
@@ -295,7 +294,7 @@ class TestSplitCheck:
         # f1/f2 is 30, and the wrong f2 below needs 210
         center = mk(4, *[Fraction(x) for x in "1/3 1/3 1/5 0 0 0 0 -1/5 -2/3 0 0 0 1/5 0 0 1/3".split()])
         sp = split_pair(center, 1)
-        assert (lattice(center)[1], sp.f1.den, sp.f2.den) == (15, 30, 30)
+        assert (center.den, sp.f1.den, sp.f2.den) == (15, 30, 30)
         assert deviations(sp.checks) == [0, 0, 0]
         # f2 = 13/30 on cell (3, 3), the third entry of the first motif,
         # becomes -89/210: its mass moves by 6/7 / 8, its absolute mass by
