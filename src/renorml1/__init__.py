@@ -14,7 +14,6 @@ from .dyadic import (
     DyadicIndex,
     DyadicStep,
     LevelOverflowError,
-    canonical,
     decompose,
     dyadic_project,
     frac_str,
@@ -26,7 +25,6 @@ from .dyadic import (
     refine,
     reflect,
     step_from_json,
-    step_to_json,
     to_frac,
 )
 from .renorm import (
@@ -36,10 +34,8 @@ from .renorm import (
     dual_norm_estimate,
     norm_report,
     partial_below,
-    seminorm,
     tail_formula,
     tnorm_sq,
-    tnorm_sq_diff,
     triangle_equality_case,
 )
 from .witness import (
@@ -80,7 +76,6 @@ from .ell1 import (
 from .ured import (
     RecursionRun,
     SparseSeq,
-    projection_tail,
     segment_check,
     ured_recursion,
     verify_claim,

@@ -33,6 +33,7 @@ from itertools import accumulate, chain, repeat
 from .dyadic import (
     StepValues,
     _shown,
+    _shown_repr,
     decimal_str,
     frac_str,
     step_from_json,
@@ -128,7 +129,7 @@ def _single_eps(args, command: str) -> Fraction:
 
 def _as_list(value, key: str) -> list:
     if not isinstance(value, list):
-        raise InputError(f"{key!r} must be a list, got {value!r}")
+        raise InputError(f"{key!r} must be a list, got {_shown_repr(value)}")
     return value
 
 
@@ -156,10 +157,6 @@ def _json_chunks(obj) -> list[str]:
     _encode(obj, 0, chunks)
     chunks.append("\n")
     return chunks
-
-
-def _json_text(obj) -> str:
-    return "".join(_json_chunks(obj))
 
 
 _SCALARS = (str, int, float, type(None))  # bool is an int
@@ -206,11 +203,12 @@ def _encode(o, depth: int, chunks: list[str]) -> None:
 
 
 def _encode_values(o: StepValues, depth: int, chunks: list[str]) -> None:
-    """Append the text of json.dumps(o.expand(), indent=2) nested `depth`
-    levels deep: one join of the value texts of each block, then one join of
-    every block's text repeated in place, the quotes around the values
-    carried by the separator ('p/q' text never needs escaping). A step has
-    at least one value, so the list is never empty."""
+    """Append the text of json.dumps(indent=2) of the list of 'p/q' strings
+    that `o` holds, nested `depth` levels deep: one join of the value texts
+    of each block, then one join of every block's text repeated in place,
+    the quotes around the values carried by the separator ('p/q' text never
+    needs escaping). A step has at least one value, so the list is never
+    empty."""
     inner = "\n" + "  " * (depth + 1)
     sep = '",' + inner + '"'
     blocks = (sep.join(map(o.texts.__getitem__, b)) for b in o.blocks)
@@ -219,10 +217,11 @@ def _encode_values(o: StepValues, depth: int, chunks: list[str]) -> None:
 
 
 def _encode_prefixes(o: PrefixMaps, depth: int, chunks: list[str]) -> None:
-    """Append the text of json.dumps(o.expand(), indent=2) nested `depth`
-    levels deep. The last object's members are encoded by one C-encoder call,
-    joined by the member separator; each object is a prefix of that text,
-    since the separator's newline never occurs inside an encoded string."""
+    """Append the text of json.dumps(indent=2) of the list of dicts that `o`
+    holds, nested `depth` levels deep. The last object's members are encoded
+    by one C-encoder call, joined by the member separator; each object is a
+    prefix of that text, since the separator's newline never occurs inside
+    an encoded string."""
     if not o.counts:
         chunks.append("[]")
         return
@@ -306,7 +305,7 @@ def _cmd_ell1(args) -> int:
     deltas = [_parse_rat(d) for d in _as_list(_need(obj, "deltas"), "deltas")]
     m = obj.get("m", len(deltas))
     if not isinstance(m, int) or isinstance(m, bool):
-        raise InputError(f"'m' must be an integer, got {m!r}")
+        raise InputError(f"'m' must be an integer, got {_shown_repr(m)}")
     if args.what == "greedy":
         report = greedy_asymptotic_ell1(deltas, m).to_json()
     else:
@@ -345,7 +344,7 @@ MAX_FLOAT_DIGITS = 1000
 
 def _digit_count(text: str) -> int:
     if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {_shown(text)!r}")
     # the length first: Python refuses int() of a string of over 4300 digits
     if len(text.lstrip("0")) > len(str(MAX_FLOAT_DIGITS)) or int(text) > MAX_FLOAT_DIGITS:
         raise argparse.ArgumentTypeError(f"must be in 0..{MAX_FLOAT_DIGITS}, got {_shown(text)!r}")

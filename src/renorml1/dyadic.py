@@ -21,10 +21,10 @@ identical values, so neither the level nor the period is part of the
 identity of a function. Every public function returns for a periodic step
 what it returns for its dense expansion `dense()`. `masses(k)`, the one
 cell reader, costs O(motifs + 2**k): above the period level the motifs fold
-within themselves. Beyond `masses(level)`, only `values`, `canonical` and
-combining steps of different shapes build all 2**level cells. The kernels read the lattice
-through `masses(k)`, `level_squares()` and `blocks()`; `mass_levels` is the
-one fold of int masses to coarser levels.
+within themselves. Beyond `masses(level)`, only `values` and combining
+steps of different shapes build all 2**level cells. The kernels read the
+lattice through `masses(k)`, `level_squares()` and `blocks()`; `mass_levels`
+is the one fold of int masses to coarser levels.
 """
 
 from __future__ import annotations
@@ -102,6 +102,12 @@ def _shown(text: str) -> str:
     return text if len(text) <= 24 else text[:21] + "..."
 
 
+def _shown_repr(value) -> str:
+    """repr(value) for an error message, cut by `_shown`: a string's text
+    before its repr, any other value's repr."""
+    return repr(_shown(value)) if isinstance(value, str) else _shown(repr(value))
+
+
 def _int_str(n: int) -> str:
     """str(n), also past Python's int-string digit limit (Decimal has none)."""
     try:
@@ -159,16 +165,12 @@ class DyadicIndex(NamedTuple):
     def validate(self) -> "DyadicIndex":
         for x in self:
             if not isinstance(x, int) or isinstance(x, bool):
-                raise TypeError(f"cell index entries must be integers, got {x!r}")
+                raise TypeError(f"cell index entries must be integers, got {_shown_repr(x)}")
         if self.k < 0:
             raise ValueError(f"dyadic level must be >= 0, got {self.k}")
         if not (self.j >= 1 and (self.j - 1) >> self.k == 0):  # 1 << k could be huge
             raise ValueError(f"cell position {self.j} out of range 1..2**{self.k}")
         return self
-
-    @property
-    def measure(self) -> Fraction:
-        return Fraction(1, 1 << self.k)
 
     @property
     def left(self) -> Fraction:
@@ -177,15 +179,6 @@ class DyadicIndex(NamedTuple):
     @property
     def right(self) -> Fraction:
         return Fraction(self.j, 1 << self.k)
-
-    def contains(self, other: "DyadicIndex") -> bool:
-        """True iff `other` is a (not necessarily proper) subcell of self."""
-        if other.k < self.k:
-            return False
-        return (other.j - 1) >> (other.k - self.k) == self.j - 1
-
-    def overlaps(self, other: "DyadicIndex") -> bool:
-        return self.contains(other) or other.contains(self)
 
 
 def as_index(idx) -> DyadicIndex:
@@ -423,14 +416,6 @@ def refine(f: DyadicStep, new_level: int) -> DyadicStep:
     return _new(new_level, coarse, _repeat(f.motifs, 1 << (new_level - f.level)), f.reps, f.den)
 
 
-def canonical(f: DyadicStep) -> DyadicStep:
-    """The coarsest dense representation of f (merge equal sibling cells)."""
-    level, nums = f.level, f.dense().motifs
-    while level > 0 and nums[::2] == nums[1::2]:
-        nums, level = nums[::2], level - 1
-    return _new(level, level, nums, 1, f.den)
-
-
 def from_lattice(level: int, nums, den: int) -> DyadicStep:
     """The dense step function with values Fraction(nums[i], den), reduced to
     the least common denominator of its values."""
@@ -543,21 +528,12 @@ class StepValues:
     """The wire list of a step's values, held as its numerators: `blocks`
     (all of a dense step's numerators, or one motif per coarse cell), each
     repeated `reps` times in place, numerator n written as texts[n], the
-    'p/q' text of its value. `expand` builds the list; the CLI emitter
-    writes the same bytes without it."""
+    'p/q' text of its value. The CLI emitter writes the list's JSON text
+    without building it."""
 
     blocks: list[tuple[int, ...]]
     texts: dict[int, str]
     reps: int
-
-    def expand(self) -> list[str]:
-        return list(map(self.texts.__getitem__, chain.from_iterable(b * self.reps for b in self.blocks)))
-
-
-def step_to_json(f: DyadicStep) -> dict:
-    """The wire form of f, its values a plain list of 'p/q' strings."""
-    wire = steps_to_json(f)[0]
-    return dict(wire, values=wire["values"].expand())
 
 
 def steps_to_json(*steps: DyadicStep) -> list[dict]:
@@ -576,7 +552,7 @@ def step_from_json(obj) -> DyadicStep:
         raise ValueError("step function JSON needs 'level' and 'values' keys")
     level = obj["level"]
     if not isinstance(level, int) or isinstance(level, bool):
-        raise ValueError(f"'level' must be an integer, got {level!r}")
+        raise ValueError(f"'level' must be an integer, got {_shown_repr(level)}")
     raw = obj["values"]
     if not isinstance(raw, list):
         raise ValueError("'values' must be a list of rational strings")

@@ -64,10 +64,6 @@ class Spike:
     def support(self) -> DyadicIndex:
         return DyadicIndex(self.level, self.index)
 
-    @property
-    def l1(self) -> Fraction:
-        return abs(self.height) / (1 << self.level)
-
     def as_step(self) -> DyadicStep:
         return indicator(self.support, self.height)
 

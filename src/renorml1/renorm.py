@@ -29,8 +29,6 @@ from .dyadic import (
     dyadic_project,
     frac_str,
     from_lattice,
-    integral_over,
-    lin_comb,
     mass_levels,
     norms,
     pairing,
@@ -39,19 +37,9 @@ from .dyadic import (
 )
 
 
-def seminorm(f: DyadicStep, idx) -> Fraction:
-    """s(f, k, j) = integral of |f| over I(k, j), exactly."""
-    return integral_over(abs(f), idx)
-
-
 def tnorm_sq(f: DyadicStep) -> Fraction:
     """Exact squared norm T(f)**2 (closed tail from f's own level up)."""
     return tnorm_sq_from_squares(f.level, f.den << f.level, abs(f).level_squares())
-
-
-def tnorm_sq_diff(f: DyadicStep, g: DyadicStep) -> Fraction:
-    """T(f - g)**2."""
-    return tnorm_sq(lin_comb(1, f, -1, g))
 
 
 def tnorm_sq_from_squares(K: int, D: int, squares: Sequence[int]) -> Fraction:

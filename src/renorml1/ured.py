@@ -14,13 +14,12 @@ for y_n = z + x_n, and every point t*z + x_N of the truncated segment stays
 in the closed ball with norm at least 1 - eps_N/4.
 
 Every `SparseSeq` holds only its reduced int lattice: sorted indices, nonzero
-int numerators and their least common denominator; `coords` derives the
-Fraction pairs on each read.
+int numerators and their least common denominator.
 
 x_n is x_{n-1} with one coordinate appended, so a run stores one coordinate
 lattice, that of x_steps over the least common denominator of the heights,
-and the length of each x_m: x_m is a prefix of the lattice, and `xs`
-expands the prefixes only when read. Its claims are evaluated in one pass
+and the length of each x_m: x_m is a prefix of the lattice, and `x(m)`
+expands one prefix when asked. Its claims are evaluated in one pass
 over the lattice, linear in the steps, in ints over one common denominator:
 prefix maxima give the norms of every x_m, each norming equality is one read
 of the lattice, and "for all m >= n" is a suffix minimum. Only the values a
@@ -32,7 +31,6 @@ writes x_m as a prefix of that text (`PrefixMaps`).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -72,28 +70,9 @@ class SparseSeq:
         den = lcm(*[d for _, (_, d) in pairs])
         _set(self, idx, tuple([n * (den // d) for _, (n, d) in pairs]), den)
 
-    @property
-    def coords(self) -> tuple[tuple[int, Fraction], ...]:
-        """The sorted (index, nonzero value) pairs, as Fractions."""
-        return tuple(zip(self.idx, map(Fraction, self.nums, repeat(self.den))))
-
-    @staticmethod
-    def from_dict(d: dict) -> "SparseSeq":
-        return SparseSeq(d.items())
-
     @staticmethod
     def unit(i: int, value=1) -> "SparseSeq":
         return SparseSeq(((i, value),))
-
-    @staticmethod
-    def zero() -> "SparseSeq":
-        return _seq((), (), 1)
-
-    def get(self, i: int) -> Fraction:
-        k = bisect_left(self.idx, i)
-        if k < len(self.idx) and self.idx[k] == i:
-            return Fraction(self.nums[k], self.den)
-        return Fraction(0)
 
     def sup_norm(self) -> Fraction:
         return Fraction(max(map(abs, self.nums), default=0), self.den)
@@ -106,12 +85,6 @@ class SparseSeq:
             acc[i] = acc.get(i, 0) + n * scale
         idx = sorted(acc)
         return _lattice(idx, list(map(acc.__getitem__, idx)), den)
-
-    def __neg__(self) -> "SparseSeq":
-        return _seq(self.idx, tuple([-n for n in self.nums]), self.den)
-
-    def __sub__(self, other: "SparseSeq") -> "SparseSeq":
-        return self + (-other)
 
     def __mul__(self, c) -> "SparseSeq":
         cn, cd = to_frac(c).as_integer_ratio()
@@ -129,15 +102,6 @@ def _set(x: SparseSeq, idx: tuple, nums: tuple, den: int) -> None:
     object.__setattr__(x, "den", den)
 
 
-def _seq(idx: tuple, nums: tuple, den: int) -> SparseSeq:
-    """The sequence with numerators `nums` over `den` at the sorted indices
-    `idx`, already reduced: nonzero numerators over their least common
-    denominator. Nothing is checked."""
-    x = object.__new__(SparseSeq)
-    _set(x, idx, nums, den)
-    return x
-
-
 def _lattice(idx, nums, den: int) -> SparseSeq:
     """The sequence Fraction(nums[k], den) at the sorted indices idx[k],
     den > 0, with zero numerators dropped and the rest reduced."""
@@ -145,29 +109,21 @@ def _lattice(idx, nums, den: int) -> SparseSeq:
         kept = [(i, n) for i, n in zip(idx, nums) if n]
         idx, nums = [i for i, _ in kept], [n for _, n in kept]
     g = gcd(den, *nums)
-    return _seq(tuple(idx), tuple([n // g for n in nums]), den // g)
-
-
-def projection_tail(x: SparseSeq) -> SparseSeq:
-    """Zero the first coordinate: idempotent, sup-norm non-increasing."""
-    if x.idx[:1] != (1,):
-        return x
-    return _lattice(x.idx[1:], x.nums[1:], x.den)
+    x = object.__new__(SparseSeq)
+    _set(x, tuple(idx), tuple([n // g for n in nums]), den // g)
+    return x
 
 
 @dataclass(frozen=True)
 class PrefixMaps:
     """The JSON list whose m-th object maps the first counts[m] of `keys` to
-    their `values`, in order; the keys are distinct. `expand` builds that list
-    of dicts. The CLI emitter writes the same bytes from the key and value
-    texts without building it: each object is a prefix of the last one."""
+    their `values`, in order; the keys are distinct. The CLI emitter writes
+    its JSON text from the key and value texts without building the dicts:
+    each object is a prefix of the last one."""
 
     keys: tuple[str, ...]
     values: tuple[str, ...]
     counts: tuple[int, ...]
-
-    def expand(self) -> list[dict]:
-        return [dict(zip(self.keys[:c], self.values[:c])) for c in self.counts]
 
 
 @dataclass(frozen=True)
@@ -208,11 +164,6 @@ class RecursionRun:
         """x_m: the first lengths[m] coordinates of the lattice."""
         k = self.lengths[m]
         return _lattice(self.idx[:k], self.nums[:k], self.den)
-
-    @property
-    def xs(self) -> tuple[SparseSeq, ...]:
-        """(x_0, ..., x_steps), expanded on each read: Theta(steps**2)."""
-        return tuple(map(self.x, range(len(self.lengths))))
 
     def to_json(self) -> dict:
         """The run's report; `xs` is a PrefixMaps, the list of the x_m as

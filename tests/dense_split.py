@@ -26,7 +26,6 @@ from renorml1.dyadic import (
     lin_comb,
     mass_levels,
     norms,
-    step_to_json,
 )
 from renorml1.renorm import tnorm_sq, tnorm_sq_from_squares
 from renorml1.witness import WeakNbhd, choose_K, choose_gamma
@@ -127,6 +126,11 @@ def _dense_run(nbhd: WeakNbhd, eps: Fraction):
     return gamma, K, sp, (1 - gamma) * sp.f1, (1 - gamma) * sp.f2
 
 
+def step_json(f: DyadicStep) -> dict:
+    """The wire form of f with its values a plain list of 'p/q' strings."""
+    return {"level": f.level, "values": [frac_str(v) for v in f.values]}
+
+
 def dense_witness_json(nbhd: WeakNbhd, eps: Fraction) -> dict:
     """The `witness` report of a run whose gap condition holds, every value
     measured on the dense steps."""
@@ -137,7 +141,6 @@ def dense_witness_json(nbhd: WeakNbhd, eps: Fraction) -> dict:
     checks["ball"] = check(max(tnorm_sq(g1), tnorm_sq(g2)), "<", Fraction(1))
     checks["gap"] = check(tnorm_sq(g1 - g2), ">" if eps < 2 else ">=", target)
     guaranteed = 4 * (1 - gamma) ** 2 * (tnorm_sq(nbhd.center) - Fraction(1, 1 << K))
-    values = lambda f: step_to_json(f)["values"]  # noqa: E731
     return {
         "gamma": frac_str(gamma),
         "K": K,
@@ -145,11 +148,11 @@ def dense_witness_json(nbhd: WeakNbhd, eps: Fraction) -> dict:
         "delta": frac_str(nbhd.delta),
         "guaranteed_gap_sq": frac_str(guaranteed),
         "split": {
-            "K": K, "b": values(sp.b), "c": values(sp.c),
-            "f1": step_to_json(sp.f1), "f2": step_to_json(sp.f2),
+            "K": K, "b": step_json(sp.b)["values"], "c": step_json(sp.c)["values"],
+            "f1": step_json(sp.f1), "f2": step_json(sp.f2),
         },
-        "g1": step_to_json(g1),
-        "g2": step_to_json(g2),
+        "g1": step_json(g1),
+        "g2": step_json(g2),
         "checks": {name: chk.to_json() for name, chk in checks.items()},
     }
 
@@ -160,8 +163,8 @@ def dense_extreme_json(nbhd: WeakNbhd, eps: Fraction) -> dict:
     half = Fraction(1, 2)
     center, u = lin_comb(half, g1, half, g2), lin_comb(half, g1, -half, g2)
     return {
-        "center": step_to_json(center),
-        "u": step_to_json(u),
+        "center": step_json(center),
+        "u": step_json(u),
         "ball_check_sq": [frac_str(tnorm_sq(g)) for g in (g1, g2)],
         "l1_of_u": frac_str(norms(u).l1),
         "l1_floor": frac_str((1 - gamma) * norms(nbhd.center).l1),

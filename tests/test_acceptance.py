@@ -301,9 +301,9 @@ def test_10_ured_failure():
     rep = verify_claim(run)
     assert rep["ok"]
     for n in range(1, 11):
-        val = (2 * run.xs[n] + run.z).sup_norm()
+        val = (2 * run.x(n) + run.z).sup_norm()
         assert val == 2 * (1 - eps[n - 1] / 4)
-    assert (2 * run.xs[10] + run.z).sup_norm() >= 2 - Fraction(1, 256)
+    assert (2 * run.x(10) + run.z).sup_norm() >= 2 - Fraction(1, 256)
     grid = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
     seg = segment_check(run, grid, 10)
     assert seg["ok"]

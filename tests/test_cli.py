@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from renorml1 import cli, dyadic, probes, renorm, selftest, split_pair
 from renorml1.checks import check, require
-from renorml1.cli import _json_text, build_parser, main
-from renorml1.dyadic import MAX_LEVEL, DyadicStep, frac_str, step_to_json, steps_to_json
+from renorml1.cli import _json_chunks, build_parser, main
+from renorml1.dyadic import MAX_LEVEL, DyadicStep, StepValues, frac_str, steps_to_json
 from conftest import steps
 
 
@@ -552,6 +552,29 @@ class TestInputErrors:
         assert f"argument --float-digits: must be in 0..{cli.MAX_FLOAT_DIGITS}, got '{shown}'" in err
         assert "Traceback" not in err and not (tmp_path / "report.out").exists()
 
+    LONG = "9" * 200_000
+
+    @pytest.mark.parametrize(
+        "obj, argv",
+        [
+            ({"level": LONG, "values": ["1/1"]}, ["norm"]),
+            (dict(NBHD, functionals=LONG), ["witness", "--eps", "1/5"]),
+            ({"deltas": ["1/2", "1/4"], "m": LONG}, ["ell1", "greedy"]),
+            (dict(CHAIN, A=[[LONG, 1]]), ["probe", "chain"]),
+            (CONST_78, ["norm", "--float-digits", "x" + "9" * 99_999]),
+        ],
+    )
+    def test_long_values_are_cut_in_the_error(self, tmp_path, capsys, obj, argv):
+        argv = [*argv, "--input", write_json(tmp_path, "in.json", obj)]
+        try:
+            rc = invoke(tmp_path, *argv)[0]
+        except SystemExit as exc:  # argparse
+            rc = exc.code
+        err = capsys.readouterr().err
+        assert rc == 2 and "Traceback" not in err
+        assert max(map(len, err.encode().splitlines())) < 200
+        assert "..." in err.splitlines()[-1]
+
     def test_float_digits_at_the_cap(self, tmp_path):
         path = write_json(tmp_path, "in.json", CONST_78)
         rc, text = invoke(tmp_path, "norm", "--input", path, "--float-digits", str(cli.MAX_FLOAT_DIGITS))
@@ -672,13 +695,23 @@ json_trees = st.recursive(
 )
 
 
+def json_text(obj) -> str:
+    return "".join(_json_chunks(obj))
+
+
+def expand_values(o: StepValues) -> list[str]:
+    """The plain list of 'p/q' strings that `o` stands for: each block of
+    numerators repeated `reps` times in place, each numerator by its text."""
+    return [o.texts[n] for b in o.blocks for n in b * o.reps]
+
+
 class TestEmitter:
     """Reports are exactly json.dumps(report, indent=2) plus a newline."""
 
     @given(json_trees)
     @settings(max_examples=400)
     def test_equals_json_dumps_indent_2(self, obj):
-        assert _json_text(obj) == json.dumps(obj, indent=2) + "\n"
+        assert json_text(obj) == json.dumps(obj, indent=2) + "\n"
 
     @pytest.mark.parametrize(
         "obj",
@@ -689,14 +722,14 @@ class TestEmitter:
         ],
     )
     def test_edge_cases(self, obj):
-        assert _json_text(obj) == json.dumps(obj, indent=2) + "\n"
+        assert json_text(obj) == json.dumps(obj, indent=2) + "\n"
 
     def test_rejects_what_json_dumps_rejects(self):
         for obj in ({(1, 2): "x"}, {"x": [{(1, 2): [1]}]}, [object()], {"x": {1, 2}}):
             with pytest.raises(TypeError):
                 json.dumps(obj, indent=2)
             with pytest.raises(TypeError):
-                _json_text(obj)
+                json_text(obj)
 
     @given(
         st.lists(steps(max_level=4), min_size=1, max_size=3),
@@ -706,15 +739,15 @@ class TestEmitter:
     @settings(max_examples=200)
     def test_step_values_equal_json_dumps_of_the_expanded_tree(self, fs, scale, depth):
         wires = steps_to_json(*(scale * f for f in fs))
-        expanded = [dict(w, values=w["values"].expand()) for w in wires]
+        expanded = [dict(w, values=expand_values(w["values"])) for w in wires]
         for f, wire, values in zip(fs, expanded, wires):
             assert wire["values"] == [frac_str(scale * x) for x in f.values]
-            assert _json_text(values["values"]) == json.dumps(wire["values"], indent=2) + "\n"
+            assert json_text(values["values"]) == json.dumps(wire["values"], indent=2) + "\n"
         obj, plain = {"steps": wires}, {"steps": expanded}
         for k in range(depth):  # a list, then a dict, holding a bare StepValues too
             obj, plain = [obj, wires[-1]["values"]], [plain, expanded[-1]["values"]]
             obj, plain = ({"k": obj, "n": k}, {"k": plain, "n": k}) if k % 2 else (obj, plain)
-        assert _json_text(obj) == json.dumps(plain, indent=2) + "\n"
+        assert json_text(obj) == json.dumps(plain, indent=2) + "\n"
 
     @given(
         st.integers(min_value=0, max_value=3),
@@ -728,8 +761,9 @@ class TestEmitter:
         p = DyadicStep.periodic(coarse, motifs, 1 << r, data.draw(st.integers(1, 12)))
         wire = steps_to_json(p)[0]
         assert wire["level"] == coarse + w + r
-        assert wire["values"].expand() == [frac_str(x) for x in p.dense().values]
-        assert _json_text(wire) == json.dumps(step_to_json(p.dense()), indent=2) + "\n"
+        values = [frac_str(x) for x in p.dense().values]
+        assert expand_values(wire["values"]) == values
+        assert json_text(wire) == json.dumps({"level": wire["level"], "values": values}, indent=2) + "\n"
 
     def test_witness_report_is_json_dumps(self, tmp_path):
         path = write_json(tmp_path, "nbhd.json", NBHD)
@@ -755,11 +789,11 @@ class TestEmitter:
     def test_split_masses_render_like_frac_str(self, f, K):
         sp = split_pair(f, K)
         obj = sp.to_json()
-        assert obj["b"].expand() == [frac_str(x) for x in sp.b.dense().values]
-        assert obj["c"].expand() == [frac_str(x) for x in sp.c.dense().values]
+        assert expand_values(obj["b"]) == [frac_str(x) for x in sp.b.dense().values]
+        assert expand_values(obj["c"]) == [frac_str(x) for x in sp.c.dense().values]
         # a pair built by hand renders its own b and c
         hand = replace(sp, b=sp.c, c=sp.b).to_json()
-        assert (hand["b"].expand(), hand["c"].expand()) == (obj["c"].expand(), obj["b"].expand())
+        assert list(map(expand_values, (hand["b"], hand["c"]))) == list(map(expand_values, (obj["c"], obj["b"])))
 
 
 class TestInternalErrors:

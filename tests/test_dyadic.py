@@ -12,7 +12,6 @@ from renorml1 import (
     DyadicIndex,
     DyadicStep,
     LevelOverflowError,
-    canonical,
     decompose,
     dyadic_project,
     indicator,
@@ -23,10 +22,19 @@ from renorml1 import (
     refine,
     reflect,
     step_from_json,
-    step_to_json,
     tnorm_sq,
 )
-from renorml1.dyadic import _plain_ratio, decimal_str, frac_str, ratio_str, sqrt_floor_decimal, to_frac
+from renorml1.cli import _json_chunks
+from renorml1.dyadic import (
+    _new,
+    _plain_ratio,
+    decimal_str,
+    frac_str,
+    ratio_str,
+    sqrt_floor_decimal,
+    steps_to_json,
+    to_frac,
+)
 from conftest import mk, steps
 
 
@@ -194,6 +202,14 @@ class TestReflect:
         assert norms(reflect(f)) == norms(f)
 
 
+def canonical(f: DyadicStep) -> DyadicStep:
+    """The coarsest dense representation of f (merge equal sibling cells)."""
+    level, nums = f.level, f.dense().motifs
+    while level > 0 and nums[::2] == nums[1::2]:
+        nums, level = nums[::2], level - 1
+    return _new(level, level, nums, 1, f.den)
+
+
 class TestEqualityAndCanonical:
     def test_equality_across_levels(self):
         assert mk(0, 5) == mk(2, 5, 5, 5, 5)
@@ -210,7 +226,7 @@ class TestEqualityAndCanonical:
 class TestJson:
     def test_roundtrip(self):
         f = mk(1, Fraction(-3, 4), 2)
-        obj = step_to_json(f)
+        obj = json.loads("".join(_json_chunks(steps_to_json(f)[0])))
         assert obj == {"level": 1, "values": ["-3/4", "2/1"]}
         assert step_from_json(json.loads(json.dumps(obj))) == f
 
@@ -319,11 +335,7 @@ class TestIndex:
                 DyadicIndex(k, j).validate()
         assert DyadicIndex(3, 8).validate() == (3, 8)
 
-    def test_containment(self):
-        assert DyadicIndex(1, 1).contains(DyadicIndex(3, 4))
-        assert not DyadicIndex(1, 1).contains(DyadicIndex(3, 5))
-        assert DyadicIndex(2, 3).overlaps(DyadicIndex(1, 2))
-        assert not DyadicIndex(2, 3).overlaps(DyadicIndex(2, 4))
-
     def test_measure(self):
-        assert DyadicIndex(3, 5).measure == Fraction(1, 8)
+        cell = DyadicIndex(3, 5)
+        assert (cell.left, cell.right) == (Fraction(1, 2), Fraction(5, 8))
+        assert cell.right - cell.left == Fraction(1, 8)

@@ -17,6 +17,7 @@ the least one, `==` and `hash` must agree with comparing refined Fraction
 values, and the numerators must never change after a kernel has read them.
 """
 
+import json
 import operator
 import re
 from fractions import Fraction
@@ -30,7 +31,6 @@ from hypothesis import strategies as st
 from renorml1 import (
     DyadicStep,
     WeakNbhd,
-    canonical,
     check_equivalence,
     d2p_witness,
     decompose,
@@ -47,15 +47,13 @@ from renorml1 import (
     perturbation_l1_chain,
     reflect,
     refine,
-    seminorm,
     slice_diameter_lb,
     split_pair,
     strong_extreme_failure,
-    tnorm_sq_diff,
     triangle_equality_case,
     weak_smallness,
 )
-from renorml1.cli import _json_text
+from renorml1.cli import _json_chunks
 from renorml1.dyadic import (
     MAX_LEVEL,
     LevelOverflowError,
@@ -63,7 +61,6 @@ from renorml1.dyadic import (
     from_lattice,
     mass_levels,
     step_from_json,
-    step_to_json,
     steps_to_json,
 )
 from renorml1.renorm import EqualityCase, _q_product, partial_below, tail_formula, tnorm_sq
@@ -331,8 +328,8 @@ def test_dense_and_periodic_views_agree(p, data):
     assert list(chain.from_iterable(b * p.reps for b in p.blocks())) == list(d.motifs)
     c = data.draw(small_fractions)
     for fn in (
-        canonical, decompose, reflect, norms, abs, operator.neg, tnorm_sq, check_equivalence, norm_report,
-        step_to_json, lambda f: _json_text(steps_to_json(f)[0]), lambda f: c * f, lambda f: f * c,
+        decompose, reflect, norms, abs, operator.neg, tnorm_sq, check_equivalence, norm_report,
+        lambda f: "".join(_json_chunks(steps_to_json(f)[0])), lambda f: c * f, lambda f: f * c,
     ):
         agree(fn, p)
     agree(refine, p, N)
@@ -344,7 +341,7 @@ def test_dense_and_periodic_views_agree(p, data):
         agree(tail_formula, p, k)
         cell = (k, data.draw(st.integers(1, 1 << k)))
         agree(integral_over, p, cell)
-        agree(seminorm, p, cell)
+        agree(lambda f, cell: integral_over(abs(f), cell), p, cell)
     agree(dual_norm_estimate, p, N)
     if not p.is_zero():
         agree(witness_probes, in_ball(p))
@@ -355,7 +352,8 @@ def test_dense_and_periodic_views_agree(p, data):
     for g in (q, data.draw(functions(max_level=5)), p):
         for fn in (
             operator.add, operator.sub, operator.eq, lambda f, h: lin_comb(c, f, 2, h), pairing,
-            tnorm_sq_diff, triangle_equality_case, midpoint_defect, lambda f, h: perturbation_l1_chain(f, h, A),
+            lambda f, h: tnorm_sq(f - h), triangle_equality_case, midpoint_defect,
+            lambda f, h: perturbation_l1_chain(f, h, A),
         ):
             agree(fn, p, g)
             agree(fn, g, p)
@@ -400,7 +398,7 @@ def test_cell_readers_expand_no_step_past_the_level_asked(monkeypatch):
     reads = [
         *((k, lambda k=k: f1.masses(k)) for k in range(20)),
         *((k, lambda k=k: integral_over(f1, (k, 1 + (5 * k) % (1 << k)))) for k in range(19)),
-        *((k, lambda k=k: seminorm(f1, (k, (1 << k) - (3 * k) % (1 << k)))) for k in range(19)),
+        *((k, lambda k=k: integral_over(abs(f1), (k, (1 << k) - (3 * k) % (1 << k)))) for k in range(19)),
         (19, lambda: weak_smallness(f1, 19)),
         (18, lambda: dyadic_project(f1, 18)),
         (3, lambda: pairing(f1, functional(3))),
@@ -459,7 +457,8 @@ def test_built_step_keeps_the_least_lattice(case, up):
     # the kept numerators are those the values give, over the least denominator
     assert got == as_oracle(f) == as_oracle(DyadicStep(level, f.values))
     assert read(f, level + up) == as_oracle(f, level + up)
-    assert step_to_json(f) == {"level": level, "values": [frac_str(v) for v in f.values]}
+    wire = json.loads("".join(_json_chunks(steps_to_json(f)[0])))
+    assert wire == {"level": level, "values": [frac_str(v) for v in f.values]}
 
 
 @settings(max_examples=100, deadline=None)
@@ -486,7 +485,6 @@ def public_steps(f, g, case, a, K, j):
         indicator((K, min(j, 1 << K)), a),
         step_from_json({"level": f.level, "values": [frac_str(v) for v in f.values]}),
         refine(f, f.level + 1),
-        canonical(f),
         *decompose(f),
         reflect(f),
         -f,

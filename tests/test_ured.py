@@ -11,22 +11,36 @@ from hypothesis import strategies as st
 
 from renorml1 import (
     SparseSeq,
-    projection_tail,
     segment_check,
     ured_recursion,
     verify_claim,
 )
-from renorml1.cli import _json_text
+from renorml1.cli import _json_chunks
 from renorml1.dyadic import frac_str
-from renorml1.ured import _claims
+from renorml1.ured import PrefixMaps, _claims
 
 EPS3 = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
+
+
+def fraction_pairs(x: SparseSeq) -> tuple[tuple[int, Fraction], ...]:
+    """The sorted (index, nonzero value) pairs of x, as Fractions."""
+    return tuple(zip(x.idx, (Fraction(n, x.den) for n in x.nums)))
+
+
+def value(x: SparseSeq, i: int) -> Fraction:
+    """The coordinate i of x."""
+    return Fraction(dict(zip(x.idx, x.nums)).get(i, 0), x.den)
+
+
+def all_x(run) -> list[SparseSeq]:
+    """x_0, ..., x_steps, each expanded from the run's lattice."""
+    return [run.x(m) for m in range(run.steps + 1)]
 
 
 def oracle_checks(run) -> dict:
     """The recursion checks as ured_recursion evaluated them pair by pair
     before the one-pass rewrite: O(steps**3)."""
-    z, xs, xstars, eps, steps = run.z, run.xs, run.xstars, run.eps, run.steps
+    z, xs, xstars, eps, steps = run.z, all_x(run), run.xstars, run.eps, run.steps
     return {
         "claim1": {
             "values": [frac_str((z + x).sup_norm()) for x in xs],
@@ -34,8 +48,8 @@ def oracle_checks(run) -> dict:
         },
         "claim2": {
             "ok": all(
-                xs[m].get(xstars[n - 1]) == xs[n].get(xstars[n - 1])
-                and xs[n].get(xstars[n - 1]) > 1 - eps[n - 1]
+                value(xs[m], xstars[n - 1]) == value(xs[n], xstars[n - 1])
+                and value(xs[n], xstars[n - 1]) > 1 - eps[n - 1]
                 for n in range(1, steps + 1)
                 for m in range(n, steps + 1)
             ),
@@ -46,21 +60,21 @@ def oracle_checks(run) -> dict:
 def oracle_verify(run) -> dict:
     """The report verify_claim built pair by pair before the one-pass
     rewrite, returned whether or not its claims hold: O(steps**3)."""
-    n_steps = run.steps
-    claim1 = all((run.z + x).sup_norm() < 1 for x in run.xs)
+    n_steps, xs = run.steps, all_x(run)
+    claim1 = all((run.z + x).sup_norm() < 1 for x in xs)
     claim2 = all(
-        run.xs[m].get(run.xstars[n - 1]) == run.xs[n].get(run.xstars[n - 1]) == 1 - run.eps[n - 1] / 4
-        and run.xs[n].get(run.xstars[n - 1]) > 1 - run.eps[n - 1]
+        value(xs[m], run.xstars[n - 1]) == value(xs[n], run.xstars[n - 1]) == 1 - run.eps[n - 1] / 4
+        and value(xs[n], run.xstars[n - 1]) > 1 - run.eps[n - 1]
         for n in range(1, n_steps + 1)
         for m in range(n, n_steps + 1)
     )
     half_z = Fraction(1, 2) * run.z
     halfway = all(
-        (half_z + run.xs[m]).sup_norm() >= 1 - run.eps[n - 1]
+        (half_z + xs[m]).sup_norm() >= 1 - run.eps[n - 1]
         for n in range(1, n_steps + 1)
         for m in range(n, n_steps + 1)
     )
-    doubled_vals = [(2 * x + run.z).sup_norm() for x in run.xs]
+    doubled_vals = [(2 * x + run.z).sup_norm() for x in xs]
     doubled = doubled_vals[0] == 1 - run.delta and all(
         doubled_vals[n] == 2 * (1 - run.eps[n - 1] / 4) for n in range(1, n_steps + 1)
     )
@@ -157,7 +171,7 @@ def reshaped_runs(draw):
         values = st.fractions(min_value=-1, max_value=1, max_denominator=12)
         z = {1: draw(values), draw(st.integers(2, run.steps + 3)): -draw(values.filter(bool))}
         z.update(draw(st.dictionaries(st.integers(2, run.steps + 3), values, max_size=2)))
-        return replace(run, z=SparseSeq.from_dict(z))
+        return replace(run, z=SparseSeq(z.items()))
     if how == "prime":
         anywhere = st.integers(1, run.steps + 2)
         i = draw(st.sampled_from(sorted(coords)) | anywhere if coords else anywhere)
@@ -213,15 +227,14 @@ def assert_reduced(x: SparseSeq) -> None:
 
 class TestSparseSeq:
     def test_basics(self):
-        x = SparseSeq.from_dict({2: Fraction(7, 8), 5: Fraction(-1, 3)})
+        x = SparseSeq({2: Fraction(7, 8), 5: Fraction(-1, 3)}.items())
         assert x.sup_norm() == Fraction(7, 8)
-        assert x.get(5) == Fraction(-1, 3)
-        assert x.get(17) == 0
-        assert (x + SparseSeq.unit(5, Fraction(1, 3))).get(5) == 0
+        assert (x.idx, x.nums, x.den) == ((2, 5), (21, -8), 24)
+        assert x + SparseSeq.unit(5, Fraction(1, 3)) == SparseSeq.unit(2, Fraction(7, 8))
 
     def test_no_stored_zeros(self):
         x = SparseSeq(((3, Fraction(0)), (1, Fraction(2))))
-        assert x.coords == ((1, Fraction(2)),)
+        assert (x.idx, x.nums, x.den) == ((1,), (2,), 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -237,88 +250,62 @@ class TestSparseSeq:
             SparseSeq.unit(index)
 
     def test_lattice_fields(self):
-        x = SparseSeq.from_dict({5: Fraction(-1, 6), 2: Fraction(3, 4), 9: Fraction(0)})
+        x = SparseSeq({5: Fraction(-1, 6), 2: Fraction(3, 4), 9: Fraction(0)}.items())
         assert (x.idx, x.nums, x.den) == ((2, 5), (9, -2), 12)
-        assert x.coords == ((2, Fraction(3, 4)), (5, Fraction(-1, 6)))
-        assert (SparseSeq.zero().idx, SparseSeq.zero().nums, SparseSeq.zero().den) == ((), (), 1)
+        empty = SparseSeq(())
+        assert (empty.idx, empty.nums, empty.den) == ((), (), 1)
 
     @given(seq_dicts, seq_dicts, st.fractions(min_value=-3, max_value=3, max_denominator=10))
     @settings(max_examples=150)
     def test_every_result_is_reduced_and_identified_by_coords(self, a, b, c):
-        x, y = SparseSeq.from_dict(a), SparseSeq.from_dict(b)
+        x, y = SparseSeq(a.items()), SparseSeq(tuple(b.items()))
         i = next(iter(a), 1)
         results = {
-            "from_dict": (x, {i: v for i, v in a.items() if v}),
-            "tuple": (SparseSeq(tuple(b.items())), {i: v for i, v in b.items() if v}),
+            "items": (x, {i: v for i, v in a.items() if v}),
+            "tuple": (y, {i: v for i, v in b.items() if v}),
             "unit": (SparseSeq.unit(i, c), {i: c} if c else {}),
-            "zero": (SparseSeq.zero(), {}),
+            "empty": (SparseSeq(()), {}),
             "add": (x + y, frac_sum(a, b)),
-            "sub": (x - y, frac_sum(a, {i: -v for i, v in b.items()})),
-            "neg": (-x, {i: -v for i, v in a.items() if v}),
             "mul": (x * c, {i: c * v for i, v in a.items() if c * v}),
             "rmul": (c * y, {i: c * v for i, v in b.items() if c * v}),
-            "projection_tail": (projection_tail(x), {i: v for i, v in a.items() if v and i != 1}),
         }
         for name, (r, want) in results.items():
             assert_reduced(r)
-            assert r.coords == tuple(sorted(want.items())), name
-            assert SparseSeq(r.coords) == r
+            assert fraction_pairs(r) == tuple(sorted(want.items())), name
+            assert SparseSeq(fraction_pairs(r)) == r
             assert r.sup_norm() == max(map(abs, want.values()), default=0)
-            assert [r.get(j) for j in range(11)] == [want.get(j, 0) for j in range(11)]
+            assert r.to_json() == {str(j): frac_str(v) for j, v in sorted(want.items())}
         for r, _ in results.values():
             for q, _ in results.values():
-                assert (r == q) == (r.coords == q.coords)
+                assert (r == q) == (fraction_pairs(r) == fraction_pairs(q))
                 if r == q:
                     assert hash(r) == hash(q)
-
-
-class TestProjection:
-    def test_examples(self):
-        assert projection_tail(SparseSeq.unit(1)).sup_norm() == 0
-        e2 = SparseSeq.unit(2)
-        assert projection_tail(e2) == e2
-
-    @given(
-        st.dictionaries(
-            st.integers(min_value=1, max_value=8),
-            st.fractions(min_value=-4, max_value=4, max_denominator=8),
-            max_size=5,
-        )
-    )
-    @settings(max_examples=50)
-    def test_contract(self, coords):
-        x = SparseSeq.from_dict(coords)
-        p = projection_tail(x)
-        assert projection_tail(p) == p
-        assert p.sup_norm() <= x.sup_norm()
-        assert p.get(1) == 0
 
 
 class TestRecursion:
     def test_reference_two_steps(self):
         run = ured_recursion(Fraction(1, 2), EPS3, 2)
-        x2 = run.xs[2]
-        assert x2 == SparseSeq.from_dict({2: Fraction(7, 8), 3: Fraction(15, 16)})
+        x2 = run.x(2)
+        assert x2 == SparseSeq({2: Fraction(7, 8), 3: Fraction(15, 16)}.items())
         assert (run.z + x2).sup_norm() == Fraction(15, 16)
-        assert x2.get(run.xstars[0]) == Fraction(7, 8)
-        assert run.xs[1].get(run.xstars[0]) == Fraction(7, 8)
+        assert value(x2, run.xstars[0]) == Fraction(7, 8)
+        assert value(run.x(1), run.xstars[0]) == Fraction(7, 8)
         assert Fraction(7, 8) > 1 - EPS3[0]
 
     def test_one_lattice_of_prefixes(self):
         run = ured_recursion(Fraction(1, 2), EPS3, 3)
         # 7/8, 15/16, 31/32 over 32; x_m is the first m coordinates
         assert (run.idx, run.nums, run.den, run.lengths) == ((2, 3, 4), (28, 30, 31), 32, (0, 1, 2, 3))
-        assert run.x(1) == run.xs[1] == SparseSeq.unit(2, Fraction(7, 8))
+        assert run.x(1) == SparseSeq.unit(2, Fraction(7, 8))
         assert run.x(1).den == 8  # each prefix is reduced on its own
 
     @given(runs())
     @settings(max_examples=60)
     def test_prefixes_equal_the_partial_sums(self, run):
-        xs = [SparseSeq.zero()]
+        xs = [SparseSeq(())]
         for n, e in enumerate(run.eps, 1):
             xs.append(xs[-1] + SparseSeq.unit(n + 1, 1 - e / 4))
-        assert run.xs == tuple(xs)
-        assert [run.x(m) for m in range(run.steps + 1)] == xs
+        assert all_x(run) == xs
         assert run.lengths == tuple(range(run.steps + 1)) and run.idx == run.xstars
 
     def test_malformed_lattice_is_rejected(self):
@@ -338,13 +325,13 @@ class TestRecursion:
 
     def test_zero_steps(self):
         run = ured_recursion(Fraction(1, 2), EPS3, 0)
-        assert run.xs == (SparseSeq.zero(),)
-        assert (run.z + run.xs[0]).sup_norm() == Fraction(1, 2)
+        assert all_x(run) == [SparseSeq(())]
+        assert (run.z + run.x(0)).sup_norm() == Fraction(1, 2)
 
     def test_first_step_algebra(self):
         run = ured_recursion(Fraction(1, 3), EPS3, 1)
-        assert run.xs[1] == SparseSeq.unit(2, 1 - EPS3[0] / 4)
-        assert run.xs[1].get(2) > 1 - EPS3[0]
+        assert run.x(1) == SparseSeq.unit(2, 1 - EPS3[0] / 4)
+        assert value(run.x(1), 2) > 1 - EPS3[0]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -365,7 +352,7 @@ class TestVerifyClaim:
         vals = rep["doubled_norm"]["values"]
         assert vals[2] == "15/8"  # max(2 * 15/16, 1/2)
         assert vals[0] == "1/2"  # n = 0: 1 - delta
-        assert (Fraction(1, 2) * run.z + run.xs[2]).sup_norm() == Fraction(15, 16)
+        assert (Fraction(1, 2) * run.z + run.x(2)).sup_norm() == Fraction(15, 16)
         assert Fraction(15, 16) >= 1 - EPS3[1]
 
     @given(runs())
@@ -404,7 +391,7 @@ class TestVerifyClaim:
         coords = coordinates(run)
         coords[4] += Fraction(1, 999_983)  # x_3 no longer sits at height 31/32 on x*_3
         bad = relattice(run, coords)
-        assert bad.xs[3].den % 999_983 == 0
+        assert bad.x(3).den % 999_983 == 0
         assert _claims(bad)[1] == oracle_verify(bad)
         assert not _claims(bad)[1]["claim2"] and not _claims(bad)[1]["doubled_norm"]["ok"]
 
@@ -442,16 +429,17 @@ class TestVerifyClaim:
     def test_coordinate_on_the_support_of_z(self):
         run = ured_recursion(Fraction(1, 100), EPS3, 3)
         # every nonempty x_m cancels z, so ||z + x_3|| = 31/32 rather than 1 - delta = 99/100
-        odd = relattice(run, {**coordinates(run), 1: -run.z.get(1)})
+        odd = relattice(run, {**coordinates(run), 1: -value(run.z, 1)})
         assert odd.lengths == (0, 2, 3, 4)
         assert _claims(odd)[0][3] == Fraction(31, 32)
         assert verify_claim(odd) == oracle_verify(odd)
 
     def test_projection_contract_on_run(self):
         run = ured_recursion(Fraction(1, 2), EPS3, 3)
-        for x in run.xs:
-            assert projection_tail(x) == x  # x_n in the range of the projection
-        assert projection_tail(run.z).sup_norm() == 0  # z in the kernel
+        # the projection zeroes the first coordinate: every x_n lies in its
+        # range, and z in its kernel
+        assert all(1 not in x.idx for x in all_x(run))
+        assert run.z.idx == (1,)
 
 
 class TestSegmentCheck:
@@ -488,10 +476,11 @@ class TestUredTension:
         run = ured_recursion(Fraction(1, 2), eps, 8)
         sums = []
         for n in range(1, 9):
-            y_n = run.z + run.xs[n]
-            assert (run.xs[n] - y_n).sup_norm() == run.z.sup_norm()  # fixed -z
-            s = (run.xs[n] + y_n).sup_norm()
-            assert s == (2 * run.xs[n] + run.z).sup_norm()
+            x_n = run.x(n)
+            y_n = run.z + x_n
+            assert x_n + -1 * y_n == -1 * run.z  # fixed -z
+            s = (x_n + y_n).sup_norm()
+            assert s == (2 * x_n + run.z).sup_norm()
             assert s == 2 * (1 - eps[n - 1] / 4)
             sums.append(s)
         assert all(a < b for a, b in zip(sums, sums[1:]))
@@ -529,7 +518,13 @@ class TestOnePass:
 
 def expanded(run) -> dict:
     """The report of `run` as plain JSON, with every x_m rendered on its own."""
-    return {**run.to_json(), "xs": [x.to_json() for x in run.xs]}
+    return {**run.to_json(), "xs": [x.to_json() for x in all_x(run)]}
+
+
+def expand_prefixes(o: PrefixMaps) -> list[dict]:
+    """The JSON list that `o` stands for: the m-th object maps the first
+    counts[m] keys to their values."""
+    return [dict(zip(o.keys[:c], o.values[:c])) for c in o.counts]
 
 
 class TestReport:
@@ -541,8 +536,8 @@ class TestReport:
         eps = [Fraction(1_999_964 - 16_381 * k, 999_983) for k in range(steps)]
         run = ured_recursion(Fraction(331, 997), eps, steps)
         report, plain = run.to_json(), expanded(run)
-        assert report["xs"].expand() == plain["xs"]
-        assert _json_text(report) == json.dumps(plain, indent=2) + "\n"
+        assert expand_prefixes(report["xs"]) == plain["xs"]
+        assert "".join(_json_chunks(report)) == json.dumps(plain, indent=2) + "\n"
 
     @given(lattice_runs(), st.integers(min_value=0, max_value=3))
     @settings(max_examples=150)
@@ -550,7 +545,7 @@ class TestReport:
         report, plain = run.to_json(), expanded(run)
         for _ in range(depth):
             report, plain = {"run": [report]}, {"run": [plain]}
-        assert _json_text(report) == json.dumps(plain, indent=2) + "\n"
+        assert "".join(_json_chunks(report)) == json.dumps(plain, indent=2) + "\n"
 
 
 class TestScale:
