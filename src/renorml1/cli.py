@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
-from contextlib import nullcontext
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
 
@@ -142,9 +143,22 @@ def _nbhd_from_json(obj) -> WeakNbhd:
 
 
 def _emit(chunks: list[str], out_path) -> None:
-    """Write the text chunks one after the other, unjoined."""
-    with open(out_path, "w", encoding="utf-8", newline="\n") if out_path else nullcontext(sys.stdout) as fh:
+    """Write the text chunks one after the other, unjoined. A file at
+    `out_path` is written in place and then cut to the report's length, not
+    truncated first: on ext4 (`auto_da_alloc`) closing a file that was
+    truncated to zero and rewritten starts writeback of every block."""
+    if not out_path:
+        sys.stdout.writelines(chunks)
+        return
+    with open(out_path, "w", encoding="utf-8", newline="\n", opener=_open_in_place) as fh:
         fh.writelines(chunks)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # not /dev/null or a pipe
+            fh.truncate()
+
+
+def _open_in_place(path, flags: int) -> int:
+    """`open`'s flags for mode "w" without O_TRUNC, and its file mode."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
 def _emit_json(obj, out_path) -> None:

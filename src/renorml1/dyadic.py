@@ -167,9 +167,10 @@ class DyadicIndex(NamedTuple):
             if not isinstance(x, int) or isinstance(x, bool):
                 raise TypeError(f"cell index entries must be integers, got {_shown_repr(x)}")
         if self.k < 0:
-            raise ValueError(f"dyadic level must be >= 0, got {self.k}")
+            raise ValueError(f"dyadic level must be >= 0, got {_shown(_int_str(self.k))}")
         if not (self.j >= 1 and (self.j - 1) >> self.k == 0):  # 1 << k could be huge
-            raise ValueError(f"cell position {self.j} out of range 1..2**{self.k}")
+            j, k = _shown(_int_str(self.j)), _shown(_int_str(self.k))
+            raise ValueError(f"cell position {j} out of range 1..2**{k}")
         return self
 
     @property
@@ -369,9 +370,9 @@ def _check_level(level: int, what: str = "level") -> None:
     """A level in 0..MAX_LEVEL, checked before anything of its size is built;
     `what` names what it bounds. The one place LevelOverflowError is raised."""
     if level < 0:
-        raise ValueError(f"{what} must be >= 0, got {level}")
+        raise ValueError(f"{what} must be >= 0, got {_shown(_int_str(level))}")
     if level > MAX_LEVEL:
-        raise LevelOverflowError(f"{what} {level} exceeds cap {MAX_LEVEL}")
+        raise LevelOverflowError(f"{what} {_shown(_int_str(level))} exceeds cap {MAX_LEVEL}")
 
 
 def _check_shape(level: int, count: int) -> None:

@@ -1,6 +1,8 @@
 import io
 import json
+import os
 import re
+import stat
 import subprocess
 import sys
 from contextlib import redirect_stderr
@@ -562,6 +564,12 @@ class TestInputErrors:
             ({"deltas": ["1/2", "1/4"], "m": LONG}, ["ell1", "greedy"]),
             (dict(CHAIN, A=[[LONG, 1]]), ["probe", "chain"]),
             (CONST_78, ["norm", "--float-digits", "x" + "9" * 99_999]),
+            # JSON ints stop at 4300 digits: a 4201-digit cell index or level
+            (dict(CHAIN, A=[[1, 10**4200]]), ["probe", "chain"]),
+            (dict(CHAIN, A=[[-(10**4200), 1]]), ["probe", "chain"]),
+            (dict(CHAIN, A=[[10**4200, 1]]), ["probe", "chain"]),
+            ({"level": 10**4200, "values": ["1/1"]}, ["norm"]),
+            ({"level": -(10**4200), "values": ["1/1"]}, ["norm"]),
         ],
     )
     def test_long_values_are_cut_in_the_error(self, tmp_path, capsys, obj, argv):
@@ -794,6 +802,49 @@ class TestEmitter:
         # a pair built by hand renders its own b and c
         hand = replace(sp, b=sp.c, c=sp.b).to_json()
         assert list(map(expand_values, (hand["b"], hand["c"]))) == list(map(expand_values, (obj["c"], obj["b"])))
+
+
+class TestOutFile:
+    """`--out` is written in place and then cut to the report's length."""
+
+    def norm_argv(self, tmp_path):
+        return ["norm", "--input", write_json(tmp_path, "f.json", CONST_78)]
+
+    def test_rewrite_through_a_symlink_keeps_the_link(self, tmp_path, capsys):
+        argv = self.norm_argv(tmp_path)
+        assert main(argv) == 0
+        report = capsys.readouterr().out.encode()
+        target, link = tmp_path / "target.out", tmp_path / "link.out"
+        target.write_bytes(b"x" * (3 * len(report)))
+        link.symlink_to(target)
+        assert main([*argv, "--out", str(link)]) == 0
+        assert link.is_symlink() and target.read_bytes() == report
+
+    def test_devnull_is_written_and_not_cut(self, tmp_path):
+        # ftruncate on a character device fails, so only a regular file is cut
+        assert main([*self.norm_argv(tmp_path), "--out", os.devnull]) == 0
+
+    def test_new_file_mode_follows_the_umask(self, tmp_path):
+        argv, out = self.norm_argv(tmp_path), tmp_path / "new.out"
+        old = os.umask(0o027)
+        try:
+            assert main([*argv, "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~0o027
+
+    @pytest.mark.parametrize(
+        "argv, obj, rc",
+        [
+            (["norm"], {"level": 1, "values": ["1/2"]}, 2),
+            (["witness", "--eps", "1/5"], dict(NBHD, center={"level": 0, "values": ["0/1"]}), 1),
+        ],
+    )
+    def test_failed_run_leaves_the_old_file(self, tmp_path, capsys, argv, obj, rc):
+        out, old = tmp_path / "report.out", b"an earlier report\n" * 100
+        out.write_bytes(old)
+        assert invoke(tmp_path, *argv, "--input", write_json(tmp_path, "in.json", obj))[0] == rc
+        assert out.read_bytes() == old and capsys.readouterr().err
 
 
 class TestInternalErrors:

@@ -162,6 +162,17 @@ def test_report_bytes_unchanged(tmp_path, name):
     assert report_digest(tmp_path, argv) == digest
 
 
+def test_rewritten_out_file_equals_stdout(tmp_path, capsys):
+    # `--out` is written in place over an existing file and then cut, so a
+    # longer report after a shorter one and a shorter after a longer (the
+    # 2.5 MB K = 13 witness, then the norm) each leave exactly their bytes
+    for name in ("norm", "witness_deep", "norm", "witness_deep"):
+        argv, digest = CASES[name]
+        assert report_digest(tmp_path, argv) == digest
+        assert main([str(tmp_path / f"{a[1:]}.json") if a[0] == "@" else a for a in argv]) == 0
+        assert capsys.readouterr().out.encode() == (tmp_path / "report.out").read_bytes()
+
+
 def run_script(monkeypatch, capsys, name: str, argv) -> str:
     """What scripts/<name> prints when run as a program with `argv`."""
     script = Path(__file__).resolve().parents[1] / "scripts" / name
